@@ -1,0 +1,11 @@
+"""Make the benchmark modules and the checkout's package importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+
+run._import_package()
