@@ -7,13 +7,17 @@ independently with probability p = 1/2 + λ/2, so the discretized margin
 y·g(x) = (2K − N)/N where K ~ Binomial(N, p).  Everything here evaluates
 that law exactly.
 
-The scalar tail is evaluated in exact integer arithmetic — the success
-probability p = 1/2 + λ/2 is a dyadic rational because λ is a double — and
-the returned value is correctly rounded.  The vectorized batch evaluates
-atoms in log space (ln-Gamma binomial coefficients) and agrees with the
-scalar to ~1e-12 relative while staying fast for N up to ~10^5.  The
-threshold k*(η) = floor((η/2 + 1/2)·N) + 1 is computed in exact rational
-arithmetic, so integer boundary cases are decided exactly.
+The scalar tail is correctly rounded.  The success probability
+p = 1/2 + λ/2 is a dyadic rational because λ is a double, so the tail is an
+exact rational over a power of two; a fixed-precision integer front brackets
+it and returns as soon as both ends of the bracket round to the same double
+(Ziv's strategy), and the exact integer sum remains as the oracle behind it
+for the rare tail that sits on a rounding boundary.  The vectorized batch
+calls ``scipy.special.bdtrc`` (the regularized incomplete beta function):
+its measured error against the exact tail is at most 1.7e-12 absolute for
+N ≤ 2048 and about 1e-11 near the median at N = 12800.  The threshold
+k*(η) = floor((η/2 + 1/2)·N) + 1 is computed in exact rational arithmetic,
+so integer boundary cases are decided exactly.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtrc, gammaln
 
 from .core import (
     DataDistribution,
@@ -77,15 +80,6 @@ def _check_N(N) -> int:
     return int(N)
 
 
-@lru_cache(maxsize=128)
-def _log_binom_coeffs(N: int) -> np.ndarray:
-    """ln C(N, k) for k = 0..N via ln-Gamma."""
-    k = np.arange(N + 1, dtype=np.float64)
-    out = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
-    out.setflags(write=False)
-    return out
-
-
 def k_star(N: int, eta: float) -> int:
     """Threshold count: y·g(x) > η iff the number of agreeing draws ≥ k*.
 
@@ -96,34 +90,47 @@ def k_star(N: int, eta: float) -> int:
     return int((Fraction(eta) + 1) * N // 2) + 1
 
 
-def binom_margin_tail(N: int, lam: float, eta: float) -> float:
-    """Pr[y·g(x) > η] for g drawn from the discretization of f with y·f(x) = λ.
+#: Working precisions P, in bits, that the scalar front tries in turn before
+#: it falls back to the exact integer loop.
+_FRONT_PRECISIONS = (64, 128, 256)
+#: Bits the leading term carries beyond P, absorbing the front's floor errors.
+_GUARD_BITS = 64
+#: Early stop: the geometric remainder bound must sit P plus this many bits
+#: below the leading term.
+_STOP_BITS = 32
 
-    Equals Pr[Binom(N, 1/2 + λ/2) ≥ k*(η)].  The success probability
-    p = (1 + λ)/2 is a dyadic rational because λ is a double, so with
-    λ = m/2^e the atoms C(N,k)·(2^e + m)^k·(2^e − m)^(N−k) / 2^(N(e+1)) are
-    exact integers over a power of two and p + q = 1 holds exactly.  The
-    smaller side of the threshold is summed in integer arithmetic,
-    complemented exactly when it is the lower side, and the returned double
-    is the correctly rounded value of that rational.
+#: Scalar tail calls the front could not round, answered by the exact loop.
+_exact_fallbacks = 0
+
+
+def _tail_problem(N, lam, eta):
+    """The validated scalar tail as (N, k*, pn, qn, sh), or 0.0/1.0 when trivial.
+
+    With λ = m/d (d a power of two for any double), p = pn/2^sh and
+    q = qn/2^sh for pn = d + m, qn = d − m and 2^sh = 2d, so each atom is the
+    integer C(N,k)·pn^k·qn^(N−k) over 2^(N·sh) and p + q = 1 holds exactly.
     """
     N = _check_N(N)
     lam = _check_unit_interval("lambda", lam)
     ks = k_star(N, eta)
     if ks > N:
         return 0.0
-    if ks <= 0:  # unreachable for eta >= -1, kept as a guard
-        return 1.0
-    m, d = lam.as_integer_ratio()  # d is a power of two for any double
-    pn = d + m
-    qn = d - m
+    m, d = lam.as_integer_ratio()
+    pn, qn = d + m, d - m
     if pn == 0:
         return 0.0
     if qn == 0:
         return 1.0
-    sh = d.bit_length()  # 2d = 2^sh, the shared atom denominator per draw
-    # Scaled atom: the integer C(N,k) pn^k qn^(N-k); step k -> k+1
-    # multiplies by (N-k) pn and divides (exactly) by (k+1) qn.
+    return N, ks, pn, qn, d.bit_length()
+
+
+def _exact_tail(N: int, ks: int, pn: int, qn: int, sh: int) -> float:
+    """The exact oracle: sum the side with fewer atoms in integer arithmetic.
+
+    Step k -> k+1 multiplies the integer atom by (N−k)·pn and divides it,
+    exactly, by (k+1)·qn.  The rational is rounded once, correctly, by int/int
+    true division.
+    """
     if ks - 1 <= N - ks:
         k_lo, k_hi, complement = 0, ks - 1, True
     else:
@@ -133,59 +140,141 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
     for k in range(k_lo, k_hi):
         term = term * ((N - k) * pn) // ((k + 1) * qn)
         total += term
-    side = Fraction(total, 1 << (N * sh))
-    return float(1 - side) if complement else float(side)
+    one = 1 << (N * sh)
+    return (one - total) / one if complement else total / one
+
+
+def _truncate(x: int, bits: int):
+    """(x >> s, s), with s the least shift that leaves at most ``bits`` bits."""
+    s = max(0, x.bit_length() - bits)
+    return x >> s, s
+
+
+def _pow_lower(base: int, e: int, bits: int):
+    """(m, s) with base^e·(1 − 2^−(bits−1))^(e−1) ≤ m·2^s ≤ base^e.
+
+    Left-to-right binary powering, truncated to ``bits`` bits after every
+    product.  A squaring doubles the error already carried and adds one
+    truncation, a multiplication by the exact base adds one, so the
+    exponent of the error factor stays at most e − 1.
+    """
+    if e == 0:
+        return 1, 0
+    m, s = base, 0
+    for bit in bin(e)[3:]:
+        m, t = _truncate(m * m, bits)
+        s = 2 * s + t
+        if bit == "1":
+            m, t = _truncate(m * base, bits)
+            s += t
+    return m, s
+
+
+def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int, precision: int):
+    """The correctly rounded tail from fixed-precision integers, or None.
+
+    Sums the side of k* away from the mode, chosen by k* against N·p: the
+    upper side k ≥ k* when k* > N·p, otherwise the lower side k < k*,
+    complemented.  Every step ratio is then < 1 and the ratios fall
+    monotonically, and the complement is only taken when the upper tail is
+    at least 1/2 (k* ≤ floor(N·p) ≤ the median), so 1 − L never cancels.
+
+    Error bound, with B = precision + 64 bits and τ_j the exact j-th atom on
+    the summed side in units of the leading term's scale:
+
+    * the leading term T_0 is a lower bound of C(N,k₀)·pn^k₀·qn^(N−k₀) from
+      truncated powering, normalised to B bits; it makes at most N + 2
+      lossy truncations of relative error < 2^−(B−1) each, so
+      τ_0·(1 − δ) ≤ T_0 ≤ τ_0 with δ = (N + 2)·2^−(B−1);
+    * each step T_{j+1} = floor(T_j·a/b) loses < 1 unit and scales the
+      earlier losses by a/b < 1, so τ_j·(1 − δ) − j ≤ T_j ≤ τ_j, and J
+      steps lose at most J·(J+1)/2 units in all;
+    * stopping early after term J with next ratio r = a/b bounds the rest
+      geometrically: (1 − δ)·Σ_{i>J} τ_i ≤ (T_J + J)·r/(1 − r).
+
+    So Σ T_j ≤ S ≤ (Σ T_j + J(J+1)/2 + rest)/(1 − δ), and the answer is
+    returned when both ends round, by int/int true division, to the same
+    double; otherwise None.
+    """
+    bits = precision + _GUARD_BITS
+    upper = ks << sh > N * pn  # k* > N·p
+    k, end, step = (ks, N, 1) if upper else (ks - 1, 0, -1)
+    term, s = _truncate(math.comb(N, k), bits)
+    for base, e in ((pn, k), (qn, N - k)):
+        power, t = _pow_lower(base, e, bits)
+        term, u = _truncate(term * power, bits)
+        s += t + u
+    lift = bits - term.bit_length()  # exact: normalise T_0 to B bits
+    term <<= lift
+    s -= lift
+    total = term
+    tiny = term >> (precision + _STOP_BITS)
+    steps = rest = 0
+    while k != end:
+        if upper:
+            a, b = (N - k) * pn, (k + 1) * qn
+        else:
+            a, b = k * qn, (N - k + 1) * pn
+        if term <= tiny:
+            rest = -(-(term + steps) * a // (b - a))
+            if rest <= tiny:
+                break
+            rest = 0
+        term = term * a // b
+        total += term
+        steps += 1
+        k += step
+    hi = total + steps * (steps + 1) // 2 + rest
+    hi += (hi * (N + 2) >> (bits - 2)) + 1  # ≥ hi/(1 − δ) as δ ≤ 1/2
+    one = 1 << (N * sh - s)
+    if upper:
+        lo_value, hi_value = total / one, hi / one
+    else:
+        lo_value, hi_value = (one - hi) / one, (one - total) / one
+    return lo_value if lo_value == hi_value else None
+
+
+def binom_margin_tail(N: int, lam: float, eta: float) -> float:
+    """Pr[y·g(x) > η] for g drawn from the discretization of f with y·f(x) = λ.
+
+    Equals Pr[Binom(N, 1/2 + λ/2) ≥ k*(η)], correctly rounded.  The success
+    probability p = (1 + λ)/2 is a dyadic rational because λ is a double,
+    so the tail is an exact rational over a power of two.  Ziv's strategy
+    evaluates it: a fixed-precision front (``_front_tail``) brackets the
+    rational and returns when both ends round to the same double, at
+    working precision 64, then 128, then 256 bits.  Only when all three
+    brackets straddle a rounding boundary (in practice, a tail that is
+    exactly the midpoint between two doubles) does the exact integer loop
+    answer; ``_exact_fallbacks`` counts those calls.
+    """
+    global _exact_fallbacks
+    problem = _tail_problem(N, lam, eta)
+    if isinstance(problem, float):
+        return problem
+    for precision in _FRONT_PRECISIONS:
+        value = _front_tail(*problem, precision)
+        if value is not None:
+            return value
+    _exact_fallbacks += 1
+    return _exact_tail(*problem)
 
 
 def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
     """Vectorized binom_margin_tail over an array of λ values.
 
-    Log-space evaluation (ln-Gamma coefficients, smaller side summed and
-    complemented); agrees with the exact scalar values to ~1e-12 relative,
-    which is ample for grid and Monte Carlo work.
+    Evaluates ``scipy.special.bdtrc(k* − 1, N, 1/2 + λ/2)`` (the regularized
+    incomplete beta function).  Measured against the exact scalar tail its
+    error is at most 1.7e-12 absolute for N ≤ 2048 and about 1e-11 near the
+    median at N = 12800, which is ample for grid and Monte Carlo work.
     """
     N = _check_N(N)
     lams = np.asarray(lams, dtype=np.float64)
-    flat = lams.ravel()
-    if flat.size and (flat.min() < -1.0 or flat.max() > 1.0):
-        raise ValueError("lambda values must lie in [-1, 1]")
-    out = np.empty(flat.shape, dtype=np.float64)
+    if not (np.abs(lams) <= 1.0).all():
+        raise ValueError("lambda values must be finite and lie in [-1, 1]")
     ks = k_star(N, eta)
     if ks > N:
-        out.fill(0.0)
-        return out.reshape(lams.shape)
-    p = 0.5 + 0.5 * flat
-    q = 0.5 - 0.5 * flat
-    out[p <= 0.0] = 0.0
-    out[q <= 0.0] = 1.0
-    interior = (p > 0.0) & (q > 0.0)
-    lower = interior & (ks <= p * N)
-    upper = interior & ~lower
-    lb = _log_binom_coeffs(N)
-
-    def _side_sum(mask: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
-        idx = np.flatnonzero(mask)
-        k = np.arange(k_lo, k_hi, dtype=np.float64)
-        coeffs = lb[k_lo:k_hi]
-        sums = np.empty(idx.size, dtype=np.float64)
-        # chunk rows to bound the temporary matrix at ~2e7 entries
-        chunk = max(1, int(2e7 // max(1, k.size)))
-        for start in range(0, idx.size, chunk):
-            rows = idx[start : start + chunk]
-            logs = (
-                coeffs
-                + k * np.log(p[rows])[:, None]
-                + (N - k) * np.log(q[rows])[:, None]
-            )
-            sums[start : start + chunk] = np.exp(logs).sum(axis=1)
-        return sums
-
-    if upper.any():
-        out[upper] = _side_sum(upper, ks, N + 1)
-    if lower.any():
-        out[lower] = 1.0 - _side_sum(lower, 0, ks)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out.reshape(lams.shape)
+        return np.zeros(lams.shape)
+    return bdtrc(ks - 1, N, 0.5 + 0.5 * lams)
 
 
 @dataclass(frozen=True)
@@ -223,8 +312,9 @@ class BinomialMarginLaw:
         elif p >= 1.0:
             probs[N] = 1.0
         else:
+            log_coeffs = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
             probs = np.exp(
-                _log_binom_coeffs(N) + k * math.log(p) + (N - k) * math.log(0.5 - 0.5 * self.lam)
+                log_coeffs + k * math.log(p) + (N - k) * math.log(0.5 - 0.5 * self.lam)
             )
         return margins, probs
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom as _binom_dist
+from scipy.special import bdtr
 
 from ..bounds import build_partition, delta_allocation
 from ..core import (
@@ -139,9 +139,19 @@ def smallest_c_monotone(fn, target: float, hi: float = 1.0) -> float:
 def binomial_ci(trials: int, p: float, level: float = 0.95):
     """Central exact binomial interval of counts at the given level."""
     alpha = (1.0 - level) / 2.0
-    lo = int(_binom_dist.ppf(alpha, trials, p))
-    hi = int(_binom_dist.ppf(1.0 - alpha, trials, p))
-    return lo, hi
+    return _binomial_quantile(alpha, trials, p), _binomial_quantile(1.0 - alpha, trials, p)
+
+
+def _binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest count k in [0, n] with Pr[Binom(n, p) ≤ k] ≥ q, by bisection."""
+    lo, hi = 0, n  # Pr[Binom(n, p) ≤ n] = 1 ≥ q
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bdtr(mid, n, p) >= q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _out_paths(lemma_id: str, out):

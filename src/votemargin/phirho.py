@@ -112,8 +112,10 @@ def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized φ over an array of margins."""
     lams = np.asarray(lams, dtype=np.float64)
     flat = lams.ravel()
-    if flat.size and (flat.min() < -C_THETA or flat.max() > C_THETA):
-        raise ValueError(f"lambda values must lie in [-{C_THETA!r}, {C_THETA!r}]")
+    if not (np.abs(flat) <= C_THETA).all():
+        raise ValueError(
+            f"lambda values must be finite and lie in [-{C_THETA!r}, {C_THETA!r}]"
+        )
     out = np.zeros(flat.shape, dtype=np.float64)
     left = flat <= 0.0
     if left.any():
@@ -128,8 +130,10 @@ def rho_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized ρ over an array of margins."""
     lams = np.asarray(lams, dtype=np.float64)
     flat = lams.ravel()
-    if flat.size and (flat.min() < -C_THETA or flat.max() > C_THETA):
-        raise ValueError(f"lambda values must lie in [-{C_THETA!r}, {C_THETA!r}]")
+    if not (np.abs(flat) <= C_THETA).all():
+        raise ValueError(
+            f"lambda values must be finite and lie in [-{C_THETA!r}, {C_THETA!r}]"
+        )
     out = np.zeros(flat.shape, dtype=np.float64)
     mid = (flat > 0.0) & (flat <= params.theta_i)
     if mid.any():

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votemargin import discretize
 from votemargin.core import (
     DataDistribution,
     DiscreteDomain,
@@ -47,6 +50,12 @@ def exact_tail(N: int, lam: float, eta: float) -> Fraction:
     p = Fraction(lam) / 2 + Fraction(1, 2)
     q = 1 - p
     return sum(math.comb(N, k) * p**k * q ** (N - k) for k in range(ks, N + 1))
+
+
+def exact_loop(N: int, lam: float, eta: float) -> float:
+    """The scalar tail through the retained exact integer loop alone."""
+    problem = discretize._tail_problem(N, lam, eta)
+    return problem if isinstance(problem, float) else discretize._exact_tail(*problem)
 
 
 def random_instance(seed: int, n_points: int = 8, n_hyps: int = 4, n_sample: int = 20):
@@ -154,9 +163,28 @@ class TestBinomMarginTail:
             16, 0.3, 0.0
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=512),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_front_bitwise_equal_to_exact_loop(self, N, lam, eta):
+        assert binom_margin_tail(N, lam, eta).hex() == exact_loop(N, lam, eta).hex()
+
+    def test_rounding_midpoint_falls_back_to_exact_loop(self):
+        # p = 0.35 needs 54 significant bits: the tail at N = 1 is a midpoint
+        # between two doubles, which no finite bracket can round
+        before = discretize._exact_fallbacks
+        value = binom_margin_tail(1, -0.3, 0.0)
+        assert discretize._exact_fallbacks == before + 1
+        assert value == float(exact_tail(1, -0.3, 0.0))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="lambda"):
             binom_margin_tail(8, 1.2, 0.0)
+        with pytest.raises(ValueError, match="lambda"):
+            binom_margin_tail(8, math.nan, 0.0)
         with pytest.raises(ValueError, match="eta"):
             binom_margin_tail(8, 0.0, -1.2)
         with pytest.raises(ValueError, match="N"):
@@ -192,6 +220,11 @@ class TestBinomMarginTailBatch:
     def test_rejects_out_of_range_lambdas(self):
         with pytest.raises(ValueError, match="lambda"):
             binom_margin_tail_batch(8, np.array([0.0, 1.5]), 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lambdas(self, bad):
+        with pytest.raises(ValueError, match="lambda"):
+            binom_margin_tail_batch(64, np.array([bad, 0.2]), 0.1)
 
 
 class TestBinomialMarginLaw:

@@ -328,6 +328,22 @@ class TestCheckHelpers:
     def test_binomial_ci_pinned_interval(self):
         assert binomial_ci(500, 0.1) == (37, 64)
 
+    def test_binomial_ci_matches_scipy_stats_ppf(self):
+        from scipy.stats import binom  # test-only oracle
+        ns = list(range(1, 300)) + [500, 1000, 2000, 5000, 10_000, 20_000]
+        ps = (
+            [0.001, 0.005, 0.01, 0.02]
+            + [round(x, 2) for x in np.arange(0.05, 1.0, 0.05)]
+            + [0.98, 0.99, 0.995, 0.999, 1 / 3, 2 / 3, 0.0625, 0.9375]
+            + [0.123, 0.4567, 0.5001, 0.7071, 0.31]
+        )
+        n_grid, p_grid = np.meshgrid(ns, ps, indexing="ij")
+        lo_ref = binom.ppf(0.025, n_grid, p_grid)
+        hi_ref = binom.ppf(0.975, n_grid, p_grid)
+        for i, n in enumerate(ns):
+            for j, p in enumerate(ps):
+                assert binomial_ci(n, p) == (lo_ref[i, j], hi_ref[i, j]), (n, p)
+
     def test_binomial_ci_brackets_the_mean(self):
         lo, hi = binomial_ci(500, 0.1)
         assert lo <= 50 <= hi

@@ -102,7 +102,7 @@ class TestVectorizedAgreement:
         )
         batch = phi_many(grid, p)
         assert batch.shape == grid.shape
-        # tail-backed branches go through the log-space batch evaluator, so
+        # tail-backed branches go through the bdtrc batch evaluator, so
         # agreement with the exact scalar is approximate at ~1e-12
         for lam, value in zip(grid, batch):
             assert math.isclose(
@@ -131,6 +131,14 @@ class TestVectorizedAgreement:
             phi_many(np.array([0.0, 1.0]), p)
         with pytest.raises(ValueError, match="lambda"):
             rho_many(np.array([-1.0]), p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        p = params64()
+        with pytest.raises(ValueError, match="lambda"):
+            phi_many(np.array([bad, 0.2]), p)
+        with pytest.raises(ValueError, match="lambda"):
+            rho_many(np.array([0.2, bad]), p)
 
 
 class TestBranchContinuity:
