@@ -76,8 +76,8 @@ class BoundInputs:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must lie in [0, 1], got {self.loss}")
-        if self.c < 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
+        if not (math.isfinite(self.c) and self.c >= 0.0):
+            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
 
     @property
     def log_H(self) -> float:

@@ -50,6 +50,17 @@ def _check_label(y) -> int:
     return y
 
 
+def _check_signs(values: np.ndarray) -> np.ndarray:
+    """``values`` cast to int8, after checking each entry is exactly +1 or -1.
+
+    The check runs before the cast, so 255 cannot wrap to -1, 1.7 cannot
+    truncate to 1, and NaN, 1j or a string fail instead of converting.
+    """
+    if not ((values == 1) | (values == -1)).all():
+        raise ValueError("hypothesis values must be +1 or -1")
+    return values.astype(np.int8)
+
+
 def _check_threshold(theta: float) -> float:
     theta = float(theta)
     if not 0.0 <= theta <= 1.0:
@@ -123,17 +134,15 @@ class Hypothesis:
                 raise ValueError(
                     f"hypothesis must be total over the domain; missing {missing[:3]}"
                 )
-            table = np.array([values[p] for p in domain.points], dtype=np.int8)
+            raw = np.array([values[p] for p in domain.points])
         else:
-            table = np.asarray(values, dtype=np.int8)
-            if table.shape != (len(domain),):
+            raw = np.asarray(values)
+            if raw.shape != (len(domain),):
                 raise ValueError(
-                    f"hypothesis table has shape {table.shape}, expected ({len(domain)},)"
+                    f"hypothesis table has shape {raw.shape}, expected ({len(domain)},)"
                 )
-        if not np.isin(table, (-1, 1)).all():
-            raise ValueError("hypothesis values must be +1 or -1")
         self.domain = domain
-        self.table = table
+        self.table = _check_signs(raw)
 
     def value(self, point) -> int:
         return int(self.table[self.domain.position(point)])
@@ -160,7 +169,7 @@ class HypothesisClass:
 
     def __init__(self, domain: DiscreteDomain, hypotheses):
         if isinstance(hypotheses, np.ndarray):
-            matrix = hypotheses.astype(np.int8, copy=True)
+            raw = hypotheses
         else:
             rows = []
             for h in hypotheses:
@@ -171,18 +180,17 @@ class HypothesisClass:
                 elif isinstance(h, Mapping):
                     rows.append(Hypothesis(domain, h).table)
                 else:
-                    rows.append(np.asarray(h, dtype=np.int8))
+                    rows.append(np.asarray(h))
             if not rows:
                 raise ValueError("hypothesis class must be non-empty")
-            matrix = np.vstack(rows).astype(np.int8)
-        if matrix.ndim != 2 or matrix.shape[1] != len(domain):
+            raw = np.vstack(rows)
+        if raw.ndim != 2 or raw.shape[1] != len(domain):
             raise ValueError(
-                f"hypothesis matrix has shape {matrix.shape}, expected (*, {len(domain)})"
+                f"hypothesis matrix has shape {raw.shape}, expected (*, {len(domain)})"
             )
-        if matrix.shape[0] < 1:
+        if raw.shape[0] < 1:
             raise ValueError("hypothesis class must be non-empty")
-        if not np.isin(matrix, (-1, 1)).all():
-            raise ValueError("hypothesis values must be +1 or -1")
+        matrix = _check_signs(raw)
         plus_rows = np.flatnonzero((matrix == 1).all(axis=1))
         minus_rows = np.flatnonzero((matrix == -1).all(axis=1))
         if len(plus_rows) > 1 or len(minus_rows) > 1:

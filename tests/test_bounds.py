@@ -59,6 +59,9 @@ class TestBoundInputs:
             ("loss", -0.1),
             ("loss", 1.1),
             ("c", -1.0),
+            ("c", math.nan),
+            ("c", math.inf),
+            ("c", -math.inf),
         ],
     )
     def test_rejects_bad_fields(self, field, bad):

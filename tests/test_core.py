@@ -78,8 +78,35 @@ class TestHypothesis:
         with pytest.raises(ValueError, match="shape"):
             Hypothesis(domain, np.array([1, -1, 1]))
 
+    @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan")])
+    def test_values_are_checked_before_the_int8_cast(self, bad):
+        domain = DiscreteDomain(("a", "b"))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            Hypothesis(domain, np.array([bad, 1]))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            Hypothesis(domain, [bad, 1])
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            Hypothesis(domain, {"a": bad, "b": 1})
+
 
 class TestHypothesisClass:
+    @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan"), 1j])
+    def test_values_are_checked_before_the_int8_cast(self, bad):
+        domain = DiscreteDomain(("a", "b"))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            HypothesisClass(domain, np.array([[bad, 1], [1, -1]]))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            HypothesisClass(domain, [[bad, 1], [1, -1]])
+
+    def test_valid_values_of_any_dtype_become_int8(self):
+        domain = DiscreteDomain(("a", "b"))
+        source = np.array([[1.0, -1.0], [-1.0, -1.0]])
+        H = HypothesisClass(domain, source)
+        assert H.matrix.dtype == np.int8
+        np.testing.assert_array_equal(H.matrix, source)
+        assert H.minus_index == 1
+        assert Hypothesis(domain, [1.0, -1.0]).table.dtype == np.int8
+
     def test_constant_detection(self):
         domain = DiscreteDomain(("a", "b"))
         H = HypothesisClass(

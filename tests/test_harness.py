@@ -631,6 +631,17 @@ class TestCommandLine:
         assert len(warnings) == 2
         assert all(line.startswith(" ") for line in warnings)
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+    def test_bounds_eval_rejects_non_finite_constant(self, c, capsys):
+        code = main(
+            ["bounds", "eval", "--n", "1000", "--h-size", "100", "--theta", "0.1",
+             "--delta", "0.05", "--loss", "0.1", f"--c={c}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: c must be finite and nonnegative, got {c}\n"
+
     def test_bounds_eval_rejects_bad_values(self, capsys):
         code = main(
             ["bounds", "eval", "--n", "5000", "--h-size", "16", "--theta", "1.5",

@@ -1,16 +1,19 @@
 """Unit tests for empirical Rademacher complexity and the convexity collapse."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from votemargin import rademacher
 from votemargin.core import (
     DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     PreconditionError,
 )
+from votemargin.harness.checks import random_hypothesis_class
 from votemargin.rademacher import (
     EXHAUSTIVE_LIMIT,
     RademacherEstimate,
@@ -53,6 +56,36 @@ def random_class(seed: int, n_hyps: int, n_points: int):
     return H, S
 
 
+def matmul_reference(H, S):
+    """The exhaustive value by a chunked sign-matrix product over all 2ⁿ σ."""
+    n = len(S)
+    values = H.sample_values(S).astype(np.int16)
+    total = 0
+    count = 1 << n
+    bits = np.arange(n, dtype=np.int64)
+    chunk = 1 << 18
+    for start in range(0, count, chunk):
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        signs = (((idx[:, None] >> bits) & 1) * 2 - 1).astype(np.int16)
+        sups = (signs @ values.T).max(axis=1)
+        total += int(sups.astype(np.int64).sum())
+    return total / (count * n)
+
+
+def massart_draws(seed: int, count: int):
+    """The instances of the ``massart`` suite: n in 1..14, |H| in 2..32,
+    sample points drawn with replacement, so columns may repeat."""
+    for t in range(count):
+        rng = stream(seed, 4, t)
+        n = int(rng.integers(1, 15))
+        H_size = int(rng.integers(2, 33))
+        H = random_hypothesis_class(rng, max(n, 2), H_size)
+        S = LabeledSample(
+            [(int(p), 1) for p in rng.integers(0, len(H.domain), size=n)]
+        )
+        yield H, S
+
+
 class TestRademacherEstimate:
     def test_mode_is_validated(self):
         with pytest.raises(ValueError, match="mode"):
@@ -82,6 +115,52 @@ class TestExhaustive:
     def test_complete_pattern_class_attains_one(self):
         H, S = all_patterns_on_two_points()
         assert exhaustive_rademacher(H, S).value == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_the_matmul_on_massart_draws(self, seed):
+        for H, S in massart_draws(seed, 100):
+            est = exhaustive_rademacher(H, S)
+            assert est.value == matmul_reference(H, S)
+            assert est.trials == 2 ** len(S)
+
+    def test_single_point(self):
+        domain = DiscreteDomain(("a", "b"))
+        H = HypothesisClass(domain, np.array([[1, -1], [-1, 1], [1, 1]]))
+        for point, value in (("a", 1.0), ("b", 1.0)):
+            S = LabeledSample([(point, 1)])
+            est = exhaustive_rademacher(H, S)
+            assert est.value == matmul_reference(H, S) == value
+            assert est.trials == 2
+        single = HypothesisClass(domain, np.array([[1, -1]]))
+        assert exhaustive_rademacher(single, LabeledSample([("a", -1)])).value == 0.0
+
+    @pytest.mark.parametrize(
+        "n, n_hyps", [(17, 32), (18, 5), (20, 32)], ids=["n17", "n18", "n20"]
+    )
+    def test_bitwise_equal_to_the_matmul_past_the_table(self, n, n_hyps):
+        # n = 17 fills the 16-point table exactly; n = 18 and n = 20 leave
+        # 1 and 3 points to the per-block offsets
+        H, S = random_class(60 + n, n_hyps, n)
+        est = exhaustive_rademacher(H, S)
+        assert est.value == matmul_reference(H, S)
+        assert est.trials == 2 ** n
+
+    def test_narrow_table_runs_many_offset_blocks(self, monkeypatch):
+        monkeypatch.setattr(rademacher, "_TABLE_BITS", 2)
+        for H, S in massart_draws(3, 60):
+            assert exhaustive_rademacher(H, S).value == matmul_reference(H, S)
+
+    def test_matches_pure_python_enumeration(self):
+        small = [(H, S) for H, S in massart_draws(4, 100) if len(S) <= 6]
+        assert len(small) >= 30
+        for H, S in small:
+            n = len(S)
+            rows = H.sample_values(S).tolist()
+            total = sum(
+                max(sum(s * h for s, h in zip(sigma, row)) for row in rows)
+                for sigma in itertools.product((-1, 1), repeat=n)
+            )
+            assert exhaustive_rademacher(H, S).value == total / (2**n * n)
 
     def test_enumeration_size_is_capped(self):
         H, S = opposite_constants(EXHAUSTIVE_LIMIT + 1)
