@@ -31,7 +31,7 @@ _, H = build_stump_class(spec)
 print(f"stump class: d={spec.d} features, k={spec.k} thresholds "
       f"-> |H| = {spec.H_size}, |X| = {spec.domain_size}")
 
-D, S = generate_synthetic(spec, n=300, noise=0.0, rng_seed=stream(7, 0))
+D, S = generate_synthetic(H, n=300, noise=0.0, rng_seed=stream(7, 0))
 run = adaboost(S, H, T=80)
 print(f"AdaBoost: {len(run.rounds)} rounds, status '{run.status}'")
 

@@ -88,22 +88,25 @@ def build_stump_class(spec: StumpClassSpec):
     return domain, HypothesisClass(domain, np.vstack(rows))
 
 
-def generate_synthetic(spec: StumpClassSpec, n: int, noise: float, rng_seed):
-    """A stump-majority task: explicit distribution plus an i.i.d. sample.
+def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
+    """A stump-majority task over a class from ``build_stump_class``.
 
     Ground truth is the majority vote of up to five distinct random
     non-constant stumps (an odd number, so never a tie).  Each lattice point
     carries mass (1−noise)/|X| on its true label and noise/|X| on the flip.
-    Deterministic given the seed.
+    Returns (distribution, i.i.d. sample of size n); deterministic given the
+    seed.
     """
     noise = float(noise)
     if not 0.0 <= noise < 0.5:
         raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    num_stumps = len(H) - 2
+    if num_stumps < 1 or (H.plus_index, H.minus_index) != (num_stumps, num_stumps + 1):
+        raise ValueError("H must be a stump class: stumps, then the +1 and -1 constants")
     rng = np.random.default_rng(rng_seed)
-    domain, H = build_stump_class(spec)
-    num_stumps = 2 * spec.d * spec.k
+    domain = H.domain
     count = min(5, num_stumps)
     if count % 2 == 0:
         count -= 1

@@ -43,22 +43,27 @@ class PreconditionError(ValueError):
     """A documented precondition of an operation does not hold."""
 
 
-def _check_label(y) -> int:
-    y = int(y)
-    if y not in (-1, 1):
-        raise ValueError(f"label must be +1 or -1, got {y}")
-    return y
-
-
-def _check_signs(values: np.ndarray) -> np.ndarray:
+def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndarray:
     """``values`` cast to int8, after checking each entry is exactly +1 or -1.
 
     The check runs before the cast, so 255 cannot wrap to -1, 1.7 cannot
-    truncate to 1, and NaN, 1j or a string fail instead of converting.
+    truncate to 1, and NaN, ±inf, 1j or a string fail instead of converting.
     """
     if not ((values == 1) | (values == -1)).all():
-        raise ValueError("hypothesis values must be +1 or -1")
+        raise ValueError(f"{what} must be +1 or -1")
     return values.astype(np.int8)
+
+
+def _check_labels(labels: list) -> np.ndarray:
+    """The labels as an int8 array, each checked to equal +1 or -1."""
+    values = np.asarray(labels)
+    if values.ndim != 1:  # each label a sequence of the same length
+        raise ValueError("labels must be +1 or -1")
+    return _check_signs(values, "labels")
+
+
+def _check_label(y) -> int:
+    return int(_check_labels([y])[0])
 
 
 def _check_threshold(theta: float) -> float:
@@ -277,7 +282,7 @@ class LabeledSample:
         if not items:
             raise ValueError("sample must contain at least one point")
         self.points = tuple(p for p, _ in items)
-        self.labels = np.array([_check_label(y) for _, y in items], dtype=np.int8)
+        self.labels = _check_labels([y for _, y in items])
         self.labels.setflags(write=False)
 
     def __len__(self) -> int:
@@ -300,14 +305,12 @@ class DataDistribution:
     def __init__(self, probabilities: Mapping):
         if not probabilities:
             raise ValueError("distribution must have at least one atom")
-        atoms = []
-        probs = []
-        for (point, label), p in probabilities.items():
-            atoms.append((point, _check_label(label)))
-            probs.append(float(p))
+        items = list(probabilities.items())
+        labels = _check_labels([label for (_, label), _ in items]).tolist()
+        atoms = tuple(zip([point for (point, _), _ in items], labels))
         if len(set(atoms)) != len(atoms):
             raise ValueError("distribution atoms must be distinct")
-        probs = np.array(probs, dtype=np.float64)
+        probs = np.array([float(p) for _, p in items], dtype=np.float64)
         if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -318,7 +321,7 @@ class DataDistribution:
         probs /= total
         _force_unit_sum(probs)
         probs.setflags(write=False)
-        self.atoms = tuple(atoms)
+        self.atoms = atoms
         self.probabilities = probs
 
     @classmethod

@@ -18,6 +18,10 @@ its measured error against the exact tail is at most 1.7e-12 absolute for
 N ≤ 2048 and about 1e-11 near the median at N = 12800.  The threshold
 k*(η) = floor((η/2 + 1/2)·N) + 1 is computed in exact rational arithmetic,
 so integer boundary cases are decided exactly.
+
+scipy is imported inside the batch tail and ``BinomialMarginLaw.atoms``, not
+at module level: importing this module (and the CLI) loads numpy only, and
+scipy loads on the first batch tail or pmf.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import bdtrc, gammaln
 
 from .core import (
     DataDistribution,
@@ -274,6 +277,8 @@ def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
     ks = k_star(N, eta)
     if ks > N:
         return np.zeros(lams.shape)
+    from scipy.special import bdtrc  # local: scipy loads on the first tail, not on import
+
     return bdtrc(ks - 1, N, 0.5 + 0.5 * lams)
 
 
@@ -312,6 +317,8 @@ class BinomialMarginLaw:
         elif p >= 1.0:
             probs[N] = 1.0
         else:
+            from scipy.special import gammaln  # local: scipy loads on the first pmf, not on import
+
             log_coeffs = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
             probs = np.exp(
                 log_coeffs + k * math.log(p) + (N - k) * math.log(0.5 - 0.5 * self.lam)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import bdtr
 
 from ..bounds import build_partition, delta_allocation
 from ..core import (
@@ -144,6 +143,8 @@ def binomial_ci(trials: int, p: float, level: float = 0.95):
 
 def _binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest count k in [0, n] with Pr[Binom(n, p) ≤ k] ≥ q, by bisection."""
+    from scipy.special import bdtr  # local: scipy loads on the first interval, not on import
+
     lo, hi = 0, n  # Pr[Binom(n, p) ≤ n] = 1 ≥ q
     while lo < hi:
         mid = (lo + hi) // 2

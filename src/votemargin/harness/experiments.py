@@ -484,15 +484,14 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
     p = config.params
     delta = p["delta"]
     c_used, c_source = _resolve_gap_constant(p)
-    spec = StumpClassSpec(d=p["d"], k=p["k"])
-    _, H = build_stump_class(spec)
+    _, H = build_stump_class(StumpClassSpec(d=p["d"], k=p["k"]))
     floor_by_n = {
         n: math.sqrt(math.e * math.log(len(H)) / n) for n in p["n_grid"]
     }
 
     trained = []
     for i, n in enumerate(p["n_grid"]):
-        D, S = generate_synthetic(spec, n, p["noise"], stream(config.seed, 4, i))
+        D, S = generate_synthetic(H, n, p["noise"], stream(config.seed, 4, i))
         run_result = adaboost(S, H, p["t"])
         trained.append((n, D, S, run_result.classifier))
 
@@ -620,9 +619,8 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     if config.kind != "adaboost":
         raise ValueError(f"kind must be adaboost, got {config.kind!r}")
     p = config.params
-    spec = StumpClassSpec(d=p["d"], k=p["k"])
-    _, H = build_stump_class(spec)
-    _, S = generate_synthetic(spec, p["n"], p["noise"], stream(config.seed, 0))
+    _, H = build_stump_class(StumpClassSpec(d=p["d"], k=p["k"]))
+    _, S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))
     result = adaboost(S, H, p["t"])
 
     out_dir = resolve_out_dir(p.get("out"))

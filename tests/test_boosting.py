@@ -27,7 +27,7 @@ from votemargin.rng import stream
 def separable_task(n: int = 200, seed: int = 1234):
     spec = StumpClassSpec(2, 7)
     domain, H = build_stump_class(spec)
-    D, S = generate_synthetic(spec, n, 0.0, stream(seed, 0))
+    D, S = generate_synthetic(H, n, 0.0, stream(seed, 0))
     return spec, H, D, S
 
 
@@ -70,24 +70,26 @@ class TestBuildStumpClass:
 
 class TestGenerateSynthetic:
     def test_deterministic_given_the_seed(self):
-        spec = StumpClassSpec(2, 3)
-        D1, S1 = generate_synthetic(spec, 50, 0.1, stream(7, 0))
-        D2, S2 = generate_synthetic(spec, 50, 0.1, stream(7, 0))
+        _, H = build_stump_class(StumpClassSpec(2, 3))
+        D1, S1 = generate_synthetic(H, 50, 0.1, stream(7, 0))
+        D2, S2 = generate_synthetic(H, 50, 0.1, stream(7, 0))
         assert D1.atoms == D2.atoms
         assert np.array_equal(D1.probabilities, D2.probabilities)
         assert tuple(S1) == tuple(S2)
 
     def test_noise_free_distribution_is_uniform_over_true_labels(self):
         spec = StumpClassSpec(2, 3)
-        D, S = generate_synthetic(spec, 50, 0.0, stream(8, 0))
+        _, H = build_stump_class(spec)
+        D, S = generate_synthetic(H, 50, 0.0, stream(8, 0))
         assert len(D.atoms) == spec.domain_size
         assert np.allclose(D.probabilities, 1.0 / spec.domain_size)
         assert len(S) == 50
 
     def test_noise_mass_is_the_flip_probability(self):
         spec = StumpClassSpec(2, 3)
+        _, H = build_stump_class(spec)
         noise = 0.2
-        D, _ = generate_synthetic(spec, 50, noise, stream(9, 0))
+        D, _ = generate_synthetic(H, 50, noise, stream(9, 0))
         assert len(D.atoms) == 2 * spec.domain_size
         per_point = {}
         for (point, _), prob in zip(D.atoms, D.probabilities):
@@ -96,13 +98,22 @@ class TestGenerateSynthetic:
         assert flip_mass == pytest.approx(noise, abs=1e-12)
 
     def test_validation(self):
-        spec = StumpClassSpec(1, 2)
+        _, H = build_stump_class(StumpClassSpec(1, 2))
         with pytest.raises(ValueError, match="noise"):
-            generate_synthetic(spec, 10, 0.5, stream(10, 0))
+            generate_synthetic(H, 10, 0.5, stream(10, 0))
         with pytest.raises(ValueError, match="noise"):
-            generate_synthetic(spec, 10, -0.1, stream(10, 0))
+            generate_synthetic(H, 10, -0.1, stream(10, 0))
         with pytest.raises(ValueError, match="n"):
-            generate_synthetic(spec, 0, 0.1, stream(10, 0))
+            generate_synthetic(H, 0, 0.1, stream(10, 0))
+
+    def test_rejects_a_class_that_is_not_a_stump_class(self):
+        domain, H = build_stump_class(StumpClassSpec(1, 2))
+        no_constants = HypothesisClass(domain, H.matrix[:-2])
+        constants_first = HypothesisClass(domain, H.matrix[::-1])
+        only_constants = HypothesisClass(domain, H.matrix[-2:])
+        for bad in (no_constants, constants_first, only_constants):
+            with pytest.raises(ValueError, match="stump class"):
+                generate_synthetic(bad, 10, 0.1, stream(10, 0))
 
 
 class TestAdaboost:

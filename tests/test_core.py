@@ -237,6 +237,55 @@ class TestDataDistribution:
         np.testing.assert_array_equal(S1.labels, S2.labels)
 
 
+NON_SIGN_LABELS = [1.5, -1.7, "1", float("nan"), float("inf"), float("-inf")]
+
+
+class TestLabelCheck:
+    """Labels must equal +1 or -1; nothing is truncated or parsed."""
+
+    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
+    def test_labeled_sample_rejects(self, bad):
+        with pytest.raises(ValueError, match="label"):
+            LabeledSample([("a", 1), ("b", bad)])
+
+    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
+    def test_data_distribution_rejects(self, bad):
+        with pytest.raises(ValueError, match="label"):
+            DataDistribution({("a", 1): 0.5, ("b", bad): 0.5})
+
+    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
+    def test_constant_hypothesis_rejects(self, bad):
+        domain, _ = small_class()
+        with pytest.raises(ValueError, match="label"):
+            constant_hypothesis(domain, bad)
+
+    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
+    def test_margin_rejects(self, bad):
+        _, H = small_class()
+        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="label"):
+            margin(f, H, "a", bad)
+
+    def test_sequences_of_signs_are_not_labels(self):
+        with pytest.raises(ValueError, match="label"):
+            LabeledSample([("a", (1,)), ("b", (-1,))])
+        with pytest.raises(ValueError, match="label"):
+            DataDistribution({("a", (1,)): 0.5, ("b", (-1,)): 0.5})
+
+    def test_values_equal_to_a_sign_are_accepted_as_ints(self):
+        labels = [True, np.int8(-1), 1.0, np.float64(-1.0)]
+        S = LabeledSample(zip("abcd", labels))
+        assert S.labels.dtype == np.int8
+        np.testing.assert_array_equal(S.labels, [1, -1, 1, -1])
+        D = DataDistribution({(p, y): 0.25 for p, y in zip("abcd", labels)})
+        assert D.atoms == (("a", 1), ("b", -1), ("c", 1), ("d", -1))
+        assert all(type(y) is int for _, y in D.atoms)
+        domain, H = small_class()
+        assert constant_hypothesis(domain, True).as_dict() == dict.fromkeys("abcd", 1)
+        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
+        assert margin(f, H, "a", -1.0) == -0.5
+
+
 class TestMarginsAndLosses:
     def test_margin_of_single_point(self):
         _, H = small_class()

@@ -9,6 +9,9 @@ drivers (concentration, gap-vs-bounds, boosting demo), exit codes of the
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from votemargin.bounds import BoundInputs, theorem1_report
 from votemargin.cli import main
 from votemargin.core import PreconditionError
+from votemargin.discretize import binom_margin_tail_batch
 from votemargin.harness.checks import (
     VALID_LEMMA_IDS,
     binomial_ci,
@@ -641,6 +645,32 @@ class TestCommandLine:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: c must be finite and nonnegative, got {c}\n"
+
+    def test_bounds_eval_does_not_import_scipy(self):
+        # The closed-form bounds need no binomial tail, so a cold CLI run
+        # must not pay for scipy; the first tail then imports it on demand.
+        script = (
+            "import sys\n"
+            "import votemargin.cli\n"
+            "code = votemargin.cli.main(['bounds', 'eval', '--n', '1000', '--h-size', '100',"
+            " '--theta', '0.2', '--delta', '0.05', '--loss', '0.1'])\n"
+            "print('exit', code, 'scipy' in sys.modules)\n"
+            "from votemargin.discretize import binom_margin_tail_batch\n"
+            "print('tail', repr(float(binom_margin_tail_batch(8, [0.0], 0.0)[0])),"
+            " 'scipy.special' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "exit 0 False" in lines
+        usual = float(binom_margin_tail_batch(8, [0.0], 0.0)[0])
+        assert f"tail {usual!r} True" in lines
 
     def test_bounds_eval_rejects_bad_values(self, capsys):
         code = main(
