@@ -5,193 +5,10 @@ law of sampled discretizations, the piecewise-linear envelope functions that
 replace loss indicators, a family of margin bounds sharing one interface,
 Rademacher-complexity estimators, AdaBoost over explicit hypothesis tables,
 and a reproducible validation harness.
+
+Names are imported from the submodules (``votemargin.bounds``,
+``votemargin.discretize``, ...); the package itself exports ``__version__``
+only.
 """
 
-from .boosting import (
-    BoostingRound,
-    BoostingRun,
-    MarginHistogram,
-    StumpClassSpec,
-    adaboost,
-    build_stump_class,
-    generate_synthetic,
-    margin_histogram,
-)
-from .bounds import (
-    BOUND_NAMES,
-    BoundInputs,
-    BoundReport,
-    DeltaAllocation,
-    PartitionCell,
-    PartitionScheme,
-    all_reports,
-    bound_breiman,
-    lower_bound_gkl20,
-    bound_gz13,
-    bound_sfbl98,
-    bound_theorem1,
-    breiman_report,
-    build_partition,
-    choose_N_main,
-    choose_N_within_const,
-    delta_allocation,
-    gkl20_lower_report,
-    gz13_report,
-    locate,
-    sfbl98_report,
-    theorem1_report,
-)
-from .core import (
-    C_THETA,
-    DataDistribution,
-    DiscreteDomain,
-    Hypothesis,
-    HypothesisClass,
-    LabeledSample,
-    PreconditionError,
-    VotingClassifier,
-    constant_hypothesis,
-    empirical_margin_loss,
-    margin,
-    margins_on_sample,
-    margins_on_support,
-    scale_reduction,
-    true_margin_loss,
-)
-from .discretize import (
-    BinomialMarginLaw,
-    DiscretizationParams,
-    DiscretizedClassifier,
-    binom_margin_tail,
-    binom_margin_tail_batch,
-    decomposition_residual,
-    expected_half_margin_loss_bound_check,
-    first_decrease,
-    k_star,
-    margin_law_monotone_check,
-    sample_discretization,
-)
-from .phirho import (
-    LIPSCHITZ_REGIONS,
-    DiffReplacementReport,
-    PhiRhoParams,
-    branch_continuity_residuals,
-    diff_replacement_check,
-    lip_const_bound,
-    lip_const_check,
-    lipschitz_slope_check,
-    phi,
-    phi_bound_check,
-    phi_many,
-    rho,
-    rho_many,
-)
-from .rademacher import (
-    EXHAUSTIVE_LIMIT,
-    RademacherEstimate,
-    convexity_collapse_check,
-    empirical_rademacher,
-    exhaustive_rademacher,
-    massart_bound,
-)
-from .rng import stream
-from .serialize import (
-    dump_hypothesis_class,
-    dump_sample,
-    load_hypothesis_class,
-    load_sample,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # core
-    "C_THETA",
-    "DataDistribution",
-    "DiscreteDomain",
-    "Hypothesis",
-    "HypothesisClass",
-    "LabeledSample",
-    "PreconditionError",
-    "VotingClassifier",
-    "constant_hypothesis",
-    "empirical_margin_loss",
-    "margin",
-    "margins_on_sample",
-    "margins_on_support",
-    "scale_reduction",
-    "true_margin_loss",
-    # discretize
-    "BinomialMarginLaw",
-    "DiscretizationParams",
-    "DiscretizedClassifier",
-    "binom_margin_tail",
-    "binom_margin_tail_batch",
-    "decomposition_residual",
-    "expected_half_margin_loss_bound_check",
-    "first_decrease",
-    "k_star",
-    "margin_law_monotone_check",
-    "sample_discretization",
-    # phirho
-    "LIPSCHITZ_REGIONS",
-    "DiffReplacementReport",
-    "PhiRhoParams",
-    "branch_continuity_residuals",
-    "diff_replacement_check",
-    "lip_const_bound",
-    "lip_const_check",
-    "lipschitz_slope_check",
-    "phi",
-    "phi_bound_check",
-    "phi_many",
-    "rho",
-    "rho_many",
-    # bounds
-    "BOUND_NAMES",
-    "BoundInputs",
-    "BoundReport",
-    "DeltaAllocation",
-    "PartitionCell",
-    "PartitionScheme",
-    "all_reports",
-    "bound_breiman",
-    "lower_bound_gkl20",
-    "bound_gz13",
-    "bound_sfbl98",
-    "bound_theorem1",
-    "breiman_report",
-    "build_partition",
-    "choose_N_main",
-    "choose_N_within_const",
-    "delta_allocation",
-    "gkl20_lower_report",
-    "gz13_report",
-    "locate",
-    "sfbl98_report",
-    "theorem1_report",
-    # rademacher
-    "EXHAUSTIVE_LIMIT",
-    "RademacherEstimate",
-    "convexity_collapse_check",
-    "empirical_rademacher",
-    "exhaustive_rademacher",
-    "massart_bound",
-    # boosting
-    "BoostingRound",
-    "BoostingRun",
-    "MarginHistogram",
-    "StumpClassSpec",
-    "adaboost",
-    "build_stump_class",
-    "generate_synthetic",
-    "margin_histogram",
-    # serialize
-    "dump_hypothesis_class",
-    "dump_sample",
-    "load_hypothesis_class",
-    "load_sample",
-    # rng
-    "stream",
-]

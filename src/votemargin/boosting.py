@@ -152,20 +152,18 @@ class BoostingRun:
         return len(self.rounds)
 
 
-def adaboost(S: LabeledSample, H: HypothesisClass, T: int, rng_seed=None) -> BoostingRun:
+def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     """Standard exponential-weights boosting over a finite class.
 
     Each round selects the hypothesis with the smallest weighted error
     (ties broken by lowest index) and sets α_t = ½·ln((1−ε_t)/ε_t) with ε_t
     clamped away from {0, 1}.  A perfect hypothesis ends the run with all
     weight on it; if no hypothesis beats error ½ the run stops early.  The
-    algorithm is deterministic — ``rng_seed`` is accepted for interface
-    uniformity with the samplers and ignored.
+    algorithm is deterministic.
 
     Final weights aggregate the α's per distinct hypothesis and normalize,
     so the product is a valid voting classifier over H.
     """
-    del rng_seed  # deterministic; accepted for signature uniformity
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     values = H.sample_values(S).astype(np.float64)  # (|H|, n)

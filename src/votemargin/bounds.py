@@ -25,11 +25,6 @@ from .core import C_THETA, PreconditionError
 __all__ = [
     "BoundInputs",
     "BoundReport",
-    "bound_sfbl98",
-    "bound_breiman",
-    "bound_gz13",
-    "bound_theorem1",
-    "lower_bound_gkl20",
     "sfbl98_report",
     "breiman_report",
     "gz13_report",
@@ -40,7 +35,6 @@ __all__ = [
     "PartitionCell",
     "PartitionScheme",
     "build_partition",
-    "locate",
     "DeltaAllocation",
     "delta_allocation",
     "choose_N_main",
@@ -48,6 +42,21 @@ __all__ = [
 ]
 
 BOUND_NAMES = ("sfbl98", "breiman", "gz13", "theorem1", "gkl20-lower")
+
+
+def _check_sizes(n, H_size) -> None:
+    """Reject an n or |H| that is not an integer in range or that no float holds."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(H_size, (int, np.integer)) or H_size < 2:
+        raise ValueError(f"H_size must be an integer >= 2, got {H_size!r}")
+    for name, value in (("n", n), ("H_size", H_size)):
+        try:
+            float(value)  # the formulas divide by, or into, n and |H|
+        except OverflowError:
+            raise ValueError(
+                f"{name} has {len(str(value))} digits, too many for a float"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -66,10 +75,7 @@ class BoundInputs:
     c: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.H_size, (int, np.integer)) or self.H_size < 2:
-            raise ValueError(f"H_size must be an integer >= 2, got {self.H_size!r}")
+        _check_sizes(self.n, self.H_size)
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 0.0 < self.delta < 1.0:
@@ -247,26 +253,6 @@ def gkl20_lower_report(inputs: BoundInputs, tau: float) -> BoundReport:
     )
 
 
-def bound_sfbl98(inputs: BoundInputs) -> float:
-    return sfbl98_report(inputs).value
-
-
-def bound_breiman(inputs: BoundInputs) -> float:
-    return breiman_report(inputs).value
-
-
-def bound_gz13(inputs: BoundInputs) -> float:
-    return gz13_report(inputs).value
-
-
-def bound_theorem1(inputs: BoundInputs) -> float:
-    return theorem1_report(inputs).value
-
-
-def lower_bound_gkl20(inputs: BoundInputs, tau: float) -> float:
-    return gkl20_lower_report(inputs, tau).value
-
-
 def all_reports(inputs: BoundInputs, tau=None) -> dict:
     """Every applicable bound, keyed by name; inapplicable ones map to a reason."""
     out = {"sfbl98": sfbl98_report(inputs), "gz13": gz13_report(inputs)}
@@ -348,10 +334,7 @@ def build_partition(n: int, H_size: int) -> PartitionScheme:
     the last cell clipped at 1.  Loss cells are L_0 = [0, 1/n] and
     L_j = (2^{j−1}/n, 2^j/n], clipped at 1.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(H_size, (int, np.integer)) or H_size < 2:
-        raise ValueError(f"H_size must be an integer >= 2, got {H_size!r}")
+    _check_sizes(n, H_size)
     log_H = math.log(H_size)
     if n < math.e * log_H:
         raise ValueError(
@@ -389,11 +372,6 @@ def build_partition(n: int, H_size: int) -> PartitionScheme:
         theta_cells=tuple(theta_cells),
         loss_cells=tuple(loss_cells),
     )
-
-
-def locate(scheme: PartitionScheme, theta: float, loss: float):
-    """Cell indices (i, j) of a (margin, loss) pair; cells are right-closed."""
-    return scheme.locate_theta(theta).index, scheme.locate_loss(loss).index
 
 
 @dataclass(frozen=True)
@@ -461,8 +439,8 @@ def choose_N_main(theta_next: float, loss_next: float, c: float = 32.0) -> int:
         raise ValueError(f"theta_next must lie in (0, 2], got {theta_next}")
     if not 0.0 < loss_next <= 2.0:
         raise ValueError(f"loss_next must lie in (0, 2], got {loss_next}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c}")
     raw = c * theta_next**-2 * math.log(math.e / loss_next)
     floor = 32.0 * theta_next**-2
     return max(math.ceil(raw), math.ceil(floor))
@@ -476,10 +454,7 @@ def choose_N_within_const(theta_next: float, n: int, H_size: int) -> int:
     """
     if not 0.0 < theta_next <= 2.0:
         raise ValueError(f"theta_next must lie in (0, 2], got {theta_next}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(H_size, (int, np.integer)) or H_size < 2:
-        raise ValueError(f"H_size must be an integer >= 2, got {H_size!r}")
+    _check_sizes(n, H_size)
     arg = theta_next**2 * n / math.log(H_size)
     if arg <= 1.0:
         raise ValueError(

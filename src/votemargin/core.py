@@ -248,15 +248,15 @@ class VotingClassifier:
         self.weights = w
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[int, float], size: int) -> "VotingClassifier":
-        w = np.zeros(int(size), dtype=np.float64)
-        for i, a in mapping.items():
-            w[int(i)] = a
-        return cls(w)
-
-    @classmethod
     def point_mass(cls, index: int, size: int) -> "VotingClassifier":
-        return cls.from_mapping({index: 1.0}, size)
+        """All weight on hypothesis ``index`` of a class of ``size``."""
+        if not (isinstance(index, (int, np.integer)) and isinstance(size, (int, np.integer))):
+            raise ValueError(f"index and size must be integers, got {index!r} and {size!r}")
+        if not 0 <= index < size:
+            raise ValueError(f"index must lie in [0, {size}), got {index}")
+        w = np.zeros(size, dtype=np.float64)
+        w[index] = 1.0
+        return cls(w)
 
     def __len__(self) -> int:
         return int(self.weights.size)
@@ -311,6 +311,8 @@ class DataDistribution:
         if len(set(atoms)) != len(atoms):
             raise ValueError("distribution atoms must be distinct")
         probs = np.array([float(p) for _, p in items], dtype=np.float64)
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())

@@ -19,15 +19,14 @@ N ≤ 2048 and about 1e-11 near the median at N = 12800.  The threshold
 k*(η) = floor((η/2 + 1/2)·N) + 1 is computed in exact rational arithmetic,
 so integer boundary cases are decided exactly.
 
-scipy is imported inside the batch tail and ``BinomialMarginLaw.atoms``, not
-at module level: importing this module (and the CLI) loads numpy only, and
-scipy loads on the first batch tail or pmf.
+scipy is imported inside the batch tail, not at module level: importing this
+module (and the CLI) loads numpy only, and scipy loads on the first batch
+tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +43,9 @@ from .core import (
 )
 
 __all__ = [
-    "DiscretizationParams",
-    "BinomialMarginLaw",
     "DiscretizedClassifier",
     "sample_discretization",
+    "k_star",
     "binom_margin_tail",
     "binom_margin_tail_batch",
     "margin_law_monotone_check",
@@ -55,17 +53,6 @@ __all__ = [
     "decomposition_residual",
     "expected_half_margin_loss_bound_check",
 ]
-
-
-@dataclass(frozen=True)
-class DiscretizationParams:
-    """Number of i.i.d. hypothesis draws used to discretize a classifier."""
-
-    N: int
-
-    def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -76,8 +63,6 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 
 def _check_N(N) -> int:
-    if isinstance(N, DiscretizationParams):
-        return N.N
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return int(N)
@@ -280,50 +265,6 @@ def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
     from scipy.special import bdtrc  # local: scipy loads on the first tail, not on import
 
     return bdtrc(ks - 1, N, 0.5 + 0.5 * lams)
-
-
-@dataclass(frozen=True)
-class BinomialMarginLaw:
-    """The exact distribution of y·g(x) given the source margin λ."""
-
-    N: int
-    lam: float
-
-    def __post_init__(self):
-        _check_N(self.N)
-        _check_unit_interval("lambda", self.lam)
-
-    @property
-    def p_h(self) -> float:
-        """Probability that a single sampled hypothesis agrees with the label."""
-        return 0.5 + 0.5 * self.lam
-
-    def k_star(self, eta: float) -> int:
-        return k_star(self.N, eta)
-
-    def tail(self, eta: float) -> float:
-        """Pr[y·g(x) > η]."""
-        return binom_margin_tail(self.N, self.lam, eta)
-
-    def atoms(self):
-        """(margins, probabilities): the full support (2k − N)/N, k = 0..N."""
-        N = self.N
-        k = np.arange(N + 1, dtype=np.float64)
-        margins = (2.0 * k - N) / N
-        p = self.p_h
-        probs = np.zeros(N + 1, dtype=np.float64)
-        if p <= 0.0:
-            probs[0] = 1.0
-        elif p >= 1.0:
-            probs[N] = 1.0
-        else:
-            from scipy.special import gammaln  # local: scipy loads on the first pmf, not on import
-
-            log_coeffs = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
-            probs = np.exp(
-                log_coeffs + k * math.log(p) + (N - k) * math.log(0.5 - 0.5 * self.lam)
-            )
-        return margins, probs
 
 
 class DiscretizedClassifier:

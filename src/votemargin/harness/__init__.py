@@ -1,80 +1,2 @@
 """Reproducible validation harness: config parsing, check suites,
 experiments, and CSV/summary reporting."""
-
-from .checks import (
-    VALID_LEMMA_IDS,
-    binomial_ci,
-    random_distribution,
-    random_hypothesis_class,
-    random_voting,
-    smallest_c_monotone,
-    validate,
-)
-from .config import (
-    DEFAULT_SEED,
-    EXPERIMENT_KINDS,
-    ConfigError,
-    ExperimentConfig,
-    parse_config,
-    parse_config_text,
-)
-from .experiments import (
-    CONSTANTS_FILENAME,
-    AdaboostReport,
-    ConcentrationReport,
-    GapVsBoundsReport,
-    adaboost_experiment,
-    concentration_experiment,
-    gap_vs_bounds_experiment,
-    half_margin_rhs,
-    run,
-    within_const_rhs,
-)
-from .reporting import (
-    OUTPUT_DIR_ENV,
-    LemmaCheckReport,
-    TrialRecord,
-    derived_seed,
-    format_value,
-    read_constants_csv,
-    resolve_out_dir,
-    write_constants_csv,
-    write_csv,
-    write_summary,
-)
-
-__all__ = [
-    "VALID_LEMMA_IDS",
-    "binomial_ci",
-    "random_distribution",
-    "random_hypothesis_class",
-    "random_voting",
-    "smallest_c_monotone",
-    "validate",
-    "DEFAULT_SEED",
-    "EXPERIMENT_KINDS",
-    "ConfigError",
-    "ExperimentConfig",
-    "parse_config",
-    "parse_config_text",
-    "CONSTANTS_FILENAME",
-    "AdaboostReport",
-    "ConcentrationReport",
-    "GapVsBoundsReport",
-    "adaboost_experiment",
-    "concentration_experiment",
-    "gap_vs_bounds_experiment",
-    "half_margin_rhs",
-    "run",
-    "within_const_rhs",
-    "OUTPUT_DIR_ENV",
-    "LemmaCheckReport",
-    "TrialRecord",
-    "derived_seed",
-    "format_value",
-    "read_constants_csv",
-    "resolve_out_dir",
-    "write_constants_csv",
-    "write_csv",
-    "write_summary",
-]

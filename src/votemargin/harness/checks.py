@@ -58,21 +58,6 @@ __all__ = [
     "binomial_ci",
 ]
 
-VALID_LEMMA_IDS = (
-    "margin-law",
-    "monotonicity",
-    "decomposition",
-    "phi-rho-ineq",
-    "phi-bound",
-    "lipschitz",
-    "delta-allocation",
-    "partition-coverage",
-    "massart",
-    "convexity-collapse",
-    "half-margin-expectation",
-)
-
-
 # ---------------------------------------------------------------------------
 # Shared random-instance builders and calibration helpers
 # ---------------------------------------------------------------------------
@@ -137,6 +122,12 @@ def smallest_c_monotone(fn, target: float, hi: float = 1.0) -> float:
 
 def binomial_ci(trials: int, p: float, level: float = 0.95):
     """Central exact binomial interval of counts at the given level."""
+    if not isinstance(trials, (int, np.integer)) or trials < 0:
+        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"level must lie in [0, 1], got {level}")
     alpha = (1.0 - level) / 2.0
     return _binomial_quantile(alpha, trials, p), _binomial_quantile(1.0 - alpha, trials, p)
 
@@ -511,6 +502,8 @@ _SUITES = {
     "convexity-collapse": _check_convexity_collapse,
     "half-margin-expectation": _check_half_margin_expectation,
 }
+
+VALID_LEMMA_IDS = tuple(_SUITES)
 
 
 def validate(lemma_id: str, config=None) -> LemmaCheckReport:

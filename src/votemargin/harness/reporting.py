@@ -20,8 +20,6 @@ __all__ = [
     "format_value",
     "write_csv",
     "write_summary",
-    "derived_seed",
-    "TrialRecord",
     "LemmaCheckReport",
     "write_constants_csv",
     "read_constants_csv",
@@ -73,31 +71,6 @@ def write_summary(path, lines) -> Path:
         for line in lines:
             fh.write(line + "\n")
     return path
-
-
-def derived_seed(master_seed: int, *path: int) -> int:
-    """Stable uint64 fingerprint of one derived random stream."""
-    seq = np.random.SeedSequence(
-        (int(master_seed),) + tuple(int(p) for p in path)
-    )
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo trial: reproducible from (master seed, index)."""
-
-    trial: int
-    seed: int
-    values: dict
-    passed: bool | None = None
-
-    def row(self, value_names) -> list:
-        out = [self.trial, self.seed]
-        out.extend(self.values.get(name) for name in value_names)
-        if self.passed is not None:
-            out.append(self.passed)
-        return out
 
 
 @dataclass(frozen=True)

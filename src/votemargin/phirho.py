@@ -44,7 +44,6 @@ class PhiRhoParams:
 
     theta_i: float
     N: int
-    c_theta: float = C_THETA
 
     def __post_init__(self):
         if not 0.0 < self.theta_i <= C_THETA:
@@ -53,8 +52,6 @@ class PhiRhoParams:
             )
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if self.c_theta != C_THETA:
-            raise ValueError("c_theta is a fixed constant and cannot be overridden")
 
     @property
     def eta(self) -> float:
@@ -296,8 +293,8 @@ def lipschitz_slope_check(
 
 def lip_const_bound(params: PhiRhoParams, c: float = 32.0) -> float:
     """Single-constant Lipschitz ceiling c·exp(−Nθ'²/c)·(θ'N + 1/θ'), θ' = 2θ_i."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive, got {c}")
     tp = 2.0 * params.theta_i
     return c * math.exp(-params.N * tp**2 / c) * (tp * params.N + 1.0 / tp)
 

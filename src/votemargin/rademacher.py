@@ -13,6 +13,7 @@ voting classifiers add no complexity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +136,10 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
 
 def massart_bound(H_size: int, n: int) -> float:
     """Finite-class ceiling √(2·ln|H|/n) on the empirical Rademacher value."""
-    if H_size < 1:
-        raise ValueError(f"H_size must be >= 1, got {H_size}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= H_size < math.inf:
+        raise ValueError(f"H_size must be finite and >= 1, got {H_size}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 1, got {n}")
     return float(np.sqrt(2.0 * np.log(H_size) / n))
 
 

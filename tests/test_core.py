@@ -168,6 +168,11 @@ class TestVotingClassifier:
         f = VotingClassifier.point_mass(1, 3)
         np.testing.assert_array_equal(f.weights, [0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_point_mass_rejects_an_index_outside_the_class(self, index):
+        with pytest.raises(ValueError, match="index"):
+            VotingClassifier.point_mass(index, 3)
+
     def test_values_on_requires_matching_size(self):
         _, H = small_class()
         with pytest.raises(ValueError, match="weights"):
@@ -210,6 +215,13 @@ class TestDataDistribution:
         D = DataDistribution({("a", 1): 0.25, ("b", -1): 0.75 + 1e-13})
         assert D.probabilities.sum() == 1.0
         assert len(D) == 2
+
+    @pytest.mark.parametrize(
+        "masses", [(float("nan"), 1.0), (float("nan"), float("nan"))]
+    )
+    def test_non_finite_probabilities_rejected(self, masses):
+        with pytest.raises(ValueError, match="finite"):
+            DataDistribution({("a", 1): masses[0], ("b", -1): masses[1]})
 
     def test_duplicate_atoms_rejected(self):
         # A dict collapses equal keys at insertion, so feed the constructor a

@@ -22,8 +22,6 @@ from votemargin.core import (
     true_margin_loss,
 )
 from votemargin.discretize import (
-    BinomialMarginLaw,
-    DiscretizationParams,
     DiscretizedClassifier,
     binom_margin_tail,
     binom_margin_tail_batch,
@@ -103,9 +101,6 @@ class TestKStar:
         assert k_star(12, 1.0) == 13  # no margin exceeds 1
         assert k_star(12, -1.0) == 1  # every agreeing draw beats −1
 
-    def test_accepts_params_object(self):
-        assert k_star(DiscretizationParams(16), 0.5) == k_star(16, 0.5)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="eta"):
             k_star(8, 1.5)
@@ -157,11 +152,6 @@ class TestBinomMarginTail:
     def test_nondecreasing_in_lambda(self):
         tails = [binom_margin_tail(64, float(l), 0.25) for l in np.linspace(-1, 1, 81)]
         assert all(a <= b for a, b in zip(tails, tails[1:]))
-
-    def test_accepts_params_object(self):
-        assert binom_margin_tail(DiscretizationParams(16), 0.3, 0.0) == binom_margin_tail(
-            16, 0.3, 0.0
-        )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -225,36 +215,6 @@ class TestBinomMarginTailBatch:
     def test_rejects_non_finite_lambdas(self, bad):
         with pytest.raises(ValueError, match="lambda"):
             binom_margin_tail_batch(64, np.array([bad, 0.2]), 0.1)
-
-
-class TestBinomialMarginLaw:
-    def test_agreement_probability_and_tail(self):
-        law = BinomialMarginLaw(16, 0.5)
-        assert law.p_h == 0.75
-        assert law.tail(0.25) == binom_margin_tail(16, 0.5, 0.25)
-        assert law.k_star(0.25) == k_star(16, 0.25)
-
-    def test_atoms_form_a_distribution(self):
-        law = BinomialMarginLaw(32, -0.3)
-        margins, probs = law.atoms()
-        assert margins.shape == probs.shape == (33,)
-        assert margins[0] == -1.0 and margins[-1] == 1.0
-        assert abs(probs.sum() - 1.0) <= 1e-12
-        # tail recomputed from the atoms matches the exact tail
-        ks = k_star(32, 0.25)
-        assert probs[ks:].sum() == pytest.approx(law.tail(0.25), abs=1e-13)
-
-    def test_degenerate_atoms_are_point_masses(self):
-        margins, probs = BinomialMarginLaw(8, 1.0).atoms()
-        assert probs[-1] == 1.0 and probs[:-1].sum() == 0.0
-        margins, probs = BinomialMarginLaw(8, -1.0).atoms()
-        assert probs[0] == 1.0 and probs[1:].sum() == 0.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="lambda"):
-            BinomialMarginLaw(8, -1.1)
-        with pytest.raises(ValueError, match="N"):
-            BinomialMarginLaw(0, 0.0)
 
 
 class TestDiscretizedClassifier:
@@ -331,7 +291,7 @@ class TestSampleDiscretization:
     def test_point_mass_draws_one_hypothesis(self):
         _, H = self.two_constant_class()
         f = VotingClassifier([0.0, 1.0])
-        g = sample_discretization(f, H, DiscretizationParams(16), stream(5, 2))
+        g = sample_discretization(f, H, 16, stream(5, 2))
         assert np.all(g.indices == 1)
 
     def test_draw_frequencies_follow_the_weights(self):

@@ -46,8 +46,6 @@ from votemargin.harness.experiments import (
 )
 from votemargin.harness.reporting import (
     OUTPUT_DIR_ENV,
-    TrialRecord,
-    derived_seed,
     format_value,
     read_constants_csv,
     resolve_out_dir,
@@ -285,17 +283,6 @@ class TestReporting:
         with pytest.raises(ValueError, match="header"):
             read_constants_csv(path)
 
-    def test_derived_seed_is_stable_and_path_sensitive(self):
-        assert derived_seed(7, 1, 2) == derived_seed(7, 1, 2)
-        assert derived_seed(7, 1, 2) != derived_seed(7, 2, 1)
-        assert 0 <= derived_seed(7, 1, 2) < 2**64
-
-    def test_trial_record_row(self):
-        record = TrialRecord(trial=3, seed=99, values={"x": 0.5, "y": 2})
-        assert record.row(["y", "x"]) == [3, 99, 2, 0.5]
-        flagged = TrialRecord(trial=0, seed=1, values={"x": 1.0}, passed=False)
-        assert flagged.row(["x"]) == [0, 1, 1.0, False]
-
 
 class TestCheckHelpers:
     def test_repair_duplicate_constants_flips_surplus_rows(self):
@@ -353,6 +340,23 @@ class TestCheckHelpers:
         assert lo <= 50 <= hi
         lo50, hi50 = binomial_ci(500, 0.1, level=0.5)
         assert lo <= lo50 and hi50 <= hi
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((100, math.nan), "p"),
+            ((100, 1.5), "p"),
+            ((100, -0.1), "p"),
+            ((100, 0.1, math.nan), "level"),
+            ((100, 0.1, 1.5), "level"),
+            ((math.nan, 0.1), "trials"),
+            ((-1, 0.1), "trials"),
+        ],
+        ids=["p-nan", "p-1.5", "p--0.1", "level-nan", "level-1.5", "trials-nan", "trials--1"],
+    )
+    def test_binomial_ci_rejects_bad_arguments(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            binomial_ci(*args)
 
 
 class TestRhsHelpers:
@@ -611,6 +615,9 @@ class TestRunExitCodes:
         assert "drive the validate command" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # an integer that no float can hold
+
+
 class TestCommandLine:
     def test_bounds_eval_table(self, capsys):
         code = main(
@@ -679,6 +686,27 @@ class TestCommandLine:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", HUGE, "--h-size", "100", "--theta", "0.5", "--delta", "0.1",
+             "--loss", "0.1"],
+            ["eval", "--n", "1000", "--h-size", HUGE, "--theta", "0.5", "--delta", "0.1",
+             "--loss", "0.1", "--tau", "0.2"],
+            ["grid", "--sweep", "n", "--values", HUGE, "--h-size", "100", "--theta", "0.5",
+             "--delta", "0.1", "--loss", "0.1"],
+            ["grid", "--sweep", "h-size", "--values", f"16,{HUGE}", "--n", "1000",
+             "--theta", "0.5", "--delta", "0.1", "--loss", "0.1"],
+        ],
+        ids=["eval-n", "eval-h-size", "grid-n", "grid-h-size"],
+    )
+    def test_bounds_reject_an_integer_too_large_for_a_float(self, argv, capsys):
+        code = main(["bounds", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bounds_grid_stdout(self, capsys):
         code = main(

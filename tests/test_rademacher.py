@@ -211,10 +211,12 @@ class TestMassartBound:
             assert exhaustive_rademacher(H, S).value <= massart_bound(n_hyps, n_points)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="H_size"):
-            massart_bound(0, 10)
-        with pytest.raises(ValueError, match="n"):
-            massart_bound(4, 0)
+        for bad in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="H_size"):
+                massart_bound(bad, 10)
+        for bad in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n"):
+                massart_bound(4, bad)
 
 
 class TestConvexityCollapse:
