@@ -113,14 +113,13 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     chosen = rng.choice(num_stumps, size=count, replace=False)
     truth = np.sign(H.matrix[chosen].astype(np.int64).sum(axis=0)).astype(np.int8)
 
+    # Atoms point-major: each point's true label, then its flip when noisy.
     size = len(domain)
-    probs = {}
-    for pos, point in enumerate(domain.points):
-        y = int(truth[pos])
-        probs[(point, y)] = (1.0 - noise) / size
-        if noise > 0.0:
-            probs[(point, -y)] = noise / size
-    D = DataDistribution(probs)
+    per_point = 2 if noise > 0.0 else 1
+    positions = np.repeat(np.arange(size), per_point)
+    labels = np.stack([truth, -truth], axis=1)[:, :per_point].ravel()
+    probs = np.tile([(1.0 - noise) / size, noise / size][:per_point], size)
+    D = DataDistribution(LabeledSample(domain, positions, labels), probs)
     S = D.sample(n, rng)
     return D, S
 

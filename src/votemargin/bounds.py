@@ -95,6 +95,14 @@ class BoundInputs:
         return self.log_H / (self.theta**2 * self.n)
 
     @property
+    def log_inverse_rate(self) -> float:
+        """ln(θ²·n/ln|H|), the log factor of theorem1's and gkl20-lower's log terms."""
+        ratio = self.theta**2 * self.n / self.log_H
+        if not math.isfinite(ratio):
+            raise ValueError("theta^2*n/ln|H| is too large for a float")
+        return math.log(ratio)
+
+    @property
     def delta_term(self) -> float:
         """ln(e/δ)/n."""
         return (1.0 - math.log(self.delta)) / self.n
@@ -201,9 +209,7 @@ def theorem1_report(inputs: BoundInputs) -> BoundReport:
         )
     else:
         inner = 0.0
-    log_term = (
-        math.log(inputs.theta**2 * inputs.n / inputs.log_H) * inputs.complexity_rate
-    )
+    log_term = inputs.log_inverse_rate * inputs.complexity_rate
     return BoundReport(
         name="theorem1",
         loss_offset=inputs.loss,
@@ -238,11 +244,7 @@ def gkl20_lower_report(inputs: BoundInputs, tau: float) -> BoundReport:
     sqrt_term = inputs.c * math.sqrt(
         tau * math.log(math.e / tau) * inputs.complexity_rate
     )
-    log_term = (
-        inputs.c
-        * math.log(inputs.theta**2 * inputs.n / inputs.log_H)
-        * inputs.complexity_rate
-    )
+    log_term = inputs.c * inputs.log_inverse_rate * inputs.complexity_rate
     return BoundReport(
         name="gkl20-lower",
         loss_offset=tau,
@@ -456,6 +458,8 @@ def choose_N_within_const(theta_next: float, n: int, H_size: int) -> int:
         raise ValueError(f"theta_next must lie in (0, 2], got {theta_next}")
     _check_sizes(n, H_size)
     arg = theta_next**2 * n / math.log(H_size)
+    if not math.isfinite(arg):
+        raise ValueError("theta_next^2*n/ln|H| is too large for a float")
     if arg <= 1.0:
         raise ValueError(
             f"theta_next^2*n/ln|H| = {arg:.6g} must exceed 1 for the size rule"

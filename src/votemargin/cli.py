@@ -20,7 +20,6 @@ import csv
 import sys
 
 from .bounds import BOUND_NAMES, BoundInputs, BoundReport, all_reports
-from .core import PreconditionError
 from .harness.checks import VALID_LEMMA_IDS, validate
 from .harness.config import ConfigError, parse_config
 from .harness.experiments import adaboost_experiment
@@ -251,9 +250,6 @@ def main(argv=None) -> int:
             return run_experiment(args.config)
         if args.command == "adaboost":
             return _adaboost_train(args)
-    except (ConfigError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,14 +2,17 @@
 
 Hypotheses are stored as explicit ±1 tables over a finite ordered domain,
 which keeps every quantity downstream (losses, discretization laws, bound
-experiments) exactly computable by enumeration.  Margin-loss comparisons are
-non-strict: a point whose margin ties the threshold counts as a loss.
+experiments) exactly computable by enumeration.  A labeled sample is held as
+its domain plus two arrays, the domain positions of its points and their int8
+±1 labels; a distribution is a sample of distinct atoms plus a probability
+vector.  Margin-loss comparisons are non-strict: a point whose margin ties the
+threshold counts as a loss.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -54,7 +57,7 @@ def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndar
     return values.astype(np.int8)
 
 
-def _check_labels(labels: list) -> np.ndarray:
+def _check_labels(labels) -> np.ndarray:
     """The labels as an int8 array, each checked to equal +1 or -1."""
     values = np.asarray(labels)
     if values.ndim != 1:  # each label a sequence of the same length
@@ -120,11 +123,6 @@ class DiscreteDomain:
             return self._index[point]
         except KeyError:
             raise ValueError(f"point {point!r} is not in the domain") from None
-
-    def positions(self, points: Iterable) -> np.ndarray:
-        return np.fromiter(
-            (self.position(p) for p in points), dtype=np.intp, count=-1
-        )
 
 
 class Hypothesis:
@@ -215,8 +213,8 @@ class HypothesisClass:
 
     def sample_values(self, sample: "LabeledSample") -> np.ndarray:
         """Matrix of h(x_i) with shape (|H|, n), columns in sample order."""
-        pos = self.domain.positions(sample.points)
-        return self.matrix[:, pos]
+        _check_domain(sample, self.domain)
+        return self.matrix[:, sample.positions]
 
 
 class VotingClassifier:
@@ -273,27 +271,48 @@ class VotingClassifier:
 
 
 class LabeledSample:
-    """A finite labeled sample: pairs (point-id, ±1 label), order preserved."""
+    """A finite labeled sample over a domain, order preserved.
 
-    __slots__ = ("points", "labels")
+    ``positions`` holds the domain index of each point (intp) and ``labels``
+    its ±1 label (int8); both arrays are read-only.
+    """
 
-    def __init__(self, items: Iterable):
-        items = list(items)
-        if not items:
-            raise ValueError("sample must contain at least one point")
-        self.points = tuple(p for p, _ in items)
-        self.labels = _check_labels([y for _, y in items])
-        self.labels.setflags(write=False)
+    __slots__ = ("domain", "positions", "labels")
+
+    def __init__(self, domain: DiscreteDomain, positions, labels):
+        pos = np.asarray(positions)
+        if pos.ndim != 1 or pos.size < 1:
+            raise ValueError("sample positions must be a 1-d array, at least one point")
+        if pos.dtype.kind not in "iu":
+            raise ValueError(f"sample positions must be integers, got dtype {pos.dtype}")
+        if pos.min() < 0 or pos.max() >= len(domain):
+            raise ValueError(f"sample positions must lie in [0, {len(domain)})")
+        labels = _check_labels(labels)
+        if labels.size != pos.size:
+            raise ValueError(f"sample has {pos.size} positions but {labels.size} labels")
+        pos = pos.astype(np.intp)
+        pos.setflags(write=False)
+        labels.setflags(write=False)
+        self.domain = domain
+        self.positions = pos
+        self.labels = labels
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.positions.size)
 
-    def __iter__(self):
-        return iter(zip(self.points, (int(y) for y in self.labels)))
+
+def _check_domain(sample: LabeledSample, domain: DiscreteDomain) -> None:
+    if sample.domain is not domain and sample.domain != domain:
+        raise ValueError("sample domain differs from the hypothesis class domain")
+
+
+def _keys(sample: LabeledSample) -> np.ndarray:
+    """One integer per (position, label) pair: 2·position + (label > 0)."""
+    return 2 * sample.positions + (sample.labels > 0)
 
 
 class DataDistribution:
-    """An explicit distribution over (point-id, ±1 label) atoms.
+    """An explicit distribution: a sample of distinct atoms and their masses.
 
     Probabilities must be nonnegative and sum to 1 within ``WEIGHT_TOL``;
     they are renormalized exactly on construction so losses computed from the
@@ -302,15 +321,12 @@ class DataDistribution:
 
     __slots__ = ("atoms", "probabilities")
 
-    def __init__(self, probabilities: Mapping):
-        if not probabilities:
-            raise ValueError("distribution must have at least one atom")
-        items = list(probabilities.items())
-        labels = _check_labels([label for (_, label), _ in items]).tolist()
-        atoms = tuple(zip([point for (point, _), _ in items], labels))
-        if len(set(atoms)) != len(atoms):
+    def __init__(self, atoms: LabeledSample, probabilities):
+        if np.unique(_keys(atoms)).size != len(atoms):
             raise ValueError("distribution atoms must be distinct")
-        probs = np.array([float(p) for _, p in items], dtype=np.float64)
+        probs = np.array(probabilities, dtype=np.float64)
+        if probs.shape != (len(atoms),):
+            raise ValueError(f"probabilities have shape {probs.shape}, not ({len(atoms)},)")
         if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
         if (probs < 0).any():
@@ -328,12 +344,10 @@ class DataDistribution:
 
     @classmethod
     def empirical(cls, sample: LabeledSample) -> "DataDistribution":
-        """The empirical distribution of a sample (atom mass = frequency)."""
-        counts: dict = {}
-        for point, label in sample:
-            counts[(point, label)] = counts.get((point, label), 0) + 1
-        n = len(sample)
-        return cls({atom: c / n for atom, c in counts.items()})
+        """The empirical distribution of a sample (atom mass = frequency), sorted."""
+        keys, counts = np.unique(_keys(sample), return_counts=True)
+        atoms = LabeledSample(sample.domain, keys // 2, np.where(keys % 2, 1, -1))
+        return cls(atoms, counts / len(sample))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -342,8 +356,9 @@ class DataDistribution:
         """Draw n i.i.d. atoms."""
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
-        idx = rng.choice(len(self.atoms), size=int(n), p=self.probabilities)
-        return LabeledSample([self.atoms[i] for i in idx])
+        idx = rng.choice(len(self), size=int(n), p=self.probabilities)
+        atoms = self.atoms
+        return LabeledSample(atoms.domain, atoms.positions[idx], atoms.labels[idx])
 
 
 def margin(f: VotingClassifier, H: HypothesisClass, x, y) -> float:
@@ -353,19 +368,20 @@ def margin(f: VotingClassifier, H: HypothesisClass, x, y) -> float:
     return float(y) * float(f.values_on(H)[pos])
 
 
+def _margins_at(values: np.ndarray, domain: DiscreteDomain, S: LabeledSample) -> np.ndarray:
+    """y_i·values[x_i] for every point of S, ``values`` given in domain order."""
+    _check_domain(S, domain)
+    return S.labels * values[S.positions]
+
+
 def margins_on_sample(f: VotingClassifier, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
     """Margins y_i·f(x_i) for every sample point, in sample order."""
-    values = f.values_on(H)
-    pos = H.domain.positions(S.points)
-    return S.labels * values[pos]
+    return _margins_at(f.values_on(H), H.domain, S)
 
 
 def margins_on_support(f: VotingClassifier, H: HypothesisClass, D: DataDistribution):
     """(margins, probabilities) over the atoms of D, in atom order."""
-    values = f.values_on(H)
-    pos = H.domain.positions(p for p, _ in D.atoms)
-    labels = np.array([y for _, y in D.atoms], dtype=np.int8)
-    return labels * values[pos], D.probabilities
+    return margins_on_sample(f, H, D.atoms), D.probabilities
 
 
 def empirical_margin_loss(f: VotingClassifier, H: HypothesisClass, S: LabeledSample, theta: float) -> float:

@@ -37,6 +37,7 @@ from .core import (
     LabeledSample,
     PreconditionError,
     VotingClassifier,
+    _margins_at,
     margins_on_sample,
     margins_on_support,
     true_margin_loss,
@@ -63,8 +64,9 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 
 def _check_N(N) -> int:
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    # bdtrc takes N as a double, and past 2**53 a double skips integers
+    if not isinstance(N, (int, np.integer)) or not 1 <= N <= 2**53:
+        raise ValueError(f"N must be an integer in [1, 2**53], got {N!r}")
     return int(N)
 
 
@@ -304,14 +306,10 @@ class DiscretizedClassifier:
         return float(self.values_on_domain()[self.hypothesis_class.domain.position(point)])
 
     def margins_on_sample(self, S: LabeledSample) -> np.ndarray:
-        pos = self.hypothesis_class.domain.positions(S.points)
-        return S.labels * self.values_on_domain()[pos]
+        return _margins_at(self.values_on_domain(), self.hypothesis_class.domain, S)
 
     def margins_on_support(self, D: DataDistribution):
-        values = self.values_on_domain()
-        pos = self.hypothesis_class.domain.positions(p for p, _ in D.atoms)
-        labels = np.array([y for _, y in D.atoms], dtype=np.int8)
-        return labels * values[pos], D.probabilities
+        return self.margins_on_sample(D.atoms), D.probabilities
 
     def as_voting(self) -> VotingClassifier:
         """The element of C(H) with weights = draw counts / N."""

@@ -88,12 +88,7 @@ def random_distribution(rng, domain: DiscreteDomain) -> DataDistribution:
     """Random labels and Dirichlet atom masses over a domain."""
     labels = rng.integers(0, 2, size=len(domain)) * 2 - 1
     probs = rng.dirichlet(np.ones(len(domain)))
-    return DataDistribution(
-        {
-            (point, int(labels[i])): float(probs[i])
-            for i, point in enumerate(domain.points)
-        }
-    )
+    return DataDistribution(LabeledSample(domain, np.arange(len(domain)), labels), probs)
 
 
 def random_voting(rng, size: int) -> VotingClassifier:
@@ -422,9 +417,7 @@ def _check_massart(seed, out, trials, grid_points):
         n = int(rng.integers(1, 15))
         H_size = int(rng.integers(2, 33))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(
-            [(int(p), 1) for p in rng.integers(0, len(H.domain), size=n)]
-        )
+        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
         exact = exhaustive_rademacher(H, S).value
         bound = massart_bound(H_size, n)
         worst = max(worst, exact - bound)
@@ -448,9 +441,7 @@ def _check_convexity_collapse(seed, out, trials, grid_points):
         n = int(rng.integers(2, 21))
         H_size = int(rng.integers(2, 17))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(
-            [(int(p), 1) for p in rng.integers(0, len(H.domain), size=n)]
-        )
+        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
         ok = convexity_collapse_check(H, S, trials=200, rng_seed=rng)
         failures += 0 if ok else 1
         rows.append((t, n, H_size, ok))

@@ -44,6 +44,7 @@ from ..core import (
     DataDistribution,
     DiscreteDomain,
     HypothesisClass,
+    LabeledSample,
     PreconditionError,
     empirical_margin_loss,
     true_margin_loss,
@@ -208,7 +209,6 @@ class _ConcentrationInstance:
     __slots__ = (
         "H", "D", "probs", "alpha", "fixed_margins", "probe_margins",
         "scheme", "cell", "theta_i", "theta_next", "n_combos",
-        "_atom_positions", "_atom_labels",
     )
 
     def __init__(self, config: ExperimentConfig):
@@ -238,10 +238,7 @@ class _ConcentrationInstance:
             DiscreteDomain(range(x_size)), repair_duplicate_constants(matrix)
         )
         self.D = DataDistribution(
-            {
-                (point, int(labels[i])): float(masses[i])
-                for i, point in enumerate(self.H.domain.points)
-            }
+            LabeledSample(self.H.domain, np.arange(x_size), labels), masses
         )
         self.alpha = np.array([2.0] * n_good + [0.5] * (h_size - n_good))
         self.n_combos = p["probes"]
@@ -250,12 +247,6 @@ class _ConcentrationInstance:
         boosted = adaboost(probe_sample, self.H, _PROBE_BOOST_ROUNDS)
         fixed_weights = np.vstack(
             [np.eye(h_size), boosted.classifier.weights[None, :]]
-        )
-        self._atom_positions = self.H.domain.positions(
-            pt for pt, _ in self.D.atoms
-        )
-        self._atom_labels = np.array(
-            [y for _, y in self.D.atoms], dtype=np.float64
         )
         self.probs = self.D.probabilities
         self.fixed_margins = self.margins_of(fixed_weights)
@@ -274,8 +265,8 @@ class _ConcentrationInstance:
         Clipped to [−1, 1]: summing ±1 columns against unit-sum weights can
         overshoot by one ulp.
         """
-        values = weights @ self.H.matrix
-        margins = values[:, self._atom_positions] * self._atom_labels[None, :]
+        atoms = self.D.atoms
+        margins = (weights @ self.H.matrix)[:, atoms.positions] * atoms.labels
         return np.clip(margins, -1.0, 1.0)
 
     @property
@@ -694,7 +685,7 @@ def run(config_path) -> int:
                 file=sys.stderr,
             )
             return 2
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.lines():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import C_THETA, PreconditionError
-from .discretize import binom_margin_tail, binom_margin_tail_batch
+from .discretize import _check_N, binom_margin_tail, binom_margin_tail_batch
 
 __all__ = [
     "PhiRhoParams",
@@ -50,8 +50,7 @@ class PhiRhoParams:
             raise ValueError(
                 f"theta_i must lie in (0, {C_THETA!r}], got {self.theta_i}"
             )
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        _check_N(self.N)
 
     @property
     def eta(self) -> float:

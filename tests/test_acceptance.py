@@ -106,14 +106,11 @@ def announce(capsys, number: int, passed: bool, detail: str) -> None:
 def random_instance(rng, x_size: int, h_size: int, n: int):
     """A random hypothesis class with a distribution, sample, and voter."""
     H = random_hypothesis_class(rng, x_size, h_size)
-    pts = list(H.domain.points)
     probs = rng.dirichlet(np.ones(x_size))
     labels = rng.choice([-1, 1], size=x_size)
-    D = DataDistribution(
-        {(pts[i], int(labels[i])): float(probs[i]) for i in range(x_size)}
-    )
+    D = DataDistribution(LabeledSample(H.domain, np.arange(x_size), labels), probs)
     idx = rng.integers(0, x_size, size=n)
-    S = LabeledSample([(pts[i], int(labels[i])) for i in idx])
+    S = LabeledSample(H.domain, idx, labels[idx])
     f = VotingClassifier(rng.dirichlet(np.ones(h_size)))
     return H, D, S, f
 
@@ -346,10 +343,9 @@ def test_criterion_8_rademacher_estimates(capsys):
         h_size = int(rng.integers(2, 33))
         x_size = max(4, n)
         H = random_hypothesis_class(rng, x_size, h_size)
-        pts = list(H.domain.points)
         idx = rng.integers(0, x_size, size=n)
         labels = rng.choice([-1, 1], size=n)
-        S = LabeledSample([(pts[idx[j]], int(labels[j])) for j in range(n)])
+        S = LabeledSample(H.domain, idx, labels)
         exact = exhaustive_rademacher(H, S)
         estimate = empirical_rademacher(H, S, trials=4000, rng_seed=stream(12, 1, i))
         gap = abs(estimate.value - exact.value)

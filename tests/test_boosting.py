@@ -17,11 +17,12 @@ from votemargin.boosting import (
 )
 from votemargin.core import (
     HypothesisClass,
-    LabeledSample,
     VotingClassifier,
     empirical_margin_loss,
 )
 from votemargin.rng import stream
+
+from labeled import sample
 
 
 def separable_task(n: int = 200, seed: int = 1234):
@@ -73,9 +74,11 @@ class TestGenerateSynthetic:
         _, H = build_stump_class(StumpClassSpec(2, 3))
         D1, S1 = generate_synthetic(H, 50, 0.1, stream(7, 0))
         D2, S2 = generate_synthetic(H, 50, 0.1, stream(7, 0))
-        assert D1.atoms == D2.atoms
+        assert np.array_equal(D1.atoms.positions, D2.atoms.positions)
+        assert np.array_equal(D1.atoms.labels, D2.atoms.labels)
         assert np.array_equal(D1.probabilities, D2.probabilities)
-        assert tuple(S1) == tuple(S2)
+        assert np.array_equal(S1.positions, S2.positions)
+        assert np.array_equal(S1.labels, S2.labels)
 
     def test_noise_free_distribution_is_uniform_over_true_labels(self):
         spec = StumpClassSpec(2, 3)
@@ -92,10 +95,28 @@ class TestGenerateSynthetic:
         D, _ = generate_synthetic(H, 50, noise, stream(9, 0))
         assert len(D.atoms) == 2 * spec.domain_size
         per_point = {}
-        for (point, _), prob in zip(D.atoms, D.probabilities):
+        for point, prob in zip(D.atoms.positions, D.probabilities):
             per_point.setdefault(point, []).append(prob)
         flip_mass = sum(min(probs) for probs in per_point.values())
         assert flip_mass == pytest.approx(noise, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_atoms_are_point_major_true_label_first(self, noise):
+        # This layout fixes the probability vector the sampler sees, and so
+        # every sample drawn from the task.
+        spec = StumpClassSpec(2, 3)
+        _, H = build_stump_class(spec)
+        D, _ = generate_synthetic(H, 50, noise, stream(9, 0))
+        size = spec.domain_size
+        per_point = 2 if noise else 1
+        truth = D.atoms.labels[::per_point]
+        np.testing.assert_array_equal(
+            D.atoms.positions, np.repeat(np.arange(size), per_point)
+        )
+        if noise:
+            np.testing.assert_array_equal(D.atoms.labels[1::2], -truth)
+        expected = [(1.0 - noise) / size, noise / size][:per_point] * size
+        np.testing.assert_allclose(D.probabilities, expected, rtol=1e-12)
 
     def test_validation(self):
         _, H = build_stump_class(StumpClassSpec(1, 2))
@@ -153,7 +174,7 @@ class TestAdaboost:
         spec = StumpClassSpec(1, 3)
         domain, H = build_stump_class(spec)
         # labels realized by the stump 1{x <= 1}, which is row 1
-        S = LabeledSample([((0,), 1), ((1,), 1), ((2,), -1), ((3,), -1)])
+        S = sample(domain, [((0,), 1), ((1,), 1), ((2,), -1), ((3,), -1)])
         run = adaboost(S, H, 10)
         assert run.status == "perfect-hypothesis"
         assert run.T_completed == 1
@@ -167,7 +188,7 @@ class TestAdaboost:
         spec = StumpClassSpec(1, 1)
         domain, H = build_stump_class(spec)
         # both labels at both points: every hypothesis has error exactly 1/2
-        S = LabeledSample([((0,), 1), ((0,), -1), ((1,), 1), ((1,), -1)])
+        S = sample(domain, [((0,), 1), ((0,), -1), ((1,), 1), ((1,), -1)])
         run = adaboost(S, H, 5)
         assert run.status == "early-stop"
         assert run.T_completed == 0
@@ -197,7 +218,7 @@ class TestMarginHistogram:
     def test_edge_margins_fall_in_the_lower_bin(self):
         spec = StumpClassSpec(1, 1)
         domain, H = build_stump_class(spec)
-        S = LabeledSample([((0,), 1), ((1,), -1)])
+        S = sample(domain, [((0,), 1), ((1,), -1)])
         # equal weight on the two constants makes every margin exactly 0
         f = VotingClassifier([0.0, 0.0, 0.5, 0.5])
         hist = margin_histogram(f, H, S, bin_count=4)
@@ -207,7 +228,7 @@ class TestMarginHistogram:
     def test_extreme_margins_are_kept(self):
         spec = StumpClassSpec(1, 1)
         domain, H = build_stump_class(spec)
-        S = LabeledSample([((0,), 1), ((1,), -1)])
+        S = sample(domain, [((0,), 1), ((1,), -1)])
         f = VotingClassifier([0.0, 0.0, 1.0, 0.0])  # constant +1
         hist = margin_histogram(f, H, S, bin_count=4)
         assert hist.counts[0] == 1 and hist.counts[-1] == 1

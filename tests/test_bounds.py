@@ -64,6 +64,16 @@ class TestBoundInputs:
         with pytest.raises(ValueError, match=field.rstrip("_size")):
             inputs_A(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "make", [theorem1_report, lambda inp: gkl20_lower_report(inp, tau=0.6)],
+        ids=["theorem1", "gkl20-lower"],
+    )
+    def test_a_log_term_that_overflows_is_rejected(self, make):
+        # n fits a float, but theta^2*n/ln|H| overflows to inf
+        inp = BoundInputs(n=15 * 10**307, H_size=2, theta=1.0, delta=0.5, loss=0.1)
+        with pytest.raises(ValueError, match="float"):
+            make(inp)
+
 
 class TestFrozenBoundValues:
     """Each bound at the pinned inputs, against independently computed values."""
@@ -348,3 +358,5 @@ class TestChooseN:
             choose_N_within_const(0.5, 0, 16)
         with pytest.raises(ValueError, match="H_size"):
             choose_N_within_const(0.5, 100, 1)
+        with pytest.raises(ValueError, match="float"):
+            choose_N_within_const(1.0, 15 * 10**307, 2)

@@ -23,6 +23,8 @@ from votemargin.core import (
 )
 from votemargin.rng import stream
 
+from labeled import distribution, sample
+
 
 def small_class():
     """Three hypotheses over a four-point domain, used across tests."""
@@ -46,7 +48,6 @@ class TestDiscreteDomain:
         domain = DiscreteDomain(("x", "y", "z"))
         assert len(domain) == 3
         assert domain.position("y") == 1
-        assert list(domain.positions(("z", "x"))) == [2, 0]
         assert "y" in domain and "w" not in domain
 
     def test_rejects_duplicates_and_empty(self):
@@ -137,7 +138,7 @@ class TestHypothesisClass:
 
     def test_sample_values_selects_columns(self):
         domain, H = small_class()
-        S = LabeledSample([("c", 1), ("a", -1), ("c", 1)])
+        S = sample(domain, [("c", 1), ("a", -1), ("c", 1)])
         np.testing.assert_array_equal(
             H.sample_values(S),
             np.array([[-1, 1, -1], [1, 1, 1], [1, -1, 1]], dtype=np.int8),
@@ -198,21 +199,60 @@ class TestVotingClassifier:
 
 class TestLabeledSample:
     def test_order_and_labels(self):
-        S = LabeledSample([("b", 1), ("a", -1), ("b", -1)])
-        assert S.points == ("b", "a", "b")
+        domain, _ = small_class()
+        S = sample(domain, [("b", 1), ("a", -1), ("b", -1)])
+        assert S.domain is domain and len(S) == 3
+        np.testing.assert_array_equal(S.positions, [1, 0, 1])
         np.testing.assert_array_equal(S.labels, [1, -1, -1])
-        assert list(S) == [("b", 1), ("a", -1), ("b", -1)]
+        assert S.positions.dtype == np.intp and S.labels.dtype == np.int8
 
     def test_validation(self):
+        domain, _ = small_class()
         with pytest.raises(ValueError, match="at least one"):
-            LabeledSample([])
+            LabeledSample(domain, np.array([], dtype=np.intp), [])
         with pytest.raises(ValueError, match="label"):
-            LabeledSample([("a", 2)])
+            sample(domain, [("a", 2)])
+
+    def test_arrays_are_read_only_copies(self):
+        domain, _ = small_class()
+        positions, labels = np.array([0, 3]), np.array([1, -1])
+        S = LabeledSample(domain, positions, labels)
+        positions[0], labels[0] = 2, -1
+        np.testing.assert_array_equal(S.positions, [0, 3])
+        np.testing.assert_array_equal(S.labels, [1, -1])
+        with pytest.raises(ValueError):
+            S.positions[0] = 1
+        with pytest.raises(ValueError):
+            S.labels[0] = -1
+
+    @pytest.mark.parametrize(
+        "positions",
+        [
+            [-1, 0],
+            [0, 4],
+            [0.0, 1.0],
+            [True, False],
+            [[0, 1]],
+            [0, 2**64],
+        ],
+        ids=["negative", "out-of-range", "float", "bool", "2-d", "huge"],
+    )
+    def test_rejects_bad_positions(self, positions):
+        domain, _ = small_class()
+        with pytest.raises(ValueError, match="positions"):
+            LabeledSample(domain, positions, [1, -1])
+
+    @pytest.mark.parametrize("labels", [[1], [1, -1, 1]])
+    def test_rejects_a_length_mismatch(self, labels):
+        domain, _ = small_class()
+        with pytest.raises(ValueError, match="2 positions"):
+            LabeledSample(domain, [0, 1], labels)
 
 
 class TestDataDistribution:
     def test_probabilities_renormalized(self):
-        D = DataDistribution({("a", 1): 0.25, ("b", -1): 0.75 + 1e-13})
+        domain, _ = small_class()
+        D = distribution(domain, {("a", 1): 0.25, ("b", -1): 0.75 + 1e-13})
         assert D.probabilities.sum() == 1.0
         assert len(D) == 2
 
@@ -220,32 +260,47 @@ class TestDataDistribution:
         "masses", [(float("nan"), 1.0), (float("nan"), float("nan"))]
     )
     def test_non_finite_probabilities_rejected(self, masses):
+        domain, _ = small_class()
         with pytest.raises(ValueError, match="finite"):
-            DataDistribution({("a", 1): masses[0], ("b", -1): masses[1]})
+            distribution(domain, {("a", 1): masses[0], ("b", -1): masses[1]})
 
     def test_duplicate_atoms_rejected(self):
-        # A dict collapses equal keys at insertion, so feed the constructor a
-        # mapping whose items() yields two entries normalizing to one atom.
-        class DupItems(dict):
-            def items(self):
-                return [(("a", np.int8(1)), 0.5), (("a", 1), 0.5)]
-
+        # Two entries that normalize to one atom: same position, labels 1 and 1.0.
+        domain, _ = small_class()
         with pytest.raises(ValueError, match="distinct"):
-            DataDistribution(DupItems({("a", 1): 1.0}))
+            DataDistribution(LabeledSample(domain, [0, 0], [np.int8(1), 1.0]), [0.5, 0.5])
+
+    def test_same_point_with_both_labels_is_two_atoms(self):
+        domain, _ = small_class()
+        D = distribution(domain, {("a", 1): 0.5, ("a", -1): 0.5})
+        assert len(D) == 2
+
+    @pytest.mark.parametrize("probabilities", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_rejects_probabilities_that_do_not_match_the_atoms(self, probabilities):
+        domain, _ = small_class()
+        atoms = sample(domain, [("a", 1), ("b", -1)])
+        with pytest.raises(ValueError, match="shape"):
+            DataDistribution(atoms, probabilities)
 
     def test_empirical_counts_multiplicity(self):
-        S = LabeledSample([("a", 1), ("a", 1), ("b", -1), ("a", -1)])
+        domain, _ = small_class()
+        S = sample(domain, [("a", 1), ("a", 1), ("b", -1), ("a", -1)])
         D = DataDistribution.empirical(S)
-        masses = {atom: p for atom, p in zip(D.atoms, D.probabilities)}
+        masses = {
+            (domain.points[x], int(y)): p
+            for x, y, p in zip(D.atoms.positions, D.atoms.labels, D.probabilities)
+        }
         assert masses[("a", 1)] == pytest.approx(0.5)
         assert masses[("b", -1)] == pytest.approx(0.25)
         assert masses[("a", -1)] == pytest.approx(0.25)
 
     def test_sample_is_reproducible(self):
-        D = DataDistribution({("a", 1): 0.5, ("b", -1): 0.5})
+        domain, _ = small_class()
+        D = distribution(domain, {("a", 1): 0.5, ("b", -1): 0.5})
         S1 = D.sample(20, stream(7, 0))
         S2 = D.sample(20, stream(7, 0))
-        assert S1.points == S2.points
+        assert S1.domain is domain
+        np.testing.assert_array_equal(S1.positions, S2.positions)
         np.testing.assert_array_equal(S1.labels, S2.labels)
 
 
@@ -258,12 +313,12 @@ class TestLabelCheck:
     @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
     def test_labeled_sample_rejects(self, bad):
         with pytest.raises(ValueError, match="label"):
-            LabeledSample([("a", 1), ("b", bad)])
+            sample(small_class()[0], [("a", 1), ("b", bad)])
 
     @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
     def test_data_distribution_rejects(self, bad):
         with pytest.raises(ValueError, match="label"):
-            DataDistribution({("a", 1): 0.5, ("b", bad): 0.5})
+            distribution(small_class()[0], {("a", 1): 0.5, ("b", bad): 0.5})
 
     @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
     def test_constant_hypothesis_rejects(self, bad):
@@ -279,20 +334,22 @@ class TestLabelCheck:
             margin(f, H, "a", bad)
 
     def test_sequences_of_signs_are_not_labels(self):
+        domain, _ = small_class()
         with pytest.raises(ValueError, match="label"):
-            LabeledSample([("a", (1,)), ("b", (-1,))])
+            sample(domain, [("a", (1,)), ("b", (-1,))])
         with pytest.raises(ValueError, match="label"):
-            DataDistribution({("a", (1,)): 0.5, ("b", (-1,)): 0.5})
+            distribution(domain, {("a", (1,)): 0.5, ("b", (-1,)): 0.5})
 
     def test_values_equal_to_a_sign_are_accepted_as_ints(self):
+        domain, H = small_class()
         labels = [True, np.int8(-1), 1.0, np.float64(-1.0)]
-        S = LabeledSample(zip("abcd", labels))
+        S = sample(domain, zip("abcd", labels))
         assert S.labels.dtype == np.int8
         np.testing.assert_array_equal(S.labels, [1, -1, 1, -1])
-        D = DataDistribution({(p, y): 0.25 for p, y in zip("abcd", labels)})
-        assert D.atoms == (("a", 1), ("b", -1), ("c", 1), ("d", -1))
-        assert all(type(y) is int for _, y in D.atoms)
-        domain, H = small_class()
+        D = distribution(domain, {(p, y): 0.25 for p, y in zip("abcd", labels)})
+        assert D.atoms.labels.dtype == np.int8
+        np.testing.assert_array_equal(D.atoms.positions, [0, 1, 2, 3])
+        np.testing.assert_array_equal(D.atoms.labels, [1, -1, 1, -1])
         assert constant_hypothesis(domain, True).as_dict() == dict.fromkeys("abcd", 1)
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         assert margin(f, H, "a", -1.0) == -0.5
@@ -310,7 +367,7 @@ class TestMarginsAndLosses:
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         # f over (a, b, c, d) = (0.5, 0.5, 0.0, -0.5)
-        S = LabeledSample([("a", 1), ("b", -1), ("c", 1), ("d", -1)])
+        S = sample(H.domain, [("a", 1), ("b", -1), ("c", 1), ("d", -1)])
         np.testing.assert_allclose(
             margins_on_sample(f, H, S), [0.5, -0.5, 0.0, 0.5], atol=1e-15
         )
@@ -318,21 +375,21 @@ class TestMarginsAndLosses:
     def test_ties_count_as_losses(self):
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = LabeledSample([("a", 1), ("b", 1), ("d", -1)])  # margins 0.5, 0.5, 0.5
+        S = sample(H.domain, [("a", 1), ("b", 1), ("d", -1)])  # margins 0.5, 0.5, 0.5
         assert empirical_margin_loss(f, H, S, 0.5) == 1.0
         assert empirical_margin_loss(f, H, S, np.nextafter(0.5, 0.0)) == 0.0
 
     def test_zero_threshold_is_zero_one_loss(self):
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = LabeledSample([("a", 1), ("a", -1), ("c", 1)])
+        S = sample(H.domain, [("a", 1), ("a", -1), ("c", 1)])
         # margins: 0.5 (correct), -0.5 (wrong), 0.0 (tie counts as loss)
         assert empirical_margin_loss(f, H, S, 0.0) == pytest.approx(2.0 / 3.0)
 
     def test_true_loss_equals_empirical_on_empirical_distribution(self):
         _, H = small_class()
         f = VotingClassifier(np.array([0.2, 0.3, 0.5]))
-        S = LabeledSample([("a", 1), ("b", -1), ("b", -1), ("d", 1)])
+        S = sample(H.domain, [("a", 1), ("b", -1), ("b", -1), ("d", 1)])
         D = DataDistribution.empirical(S)
         for theta in (0.0, 0.1, 0.35, 0.9):
             assert true_margin_loss(f, H, D, theta) == pytest.approx(
@@ -342,15 +399,38 @@ class TestMarginsAndLosses:
     def test_margins_on_support_orders_by_atom(self):
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        D = DataDistribution({("c", 1): 0.25, ("a", -1): 0.75})
+        D = distribution(H.domain, {("c", 1): 0.25, ("a", -1): 0.75})
         m, p = margins_on_support(f, H, D)
         np.testing.assert_allclose(m, [0.0, -0.5], atol=1e-15)
         np.testing.assert_allclose(p, [0.25, 0.75])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, H, S, D: H.sample_values(S),
+            lambda f, H, S, D: margins_on_sample(f, H, S),
+            lambda f, H, S, D: margins_on_support(f, H, D),
+        ],
+        ids=["sample_values", "margins_on_sample", "margins_on_support"],
+    )
+    def test_a_sample_over_another_domain_is_rejected(self, call):
+        _, H = small_class()
+        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
+        other = DiscreteDomain(("a", "b", "c", "e"))
+        S = sample(other, [("a", 1), ("e", -1)])
+        D = distribution(other, {("a", 1): 0.5, ("e", -1): 0.5})
+        with pytest.raises(ValueError, match="domain"):
+            call(f, H, S, D)
+        # an equal domain built separately is the same domain
+        same = DiscreteDomain(("a", "b", "c", "d"))
+        S = sample(same, [("a", 1), ("d", -1)])
+        D = distribution(same, {("a", 1): 0.5, ("d", -1): 0.5})
+        call(f, H, S, D)
+
     def test_threshold_validation(self):
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = LabeledSample([("a", 1)])
+        S = sample(H.domain, [("a", 1)])
         with pytest.raises(ValueError, match="threshold"):
             empirical_margin_loss(f, H, S, -0.1)
         with pytest.raises(ValueError, match="threshold"):
@@ -362,7 +442,7 @@ class TestScaleReduction:
         _, H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         f_bar, H_bar = scale_reduction(f, H)
-        S = LabeledSample([("a", 1), ("b", -1), ("c", 1), ("d", -1)])
+        S = sample(H.domain, [("a", 1), ("b", -1), ("c", 1), ("d", -1)])
         np.testing.assert_allclose(
             margins_on_sample(f_bar, H_bar, S),
             C_THETA * margins_on_sample(f, H, S),
@@ -403,7 +483,7 @@ class TestScaleReduction:
         w = rng.dirichlet(np.ones(3))
         f = VotingClassifier(w)
         f_bar, H_bar = scale_reduction(f, H)
-        S = LabeledSample([(p, 1) for p in ("a", "b", "c", "d")])
+        S = sample(H.domain, [(p, 1) for p in ("a", "b", "c", "d")])
         before = margins_on_sample(f, H, S)
         after = margins_on_sample(f_bar, H_bar, S)
         np.testing.assert_array_equal(np.sign(before), np.sign(after))

@@ -34,6 +34,8 @@ from votemargin.discretize import (
 )
 from votemargin.rng import stream
 
+from labeled import distribution, sample
+
 
 def exact_tail(N: int, lam: float, eta: float) -> Fraction:
     """Independent rational oracle: sum the binomial upper tail exactly.
@@ -70,9 +72,7 @@ def random_instance(seed: int, n_points: int = 8, n_hyps: int = 4, n_sample: int
     f = VotingClassifier(rng.dirichlet(np.ones(n_hyps)))
     labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=n_points)
     probs = rng.dirichlet(np.ones(n_points))
-    D = DataDistribution(
-        {(f"x{i}", int(labels[i])): float(probs[i]) for i in range(n_points)}
-    )
+    D = DataDistribution(LabeledSample(domain, np.arange(n_points), labels), probs)
     S = D.sample(n_sample, rng)
     return f, H, D, S
 
@@ -242,15 +242,24 @@ class TestDiscretizedClassifier:
     def test_margins_on_sample_and_support(self):
         _, H = self.small()
         g = DiscretizedClassifier(H, [0, 2])
-        S = LabeledSample([("a", 1), ("c", -1), ("a", 1)])
+        S = sample(H.domain, [("a", 1), ("c", -1), ("a", 1)])
         values = g.values_on_domain()
         assert np.array_equal(
             g.margins_on_sample(S), np.array([values[0], -values[2], values[0]])
         )
-        D = DataDistribution({("a", 1): 0.5, ("b", -1): 0.5})
+        D = distribution(H.domain, {("a", 1): 0.5, ("b", -1): 0.5})
         margins, probs = g.margins_on_support(D)
         assert np.array_equal(margins, np.array([values[0], -values[1]]))
         assert np.array_equal(probs, np.array([0.5, 0.5]))
+
+    def test_margins_reject_a_sample_over_another_domain(self):
+        _, H = self.small()
+        g = DiscretizedClassifier(H, [0, 2])
+        other = DiscreteDomain(("a", "b", "d"))
+        with pytest.raises(ValueError, match="domain"):
+            g.margins_on_sample(sample(other, [("a", 1)]))
+        with pytest.raises(ValueError, match="domain"):
+            g.margins_on_support(distribution(other, {("d", 1): 1.0}))
 
     def test_as_voting_uses_draw_frequencies(self):
         _, H = self.small()
@@ -307,7 +316,7 @@ class TestSampleDiscretization:
         p = 0.75
         f = VotingClassifier([p, 1.0 - p])
         lam = 2 * p - 1  # y·f(x0) with label +1
-        S = LabeledSample([("x0", 1)])
+        S = sample(H.domain, [("x0", 1)])
         M, N = 2000, 8
         rng = stream(5, 4)
         hits = sum(

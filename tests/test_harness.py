@@ -698,8 +698,11 @@ class TestCommandLine:
              "--delta", "0.1", "--loss", "0.1"],
             ["grid", "--sweep", "h-size", "--values", f"16,{HUGE}", "--n", "1000",
              "--theta", "0.5", "--delta", "0.1", "--loss", "0.1"],
+            # n fits a float, but theta^2*n/ln|H| in the log term does not
+            ["eval", "--n", "15" + "0" * 307, "--h-size", "2", "--theta", "1",
+             "--delta", "0.5", "--loss", "0.1", "--tau", "0.6"],
         ],
-        ids=["eval-n", "eval-h-size", "grid-n", "grid-h-size"],
+        ids=["eval-n", "eval-h-size", "grid-n", "grid-h-size", "eval-log-term"],
     )
     def test_bounds_reject_an_integer_too_large_for_a_float(self, argv, capsys):
         code = main(["bounds", *argv])

@@ -1,8 +1,10 @@
 """Every public numeric entry point rejects a bad argument with ValueError.
 
 Each case is a valid call plus, per argument, the values that argument must
-refuse: NaN, ±inf, or a finite float outside its range.  Hypothesis swaps one
-argument of the valid call for such a value.  The CLI cases do the same to
+refuse: NaN, ±inf, or a finite float outside its range, and for a sample
+position also a bool or an integer outside the domain.  Hypothesis swaps one
+argument of the valid call for such a value.  Every entry point that takes a
+discretization size N refuses one above 2**53.  The CLI cases do the same to
 ``bounds eval`` and ``bounds grid``, which must exit 2 with one ``error:``
 line.  A last test checks that every ``__all__`` entry of every module
 resolves, so a deletion cannot leave a stale export behind.
@@ -28,8 +30,20 @@ from votemargin.bounds import (
     gkl20_lower_report,
 )
 from votemargin.cli import main
-from votemargin.core import C_THETA, DataDistribution, VotingClassifier
-from votemargin.discretize import binom_margin_tail, binom_margin_tail_batch, k_star
+from votemargin.core import (
+    C_THETA,
+    DataDistribution,
+    DiscreteDomain,
+    HypothesisClass,
+    LabeledSample,
+    VotingClassifier,
+)
+from votemargin.discretize import (
+    binom_margin_tail,
+    binom_margin_tail_batch,
+    k_star,
+    sample_discretization,
+)
 from votemargin.harness.checks import binomial_ci
 from votemargin.phirho import PhiRhoParams, lip_const_bound, phi, phi_many, rho, rho_many
 from votemargin.rademacher import massart_bound
@@ -56,6 +70,16 @@ def outside(lo, hi, *, lo_in=True, hi_in=True):
     above = st.floats(min_value=hi, allow_nan=False).filter(lambda x: x > hi or not hi_in)
     return below(lo, lo_in=lo_in) | above
 
+
+#: A two-point domain: a sample position is an integer in {0, 1}.  The
+#: positions of a case are all equal, so their array takes the bad value's dtype.
+DOMAIN = DiscreteDomain(("a", "b"))
+BAD_POSITION = (
+    ANY_FLOAT
+    | st.booleans()
+    | st.integers(max_value=-1)
+    | st.integers(min_value=len(DOMAIN))
+)
 
 BOUND_FIELDS = dict(n=5000, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
 SCHEME = build_partition(5000, 16)
@@ -159,10 +183,17 @@ CASES = {
         dict(trials=100, p=0.1, level=0.95),
         {"trials": ANY_FLOAT, "p": outside(0.0, 1.0), "level": outside(0.0, 1.0)},
     ),
+    "LabeledSample": (
+        lambda position: LabeledSample(DOMAIN, [position], [1]),
+        dict(position=1),
+        {"position": BAD_POSITION},
+    ),
     "DataDistribution": (
-        lambda a, b: DataDistribution({("a", 1): a, ("b", -1): b}),
-        dict(a=0.25, b=0.75),
-        {"a": outside(0.0, 1.0), "b": outside(0.0, 1.0)},
+        lambda a, b, position: DataDistribution(
+            LabeledSample(DOMAIN, [position, position], [1, -1]), [a, b]
+        ),
+        dict(a=0.25, b=0.75, position=1),
+        {"a": outside(0.0, 1.0), "b": outside(0.0, 1.0), "position": BAD_POSITION},
     ),
     "VotingClassifier": (
         lambda a, b: VotingClassifier([a, b]),
@@ -178,6 +209,26 @@ CASES = {
         },
     ),
 }
+
+
+TWO_CONSTANTS = HypothesisClass(DOMAIN, [[1, 1], [-1, -1]])
+N_CALLS = {
+    "k_star": lambda N: k_star(N, 0.1),
+    "binom_margin_tail": lambda N: binom_margin_tail(N, 0.1, 0.1),
+    "binom_margin_tail_batch": lambda N: binom_margin_tail_batch(N, [0.1], 0.1),
+    "sample_discretization": lambda N: sample_discretization(
+        VotingClassifier([0.5, 0.5]), TWO_CONSTANTS, N, 0
+    ),
+    "PhiRhoParams": lambda N: PhiRhoParams(0.5, N),
+}
+
+
+@pytest.mark.parametrize("N", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+@pytest.mark.parametrize("name", sorted(N_CALLS))
+def test_an_N_a_double_cannot_hold_is_rejected(name, N):
+    # bdtrc takes N as a double, which holds every integer only up to 2**53
+    with pytest.raises(ValueError, match="N"):
+        N_CALLS[name](N)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -24,6 +24,8 @@ from votemargin.rademacher import (
 )
 from votemargin.rng import stream
 
+from labeled import sample
+
 
 def opposite_constants(n_points: int):
     domain = DiscreteDomain(tuple(f"x{i}" for i in range(n_points)))
@@ -31,7 +33,7 @@ def opposite_constants(n_points: int):
         [np.ones(n_points, dtype=np.int8), -np.ones(n_points, dtype=np.int8)]
     )
     H = HypothesisClass(domain, matrix)
-    S = LabeledSample([(f"x{i}", 1) for i in range(n_points)])
+    S = LabeledSample(domain, np.arange(n_points), np.ones(n_points))
     return H, S
 
 
@@ -40,7 +42,7 @@ def all_patterns_on_two_points():
     H = HypothesisClass(
         domain, np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
     )
-    S = LabeledSample([("a", 1), ("b", -1)])
+    S = sample(domain, [("a", 1), ("b", -1)])
     return H, S
 
 
@@ -52,7 +54,7 @@ def random_class(seed: int, n_hyps: int, n_points: int):
         if np.count_nonzero(np.abs(matrix.sum(axis=1)) == n_points) <= 1:
             break
     H = HypothesisClass(domain, matrix)
-    S = LabeledSample([(f"x{i}", 1) for i in range(n_points)])
+    S = LabeledSample(domain, np.arange(n_points), np.ones(n_points))
     return H, S
 
 
@@ -80,9 +82,7 @@ def massart_draws(seed: int, count: int):
         n = int(rng.integers(1, 15))
         H_size = int(rng.integers(2, 33))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(
-            [(int(p), 1) for p in rng.integers(0, len(H.domain), size=n)]
-        )
+        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
         yield H, S
 
 
@@ -100,7 +100,7 @@ class TestExhaustive:
     def test_single_hypothesis_has_zero_complexity(self):
         domain = DiscreteDomain(("a", "b", "c"))
         H = HypothesisClass(domain, np.array([[1, -1, 1]], dtype=np.int8))
-        S = LabeledSample([("a", 1), ("b", 1), ("c", 1)])
+        S = sample(domain, [("a", 1), ("b", 1), ("c", 1)])
         est = exhaustive_rademacher(H, S)
         assert est.value == 0.0
         assert est.mode == "exhaustive" and est.std_error == 0.0
@@ -127,12 +127,18 @@ class TestExhaustive:
         domain = DiscreteDomain(("a", "b"))
         H = HypothesisClass(domain, np.array([[1, -1], [-1, 1], [1, 1]]))
         for point, value in (("a", 1.0), ("b", 1.0)):
-            S = LabeledSample([(point, 1)])
+            S = sample(domain, [(point, 1)])
             est = exhaustive_rademacher(H, S)
             assert est.value == matmul_reference(H, S) == value
             assert est.trials == 2
         single = HypothesisClass(domain, np.array([[1, -1]]))
-        assert exhaustive_rademacher(single, LabeledSample([("a", -1)])).value == 0.0
+        assert exhaustive_rademacher(single, sample(domain, [("a", -1)])).value == 0.0
+
+    def test_rejects_a_sample_over_another_domain(self):
+        H, _ = all_patterns_on_two_points()
+        other = DiscreteDomain(("a", "c"))
+        with pytest.raises(ValueError, match="domain"):
+            exhaustive_rademacher(H, sample(other, [("a", 1), ("c", 1)]))
 
     @pytest.mark.parametrize(
         "n, n_hyps", [(17, 32), (18, 5), (20, 32)], ids=["n17", "n18", "n20"]
