@@ -11,7 +11,6 @@ the calibrated end-to-end experiment that ties everything together.
 import numpy as np
 
 from votemargin.boosting import (
-    StumpClassSpec,
     adaboost,
     build_stump_class,
     generate_synthetic,
@@ -26,10 +25,10 @@ from votemargin.rng import stream
 # no label noise.  The stump class has 2dk threshold stumps plus the two
 # constant hypotheses.
 # ------------------------------------------------------------------
-spec = StumpClassSpec(d=2, k=7)
-_, H = build_stump_class(spec)
-print(f"stump class: d={spec.d} features, k={spec.k} thresholds "
-      f"-> |H| = {spec.H_size}, |X| = {spec.domain_size}")
+d, k = 2, 7
+H = build_stump_class(d, k)
+print(f"stump class: d={d} features, k={k} thresholds "
+      f"-> |H| = {len(H)}, |X| = {len(H.domain)}")
 
 D, S = generate_synthetic(H, n=300, noise=0.0, rng_seed=stream(7, 0))
 run = adaboost(S, H, T=80)

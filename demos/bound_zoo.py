@@ -65,7 +65,7 @@ print("  ...")
 
 # Each cell pair gets its own slice of the failure budget; both family
 # sums stay within delta/2.
-alloc = delta_allocation(0.05, 5000, 16, scheme)
+alloc = delta_allocation(0.05, scheme)
 print(f"pair-budget sum: {alloc.pair_sum:.3e} <= {0.025}")
 print(f"cell-budget sum: {alloc.cell_sum:.3e} <= {0.025}")
 

@@ -32,6 +32,7 @@ __all__ = [
     "gkl20_lower_report",
     "all_reports",
     "BOUND_NAMES",
+    "admissible_theta_floor",
     "PartitionCell",
     "PartitionScheme",
     "build_partition",
@@ -59,6 +60,11 @@ def _check_sizes(n, H_size) -> None:
             ) from None
 
 
+def admissible_theta_floor(n, H_size) -> float:
+    """Smallest admissible margin for the sharp bound: √(e·ln|H|/n)."""
+    return math.sqrt(math.e * math.log(H_size) / n)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Shared arguments of every bound evaluator.
@@ -84,6 +90,10 @@ class BoundInputs:
             raise ValueError(f"loss must lie in [0, 1], got {self.loss}")
         if not (math.isfinite(self.c) and self.c >= 0.0):
             raise ValueError(f"c must be finite and nonnegative, got {self.c}")
+        if self.theta**2 * self.n == 0.0 or not math.isfinite(self.complexity_rate):
+            raise ValueError(
+                f"theta = {self.theta} is too small: ln|H|/(theta^2*n) is not finite"
+            )
 
     @property
     def log_H(self) -> float:
@@ -110,7 +120,7 @@ class BoundInputs:
     @property
     def theta_floor(self) -> float:
         """Smallest admissible margin for the sharp bound: √(e·ln|H|/n)."""
-        return math.sqrt(math.e * self.log_H / self.n)
+        return admissible_theta_floor(self.n, self.H_size)
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ class BoundReport:
 
     value = loss_offset + sqrt_term + log_term + delta_term; deviation is
     the value with the loss offset removed, i.e. the bound on the
-    generalization gap itself.
+    generalization gap itself.  Every term must be finite.
     """
 
     name: str
@@ -128,6 +138,12 @@ class BoundReport:
     log_term: float
     delta_term: float
     warnings: tuple = field(default=())
+
+    def __post_init__(self):
+        for term in ("loss_offset", "sqrt_term", "log_term", "delta_term"):
+            value = getattr(self, term)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name}: {term} is {value}, not a finite number")
 
     @property
     def value(self) -> float:
@@ -309,7 +325,7 @@ class PartitionScheme:
     @property
     def theta_floor(self) -> float:
         """Lower edge of the admissible margin range, √(e·ln|H|/n)."""
-        return math.sqrt(math.e * math.log(self.H_size) / self.n)
+        return admissible_theta_floor(self.n, self.H_size)
 
     def locate_theta(self, theta: float) -> PartitionCell:
         for cell in self.theta_cells:
@@ -398,10 +414,8 @@ class DeltaAllocation:
         return self.pair_sum <= half and self.cell_sum <= half
 
 
-def delta_allocation(
-    delta: float, n: int, H_size: int, scheme: PartitionScheme
-) -> DeltaAllocation:
-    """Split δ across cells.
+def delta_allocation(delta: float, scheme: PartitionScheme) -> DeltaAllocation:
+    """Split δ across the cells of a partition, at its own n and |H|.
 
     Pair budgets: δ_{i,j} = (δ/e)³·exp(−ln(e/l_{j+1})·ln|H|/θ_{i+1}²).
     Margin-cell budgets: δ_i = (δ/e)³·exp(−ln(e·θ_{i+1}²·n)·ln|H|/θ_{i+1}²).
@@ -409,12 +423,8 @@ def delta_allocation(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if scheme.n != n or scheme.H_size != H_size:
-        raise ValueError(
-            f"scheme was built for (n={scheme.n}, H_size={scheme.H_size}), "
-            f"not (n={n}, H_size={H_size})"
-        )
-    log_H = math.log(H_size)
+    n = scheme.n
+    log_H = math.log(scheme.H_size)
     base = (delta / math.e) ** 3
     pair_deltas = {}
     cell_deltas = {}

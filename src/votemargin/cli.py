@@ -5,8 +5,9 @@ Subcommands:
 * ``bounds eval``   — print a term-breakdown table of every bound family.
 * ``bounds grid``   — sweep one parameter and emit CSV (value, bounds, terms).
 * ``validate``      — run one named check suite and print its report.
-* ``experiment run``— run an INI-configured experiment.
-* ``adaboost train``— train a booster from an INI config, emit round tables.
+* ``experiment run``— run the experiment an INI config names: half-margin,
+  within-const, gap-vs-bounds or adaboost (a training run with its round
+  table and margin histogram).
 
 Exit status: 0 on pass, 1 on a failed assertion, 2 on usage, config, or
 precondition errors.  Output directories default to the VOTEMARGIN_OUT
@@ -21,14 +22,25 @@ import sys
 
 from .bounds import BOUND_NAMES, BoundInputs, BoundReport, all_reports
 from .harness.checks import VALID_LEMMA_IDS, validate
-from .harness.config import ConfigError, parse_config
-from .harness.experiments import adaboost_experiment
-from .harness.experiments import run as run_experiment
+from .harness.config import ConfigError, ExperimentConfig, parse_config
+from .harness.experiments import (
+    adaboost_experiment,
+    concentration_experiment,
+    gap_vs_bounds_experiment,
+)
 from .harness.reporting import OUTPUT_DIR_ENV, format_value
 
 __all__ = ["main"]
 
 _SWEEPABLE = ("n", "h-size", "theta", "delta", "loss", "c", "tau")
+
+#: The runner of each config kind that ``experiment run`` accepts.
+_EXPERIMENTS = {
+    "half-margin": concentration_experiment,
+    "within-const": concentration_experiment,
+    "gap-vs-bounds": gap_vs_bounds_experiment,
+    "adaboost": adaboost_experiment,
+}
 
 
 def _add_bound_args(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -93,13 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="experiment_command", required=True)
     exp_run = exp_sub.add_parser("run", help="run the experiment in an INI config")
     exp_run.add_argument("config", help="path to the INI config file")
-
-    ada = sub.add_parser("adaboost", help="boosting over explicit stump tables")
-    ada_sub = ada.add_subparsers(dest="adaboost_command", required=True)
-    ada_train = ada_sub.add_parser("train", help="train and emit per-round CSV")
-    ada_train.add_argument(
-        "--config", required=True, help="INI file with an [adaboost] section"
-    )
 
     return parser
 
@@ -210,30 +215,41 @@ def _bounds_grid(args) -> int:
     return 0
 
 
-def _validate(args) -> int:
-    config = None
-    if args.config is not None:
-        config = parse_config(args.config)
-        if config.kind != "validate":
-            raise ConfigError(
-                f"validate expects a [validate] config section, got [{config.kind}]"
-            )
-    report = validate(args.lemma_id, config)
+def _read_config(path, kinds, mismatch: str) -> ExperimentConfig:
+    """Parse an INI config whose section must be one of ``kinds``.
+
+    ``mismatch`` is the error for any other section, formatted with its kind.
+    """
+    config = parse_config(path)
+    if config.kind not in kinds:
+        raise ConfigError(mismatch.format(kind=config.kind))
+    return config
+
+
+def _print_report(report) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def _adaboost_train(args) -> int:
-    config = parse_config(args.config)
-    if config.kind != "adaboost":
-        raise ConfigError(
-            f"adaboost train expects an [adaboost] config section, got [{config.kind}]"
+def _validate(args) -> int:
+    config = None
+    if args.config is not None:
+        config = _read_config(
+            args.config,
+            ("validate",),
+            "validate expects a [validate] config section, got [{kind}]",
         )
-    report = adaboost_experiment(config)
-    for line in report.lines():
-        print(line)
-    return 0
+    return _print_report(validate(args.lemma_id, config))
+
+
+def _experiment_run(args) -> int:
+    config = _read_config(
+        args.config,
+        _EXPERIMENTS,
+        "[{kind}] configs drive the validate command, not experiment run",
+    )
+    return _print_report(_EXPERIMENTS[config.kind](config))
 
 
 def main(argv=None) -> int:
@@ -247,9 +263,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _validate(args)
         if args.command == "experiment":
-            return run_experiment(args.config)
-        if args.command == "adaboost":
-            return _adaboost_train(args)
+            return _experiment_run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

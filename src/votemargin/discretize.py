@@ -332,20 +332,20 @@ def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) 
     return DiscretizedClassifier(H, indices)
 
 
-def first_decrease(values, tol: float = 1e-14):
-    """Index of the first strict decrease beyond ``tol``, or None."""
+def first_decrease(values):
+    """Index of the first decrease by more than 1e-14, or None."""
     v = np.asarray(values, dtype=np.float64)
     for k in range(v.size - 1):
-        if v[k + 1] < v[k] - tol:
+        if v[k + 1] < v[k] - 1e-14:
             return k + 1
     return None
 
 
-def margin_law_monotone_check(N: int, eta: float, lambda_grid, tol: float = 1e-14):
+def margin_law_monotone_check(N: int, eta: float, lambda_grid):
     """Check that the margin tail is non-decreasing in λ over a sorted grid.
 
     Returns (ok, first_violation_index); the index points at the first grid
-    entry whose tail drops below its predecessor by more than ``tol``.
+    entry whose tail drops below its predecessor by more than 1e-14.
     """
     grid = np.asarray(lambda_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
@@ -353,7 +353,7 @@ def margin_law_monotone_check(N: int, eta: float, lambda_grid, tol: float = 1e-1
     if (np.diff(grid) < 0).any():
         raise ValueError("lambda grid must be sorted ascending")
     tails = binom_margin_tail_batch(N, grid, eta)
-    violation = first_decrease(tails, tol)
+    violation = first_decrease(tails)
     return violation is None, violation
 
 

@@ -95,10 +95,15 @@ def random_voting(rng, size: int) -> VotingClassifier:
     return VotingClassifier(rng.dirichlet(np.ones(size)))
 
 
-def smallest_c_monotone(fn, target: float, hi: float = 1.0) -> float:
-    """Smallest c ≥ 0 with fn(c) ≥ target, for fn increasing in c."""
+def smallest_c_monotone(fn, target: float) -> float:
+    """Smallest c ≥ 0 with fn(c) ≥ target, for fn increasing in c.
+
+    The bracket starts at [0, 1] and doubles its upper end until it holds
+    the answer.
+    """
     if target <= 0.0:
         return 0.0
+    hi = 1.0
     grow = 0
     while fn(hi) < target:
         hi *= 2.0
@@ -351,7 +356,7 @@ def _check_delta_allocation(seed, out, trials, grid_points):
         for H_size in _DELTA_GRID_H:
             scheme = build_partition(n, H_size)
             for delta in _DELTA_GRID_DELTA:
-                alloc = delta_allocation(delta, n, H_size, scheme)
+                alloc = delta_allocation(delta, scheme)
                 budget = delta / 2.0
                 gap = max(alloc.pair_sum - budget, alloc.cell_sum - budget)
                 worst = max(worst, gap)

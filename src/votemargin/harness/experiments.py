@@ -17,20 +17,14 @@ identical however the work would be scheduled.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..boosting import (
-    StumpClassSpec,
-    adaboost,
-    build_stump_class,
-    generate_synthetic,
-    margin_histogram,
-)
+from ..boosting import adaboost, build_stump_class, generate_synthetic, margin_histogram
 from ..bounds import (
     BoundInputs,
+    admissible_theta_floor,
     breiman_report,
     build_partition,
     choose_N_main,
@@ -52,7 +46,7 @@ from ..core import (
 from ..discretize import binom_margin_tail_batch
 from ..rng import stream
 from .checks import binomial_ci, repair_duplicate_constants, smallest_c_monotone
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig
 from .reporting import (
     read_constants_csv,
     resolve_out_dir,
@@ -71,7 +65,6 @@ __all__ = [
     "adaboost_experiment",
     "half_margin_rhs",
     "within_const_rhs",
-    "run",
 ]
 
 CONSTANTS_FILENAME = "calibrated_constants.csv"
@@ -475,10 +468,8 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
     p = config.params
     delta = p["delta"]
     c_used, c_source = _resolve_gap_constant(p)
-    _, H = build_stump_class(StumpClassSpec(d=p["d"], k=p["k"]))
-    floor_by_n = {
-        n: math.sqrt(math.e * math.log(len(H)) / n) for n in p["n_grid"]
-    }
+    H = build_stump_class(p["d"], p["k"])
+    floor_by_n = {n: admissible_theta_floor(n, len(H)) for n in p["n_grid"]}
 
     trained = []
     for i, n in enumerate(p["n_grid"]):
@@ -610,7 +601,7 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     if config.kind != "adaboost":
         raise ValueError(f"kind must be adaboost, got {config.kind!r}")
     p = config.params
-    _, H = build_stump_class(StumpClassSpec(d=p["d"], k=p["k"]))
+    H = build_stump_class(p["d"], p["k"])
     _, S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))
     result = adaboost(S, H, p["t"])
 
@@ -653,41 +644,3 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     write_summary(out_dir / "adaboost_summary.txt", report.lines())
     return report
 
-
-# ---------------------------------------------------------------------------
-# Config-file entry point
-# ---------------------------------------------------------------------------
-
-
-def run(config_path) -> int:
-    """Run the experiment described by an INI config; return an exit status.
-
-    0: experiment ran and its assertions passed.  1: it ran but an assertion
-    failed.  2: the config could not be parsed or a precondition was violated
-    (the message names the offending parameter).
-    """
-    try:
-        config = parse_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if config.kind in ("half-margin", "within-const"):
-            report = concentration_experiment(config)
-        elif config.kind == "gap-vs-bounds":
-            report = gap_vs_bounds_experiment(config)
-        elif config.kind == "adaboost":
-            report = adaboost_experiment(config)
-        else:
-            print(
-                "error: [validate] configs drive the validate command, not "
-                "experiment run",
-                file=sys.stderr,
-            )
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1

@@ -189,14 +189,13 @@ class DiffReplacementReport:
 
 
 def diff_replacement_check(
-    params: PhiRhoParams, theta: float, lambda_grid=None, tol: float = 0.0
+    params: PhiRhoParams, theta: float, lambda_grid=None
 ) -> DiffReplacementReport:
     """Verify the sandwich 1{λ≤0}·tail ≤ φ ≤ 1{λ≤θ}·tail and its ρ mirror.
 
     The ρ mirror is 1{λ>θ}·(1−tail) ≤ ρ ≤ 1{λ>0}·(1−tail).  All four hold
     pointwise for any θ in (θ_i, 2θ_i]; both sides are evaluated through the
-    same exact binomial tail, so violations are counted at tolerance 0 by
-    default.
+    same exact binomial tail, so violations are counted at tolerance 0.
     """
     theta = float(theta)
     if not params.theta_i < theta <= 2.0 * params.theta_i:
@@ -219,7 +218,7 @@ def diff_replacement_check(
         np.where(~below_theta, 1.0 - tails, 0.0) - rhos,  # ≤ 0 required
         rhos - np.where(~below_zero, 1.0 - tails, 0.0),   # ≤ 0 required
     )
-    violations = tuple(int(np.count_nonzero(g > tol)) for g in gaps)
+    violations = tuple(int(np.count_nonzero(g > 0.0)) for g in gaps)
     max_violation = float(max(g.max() if g.size else 0.0 for g in gaps))
     return DiffReplacementReport(
         theta=theta,
@@ -256,19 +255,16 @@ def _max_abs_slope(fn, lo: float, hi: float, num_points: int, step: float) -> fl
     return float(np.abs(slopes).max())
 
 
-def lipschitz_slope_check(
-    params: PhiRhoParams,
-    region: str,
-    num_points: int = 10_000,
-    step: float = 1e-4,
-):
+def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 10_000):
     """Measured max slope of φ/ρ in a region vs. the analytic ceiling.
 
     Regions: "middle" = (0, θ_i] where both functions are linear (ceiling
     exp(−(2θ_i)²N/32)/θ_i); "outer-phi" = [−c_θ, 0] and "outer-rho" =
     (θ_i, c_θ] where the binomial tail moves (ceiling N·θ_i·exp(−Nθ_i²/8)).
-    Requires N ≥ 32·(2θ_i)⁻².  Returns (max_slope, analytic_bound, holds).
+    Slopes are finite differences with step 1e-4.  Requires N ≥ 32·(2θ_i)⁻².
+    Returns (max_slope, analytic_bound, holds).
     """
+    step = 1e-4
     params.require_slope_ready()
     lo, hi = _region_interval(params, region)
     N, t = params.N, params.theta_i
@@ -298,12 +294,12 @@ def lip_const_bound(params: PhiRhoParams, c: float = 32.0) -> float:
     return c * math.exp(-params.N * tp**2 / c) * (tp * params.N + 1.0 / tp)
 
 
-def lip_const_check(params: PhiRhoParams, c: float = 32.0, num_points: int = 10_000):
-    """Max measured slope over all three regions vs. the single-c ceiling."""
+def lip_const_check(params: PhiRhoParams, num_points: int = 10_000):
+    """Max measured slope over all three regions vs. the c = 32 ceiling."""
     params.require_slope_ready()
     max_slope = max(
         lipschitz_slope_check(params, region, num_points=num_points)[0]
         for region in LIPSCHITZ_REGIONS
     )
-    bound = lip_const_bound(params, c)
+    bound = lip_const_bound(params, 32.0)
     return max_slope, bound, max_slope <= bound

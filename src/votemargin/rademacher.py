@@ -148,25 +148,21 @@ def convexity_collapse_check(
     S: LabeledSample,
     trials: int = 200,
     rng_seed=None,
-    num_combos: int = 50,
-    tol: float = 1e-9,
 ) -> bool:
     """Per sign draw, sup over random convex combinations never beats sup over H.
 
-    Draws ``num_combos`` Dirichlet weight vectors over H and checks, for
-    every σ, that max_w Σ_i σ_i·(Σ_h w_h·h(x_i)) ≤ max_h Σ_i σ_i·h(x_i) + tol.
-    Returns True iff no violation occurs.
+    Draws 50 Dirichlet weight vectors over H and checks, for every σ, that
+    max_w Σ_i σ_i·(Σ_h w_h·h(x_i)) ≤ max_h Σ_i σ_i·h(x_i) + 1e-9.  Returns
+    True iff no violation occurs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if num_combos < 1:
-        raise ValueError(f"num_combos must be >= 1, got {num_combos}")
     rng = np.random.default_rng(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
-    combos = rng.dirichlet(np.ones(len(H)), size=num_combos)
+    combos = rng.dirichlet(np.ones(len(H)), size=50)
     sigma = rng.integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
     corr = sigma @ values.T                      # (trials, |H|)
     sup_class = corr.max(axis=1)
     sup_hull = (corr @ combos.T).max(axis=1)
-    return bool((sup_hull <= sup_class + tol).all())
+    return bool((sup_hull <= sup_class + 1e-9).all())

@@ -74,6 +74,19 @@ class TestBoundInputs:
         with pytest.raises(ValueError, match="float"):
             make(inp)
 
+    @pytest.mark.parametrize("theta", [1e-170, 1e-160])
+    def test_a_margin_whose_rate_is_not_finite_is_rejected(self, theta):
+        # theta^2 underflows to 0 at 1e-170; ln|H|/(theta^2*n) overflows at 1e-160
+        with pytest.raises(ValueError, match="theta"):
+            BoundInputs(n=1, H_size=2, theta=theta, delta=0.5, loss=0.1)
+
+    def test_a_finite_rate_whose_log_term_overflows_is_rejected(self):
+        # the rate is finite, but ln(theta^2*n/ln|H|) times it is -inf
+        inp = BoundInputs(n=1, H_size=2, theta=3e-154, delta=0.5, loss=0.1)
+        assert math.isfinite(inp.complexity_rate)
+        with pytest.raises(ValueError, match="gkl20-lower: log_term is -inf"):
+            gkl20_lower_report(inp, tau=0.5)
+
 
 class TestFrozenBoundValues:
     """Each bound at the pinned inputs, against independently computed values."""
@@ -214,6 +227,13 @@ class TestBoundReport:
         )
         assert report.dominating == "log"
 
+    @pytest.mark.parametrize("term", ["loss_offset", "sqrt_term", "log_term", "delta_term"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_term_that_is_not_finite(self, term, value):
+        terms = dict(loss_offset=0.1, sqrt_term=0.3, log_term=0.2, delta_term=0.05)
+        with pytest.raises(ValueError, match=f"x: {term} is"):
+            BoundReport(name="x", **{**terms, term: value})
+
 
 class TestPartition:
     def test_margin_cells_are_contiguous_dyadic_and_cover_the_range(self):
@@ -271,7 +291,7 @@ class TestPartition:
 class TestDeltaAllocation:
     def test_budgets_stay_within_half_delta(self):
         scheme = build_partition(5000, 16)
-        alloc = delta_allocation(0.1, 5000, 16, scheme)
+        alloc = delta_allocation(0.1, scheme)
         assert alloc.delta == 0.1
         assert alloc.pair_sum <= 0.05
         assert alloc.cell_sum <= 0.05
@@ -279,7 +299,7 @@ class TestDeltaAllocation:
 
     def test_every_cell_gets_a_budget(self):
         scheme = build_partition(200, 8)
-        alloc = delta_allocation(0.2, 200, 8, scheme)
+        alloc = delta_allocation(0.2, scheme)
         assert set(alloc.cell_deltas) == {c.index for c in scheme.theta_cells}
         assert set(alloc.pair_deltas) == {
             (tc.index, lc.index)
@@ -289,7 +309,7 @@ class TestDeltaAllocation:
 
     def test_pair_budget_formula(self):
         scheme = build_partition(200, 8)
-        alloc = delta_allocation(0.2, 200, 8, scheme)
+        alloc = delta_allocation(0.2, scheme)
         t_next = scheme.theta_cells[0].hi_dyadic
         l_next = scheme.loss_cells[0].hi_dyadic
         expected = (0.2 / math.e) ** 3 * math.exp(
@@ -299,21 +319,19 @@ class TestDeltaAllocation:
 
     def test_cell_budget_formula(self):
         scheme = build_partition(200, 8)
-        alloc = delta_allocation(0.2, 200, 8, scheme)
+        alloc = delta_allocation(0.2, scheme)
         t_next = scheme.theta_cells[1].hi_dyadic
         expected = (0.2 / math.e) ** 3 * math.exp(
             -math.log(math.e * t_next**2 * 200) * math.log(8) / t_next**2
         )
         assert alloc.cell_deltas[1] == pytest.approx(expected, rel=1e-15)
 
-    def test_rejects_bad_delta_and_mismatched_scheme(self):
+    def test_rejects_bad_delta(self):
         scheme = build_partition(200, 8)
         with pytest.raises(ValueError, match="delta"):
-            delta_allocation(0.0, 200, 8, scheme)
+            delta_allocation(0.0, scheme)
         with pytest.raises(ValueError, match="delta"):
-            delta_allocation(1.0, 200, 8, scheme)
-        with pytest.raises(ValueError, match="scheme was built"):
-            delta_allocation(0.1, 400, 8, scheme)
+            delta_allocation(1.0, scheme)
 
 
 class TestChooseN:

@@ -32,3 +32,23 @@ def test_boosting_margins():
     lines = run_demo("boosting_margins.py")
     assert any(line.startswith("AdaBoost: ") and " rounds" in line for line in lines)
     assert any(line.startswith("final training error:") for line in lines)
+
+
+def test_bound_zoo():
+    lines = run_demo("bound_zoo.py")
+    assert "pair-budget sum: 1.973e-06 <= 0.025" in lines
+    assert "cell-budget sum: 6.514e-17 <= 0.025" in lines
+
+
+def test_margin_law_tour():
+    lines = run_demo("margin_law_tour.py")
+    assert "non-decreasing in lambda over a 2001-point grid: True" in lines
+
+
+def test_surrogate_functions():
+    lines = run_demo("surrogate_functions.py")
+    assert "  violations per inequality: (0, 0, 0, 0)" in lines
+    assert any(
+        line.startswith("single-constant ceiling:") and line.endswith(": True")
+        for line in lines
+    )

@@ -337,7 +337,8 @@ class TestMonotoneCheck:
     def test_first_decrease_locates_the_drop(self):
         assert first_decrease([0.1, 0.2, 0.15, 0.3]) == 2
         assert first_decrease([0.1, 0.2, 0.3]) is None
-        assert first_decrease([0.2, 0.2 - 1e-16], tol=1e-14) is None
+        assert first_decrease([0.2, 0.2 - 1e-16]) is None
+        assert first_decrease([0.2, 0.2 - 1e-13]) == 1
 
     def test_tail_is_monotone_on_grids(self):
         for N in (8, 129):

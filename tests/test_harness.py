@@ -2,8 +2,8 @@
 
 Covers INI config parsing (schemas, defaults, typed error messages),
 report/CSV plumbing, the lemma-check dispatcher, the three experiment
-drivers (concentration, gap-vs-bounds, boosting demo), exit codes of the
-``run`` entry point, and every CLI subcommand.  All artifacts go to
+runners (concentration, gap-vs-bounds, boosting demo), exit codes of
+``experiment run``, and every CLI subcommand.  All artifacts go to
 ``tmp_path``; the output-directory environment variable is exercised via
 ``monkeypatch`` so no test touches the working directory.
 """
@@ -41,7 +41,6 @@ from votemargin.harness.experiments import (
     concentration_experiment,
     gap_vs_bounds_experiment,
     half_margin_rhs,
-    run,
     within_const_rhs,
 )
 from votemargin.harness.reporting import (
@@ -585,6 +584,11 @@ class TestAdaboostExperiment:
             adaboost_experiment(config)
 
 
+def run(path) -> int:
+    """Exit status of ``votemargin experiment run <path>``."""
+    return main(["experiment", "run", str(path)])
+
+
 class TestRunExitCodes:
     def write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -594,7 +598,9 @@ class TestRunExitCodes:
     def test_passing_experiment_exits_zero(self, tmp_path, capsys):
         path = self.write(tmp_path, "a.ini", adaboost_text(tmp_path))
         assert run(path) == 0
-        assert "experiment: adaboost" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "experiment: adaboost" in out
+        assert "rounds:" in out
 
     def test_failed_assertion_exits_one(self, tmp_path):
         path = self.write(tmp_path, "g.ini", trend_failure_text(tmp_path))
@@ -612,7 +618,9 @@ class TestRunExitCodes:
     def test_validate_section_is_redirected(self, tmp_path, capsys):
         path = self.write(tmp_path, "v.ini", validate_text(out=tmp_path))
         assert run(path) == 2
-        assert "drive the validate command" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: [validate] configs drive the validate command, not experiment run\n"
+        )
 
 
 HUGE = "1" + "0" * 400  # an integer that no float can hold
@@ -711,6 +719,19 @@ class TestCommandLine:
         assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("theta", ["1e-170", "1e-160", "3e-154"])
+    def test_bounds_eval_rejects_a_margin_too_small_for_the_formulas(self, theta, capsys):
+        # theta^2 underflows, the rate ln|H|/(theta^2*n) overflows, or only
+        # the gkl20-lower log term does
+        code = main(
+            ["bounds", "eval", "--n", "1", "--h-size", "2", "--theta", theta,
+             "--delta", "0.5", "--loss", "0.1", "--tau", "0.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_bounds_grid_stdout(self, capsys):
         code = main(
             ["bounds", "grid", "--sweep", "n", "--values", "100,200", "--h-size",
@@ -797,19 +818,3 @@ class TestCommandLine:
         capsys.readouterr()
         assert main(["experiment", "run", str(tmp_path / "nope.ini")]) == 2
         assert "not found" in capsys.readouterr().err
-
-    def test_adaboost_train_subcommand(self, tmp_path, capsys):
-        config = tmp_path / "a.ini"
-        config.write_text(adaboost_text(tmp_path))
-        code = main(["adaboost", "train", "--config", str(config)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "experiment: adaboost" in out
-        assert "rounds:" in out
-
-    def test_adaboost_train_rejects_other_sections(self, tmp_path, capsys):
-        config = tmp_path / "v.ini"
-        config.write_text(validate_text(out=tmp_path))
-        code = main(["adaboost", "train", "--config", str(config)])
-        assert code == 2
-        assert "[adaboost] config section" in capsys.readouterr().err

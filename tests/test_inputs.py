@@ -111,12 +111,8 @@ CASES = {
     ),
     "delta_allocation": (
         delta_allocation,
-        dict(delta=0.05, n=5000, H_size=16, scheme=SCHEME),
-        {
-            "delta": outside(0.0, 1.0, lo_in=False, hi_in=False),
-            "n": ANY_FLOAT,
-            "H_size": ANY_FLOAT,
-        },
+        dict(delta=0.05, scheme=SCHEME),
+        {"delta": outside(0.0, 1.0, lo_in=False, hi_in=False)},
     ),
     "choose_N_main": (
         choose_N_main,

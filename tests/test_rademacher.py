@@ -232,15 +232,17 @@ class TestConvexityCollapse:
             assert convexity_collapse_check(H, S, trials=100, rng_seed=stream(seed, 1))
 
     def test_violations_are_at_most_float_noise(self):
-        # exact suprema coincide, so any excess is dot-product rounding
+        # exact suprema coincide, so any excess is dot-product rounding: the
+        # check's own draws stay within 1e-12, far inside its 1e-9 tolerance
         H, S = random_class(42, 3, 6)
-        assert convexity_collapse_check(
-            H, S, trials=100, rng_seed=stream(42, 1), tol=1e-12
-        )
+        assert convexity_collapse_check(H, S, trials=100, rng_seed=stream(42, 1))
+        rng = stream(42, 1)
+        combos = rng.dirichlet(np.ones(len(H)), size=50)
+        sigma = rng.integers(0, 2, size=(100, len(S))) * 2.0 - 1.0
+        corr = sigma @ H.sample_values(S).T
+        assert ((corr @ combos.T).max(axis=1) - corr.max(axis=1)).max() <= 1e-12
 
     def test_validation(self):
         H, S = random_class(43, 3, 6)
         with pytest.raises(ValueError, match="trials"):
             convexity_collapse_check(H, S, trials=0)
-        with pytest.raises(ValueError, match="num_combos"):
-            convexity_collapse_check(H, S, num_combos=0)
