@@ -28,7 +28,7 @@ from votemargin.rng import stream
 d, k = 2, 7
 H = build_stump_class(d, k)
 print(f"stump class: d={d} features, k={k} thresholds "
-      f"-> |H| = {len(H)}, |X| = {len(H.domain)}")
+      f"-> |H| = {len(H)}, |X| = {H.domain_size}")
 
 D, S = generate_synthetic(H, n=300, noise=0.0, rng_seed=stream(7, 0))
 run = adaboost(S, H, T=80)

@@ -12,7 +12,7 @@ monotonicity properties that everything downstream relies on.
 
 import numpy as np
 
-from votemargin.core import DiscreteDomain, Hypothesis, HypothesisClass, VotingClassifier
+from votemargin.core import HypothesisClass, VotingClassifier
 from votemargin.discretize import (
     binom_margin_tail,
     binom_margin_tail_batch,
@@ -39,15 +39,14 @@ for N in (8, 64, 1024):
 # (1+lambda)/2 on the first, and draw discretizations.
 # ------------------------------------------------------------------
 lam, N, eta, M = 0.3, 16, 0.25, 50_000
-domain = DiscreteDomain([0])
-H2 = HypothesisClass(domain, [Hypothesis(domain, [1]), Hypothesis(domain, [-1])])
+H2 = HypothesisClass([[1], [-1]])  # one point, position 0
 f = VotingClassifier([(1.0 + lam) / 2.0, (1.0 - lam) / 2.0])
 
 rng = stream(2024, 0)
 hits = 0
 for _ in range(M):
     g = sample_discretization(f, H2, N, rng)
-    if g.value(0) > eta:  # the single point is labeled +1, so margin = g(0)
+    if g.values_on_domain()[0] > eta:  # the point is labeled +1, so margin = g(0)
         hits += 1
 mc = hits / M
 exact = binom_margin_tail(N, lam, eta)

@@ -29,7 +29,7 @@ rng = stream(404, 0)
 # full enumeration vs the 20k-trial Monte Carlo estimate.
 # ------------------------------------------------------------------
 H = random_hypothesis_class(rng, X_size=10, H_size=12)
-S = LabeledSample(H.domain, np.arange(10), np.ones(10))
+S = LabeledSample(H.domain_size, np.arange(10), np.ones(10))
 
 exact = exhaustive_rademacher(H, S)
 estimate = empirical_rademacher(H, S, trials=20_000, rng_seed=stream(404, 1))
@@ -44,7 +44,7 @@ print(f"deviation: {abs(estimate.value - exact.value) / estimate.std_error:.2f} 
 print(f"\n{'|H|':>5} {'n':>4} {'exact':>10} {'ceiling':>10}")
 for h_size, n in ((4, 8), (16, 10), (32, 12)):
     Hs = random_hypothesis_class(rng, X_size=n, H_size=h_size)
-    Ss = LabeledSample(Hs.domain, np.arange(n), np.ones(n))
+    Ss = LabeledSample(Hs.domain_size, np.arange(n), np.ones(n))
     value = exhaustive_rademacher(Hs, Ss).value
     ceiling = massart_bound(h_size, n)
     print(f"{h_size:>5} {n:>4} {value:>10.5f} {ceiling:>10.5f}   holds: {value <= ceiling}")
@@ -59,15 +59,11 @@ print(f"\nconvex mixtures never exceed the vertex supremum: {collapsed}")
 
 # Two extreme classes with known values: a single hypothesis has
 # complexity 0; all sign patterns on two points give exactly 1.
-from votemargin.core import DiscreteDomain, Hypothesis, HypothesisClass
+from votemargin.core import HypothesisClass
 
-domain = DiscreteDomain([0, 1])
-single = HypothesisClass(domain, [Hypothesis(domain, [1, 1])])
-S2 = LabeledSample(domain, [0, 1], [1, 1])
+single = HypothesisClass([[1, 1]])
+S2 = LabeledSample(2, [0, 1], [1, 1])
 print(f"single hypothesis: {exhaustive_rademacher(single, S2).value}")
 
-complete = HypothesisClass(
-    domain,
-    [Hypothesis(domain, v) for v in ([1, 1], [1, -1], [-1, 1], [-1, -1])],
-)
+complete = HypothesisClass([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 print(f"all four sign patterns on two points: {exhaustive_rademacher(complete, S2).value}")

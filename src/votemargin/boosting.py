@@ -10,7 +10,6 @@ estimates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,10 @@ import numpy as np
 
 from .core import (
     DataDistribution,
-    DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    _check_count,
     margins_on_sample,
 )
 
@@ -45,26 +44,19 @@ def build_stump_class(d: int, k: int) -> HypothesisClass:
 
     The class holds, for every feature a and integer threshold t < k, the
     stump 1{x_a ≤ t} in both polarities, plus the two constants:
-    |H| = 2·d·k + 2.  Domain points are d-tuples over {0..k} in
-    lexicographic order.  Rows: positive stumps feature-major/threshold-
-    ascending, then the matching negatives, then the constant +1 and
-    constant −1 hypotheses.
+    |H| = 2·d·k + 2.  The domain is the (k+1)^d lattice points in
+    lexicographic order: position p is the point whose base-(k+1) digits,
+    most significant first, are its d coordinates.  Rows: positive stumps
+    feature-major/threshold-ascending, then the matching negatives, then
+    the constant +1 and constant −1 hypotheses.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    points = list(itertools.product(range(k + 1), repeat=d))
-    domain = DiscreteDomain(points)
-    coords = np.array(points, dtype=np.int64)  # (|X|, d)
-    rows = []
-    for a in range(d):
-        for t in range(k):
-            rows.append(np.where(coords[:, a] <= t, 1, -1).astype(np.int8))
-    rows.extend([-r for r in rows[: d * k]])
-    rows.append(np.ones(len(points), dtype=np.int8))
-    rows.append(-np.ones(len(points), dtype=np.int8))
-    return HypothesisClass(domain, np.vstack(rows))
+    d = _check_count(d, "d")
+    k = _check_count(k, "k")
+    coords = np.indices((k + 1,) * d).reshape(d, -1)  # (d, |X|), lexicographic
+    below = coords[:, None, :] <= np.arange(k)[:, None]  # (d, k, |X|): x_a <= t
+    stumps = 2 * below.reshape(d * k, -1).astype(np.int8) - 1
+    constant = np.ones((1, coords.shape[1]), dtype=np.int8)
+    return HypothesisClass(np.vstack([stumps, -stumps, constant, -constant]))
 
 
 def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
@@ -79,13 +71,11 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     noise = float(noise)
     if not 0.0 <= noise < 0.5:
         raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count(n, "n")
     num_stumps = len(H) - 2
     if num_stumps < 1 or (H.plus_index, H.minus_index) != (num_stumps, num_stumps + 1):
         raise ValueError("H must be a stump class: stumps, then the +1 and -1 constants")
     rng = np.random.default_rng(rng_seed)
-    domain = H.domain
     count = min(5, num_stumps)
     if count % 2 == 0:
         count -= 1
@@ -93,12 +83,12 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     truth = np.sign(H.matrix[chosen].astype(np.int64).sum(axis=0)).astype(np.int8)
 
     # Atoms point-major: each point's true label, then its flip when noisy.
-    size = len(domain)
+    size = H.domain_size
     per_point = 2 if noise > 0.0 else 1
     positions = np.repeat(np.arange(size), per_point)
     labels = np.stack([truth, -truth], axis=1)[:, :per_point].ravel()
     probs = np.tile([(1.0 - noise) / size, noise / size][:per_point], size)
-    D = DataDistribution(LabeledSample(domain, positions, labels), probs)
+    D = DataDistribution(LabeledSample(size, positions, labels), probs)
     S = D.sample(n, rng)
     return D, S
 
@@ -142,8 +132,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     Final weights aggregate the α's per distinct hypothesis and normalize,
     so the product is a valid voting classifier over H.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _check_count(T, "T")
     n = len(S)
     mismatch = (H.sample_values(S) != S.labels).astype(np.float64)  # (|H|, n)
     # y_i·h(x_i), exactly ±1, reused every round.  Building each round's row
@@ -200,7 +189,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
         totals = np.bincount(picks, weights=alphas, minlength=len(H))
         classifier = VotingClassifier(totals / totals.sum())
     return BoostingRun(
-        rounds=tuple(rounds), classifier=classifier, status=status, T_requested=int(T)
+        rounds=tuple(rounds), classifier=classifier, status=status, T_requested=T
     )
 
 
@@ -233,8 +222,7 @@ def margin_histogram(
     lowest bin additionally including −1 — so the cumulative count at any
     edge θ equals n·empirical_margin_loss(f, H, S, θ).
     """
-    if bin_count < 2:
-        raise ValueError(f"bin_count must be >= 2, got {bin_count}")
+    bin_count = _check_count(bin_count, "bin_count", 2)
     edges = np.linspace(-1.0, 1.0, bin_count + 1)
     m = margins_on_sample(f, H, S)
     idx = np.searchsorted(edges, m, side="left") - 1

@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import C_THETA, PreconditionError
+from .core import C_THETA, PreconditionError, _check_count
 
 __all__ = [
     "BoundInputs",
@@ -47,10 +45,8 @@ BOUND_NAMES = ("sfbl98", "breiman", "gz13", "theorem1", "gkl20-lower")
 
 def _check_sizes(n, H_size) -> None:
     """Reject an n or |H| that is not an integer in range or that no float holds."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(H_size, (int, np.integer)) or H_size < 2:
-        raise ValueError(f"H_size must be an integer >= 2, got {H_size!r}")
+    _check_count(n, "n")
+    _check_count(H_size, "H_size", 2)
     for name, value in (("n", n), ("H_size", H_size)):
         try:
             float(value)  # the formulas divide by, or into, n and |H|
@@ -307,10 +303,10 @@ class PartitionCell:
     hi_dyadic: float
     closed_left: bool = False
 
-    def contains(self, x: float) -> bool:
-        if self.closed_left:
-            return self.lo <= x <= self.hi
-        return self.lo < x <= self.hi
+    def contains(self, x):
+        """Whether x lies in the cell; elementwise when x is an array."""
+        above_lo = self.lo <= x if self.closed_left else self.lo < x
+        return above_lo & (x <= self.hi)
 
 
 @dataclass(frozen=True)

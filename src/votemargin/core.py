@@ -1,33 +1,28 @@
-"""Finite domains, ±1 hypothesis classes, voting classifiers, margin losses.
+"""±1 hypothesis classes, voting classifiers, samples and margin losses.
 
-Hypotheses are stored as explicit ±1 tables over a finite ordered domain,
-which keeps every quantity downstream (losses, discretization laws, bound
-experiments) exactly computable by enumeration.  A labeled sample is held as
-its domain plus two arrays, the domain positions of its points and their int8
-±1 labels; a distribution is a sample of distinct atoms plus a probability
-vector.  Margin-loss comparisons are non-strict: a point whose margin ties the
+The domain is {0, …, |X|−1}: a point is its position.  A hypothesis class is
+one ±1 matrix with a row per hypothesis and a column per point, which keeps
+every quantity downstream (losses, discretization laws, bound experiments)
+exactly computable by enumeration.  A labeled sample is held as its domain
+size plus two arrays, the positions of its points and their int8 ±1 labels;
+a distribution is a sample of distinct atoms plus a probability vector.
+Margin-loss comparisons are non-strict: a point whose margin ties the
 threshold counts as a loss.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
-
 import numpy as np
 
 __all__ = [
     "C_THETA",
     "WEIGHT_TOL",
     "PreconditionError",
-    "DiscreteDomain",
-    "Hypothesis",
     "HypothesisClass",
     "VotingClassifier",
     "LabeledSample",
     "DataDistribution",
-    "constant_hypothesis",
-    "margin",
     "margins_on_sample",
     "margins_on_support",
     "empirical_margin_loss",
@@ -65,8 +60,26 @@ def _check_labels(labels) -> np.ndarray:
     return _check_signs(values, "labels")
 
 
-def _check_label(y) -> int:
-    return int(_check_labels([y])[0])
+def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """``value`` as an int, after checking it is an integer in [lo, hi].
+
+    A float, even an integral one, NaN, ±inf and a bool are refused, so a
+    count is never silently truncated or read from a truth value.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        if hi is not None:
+            rule = f"an integer in [{lo}, {hi}]"
+        elif lo == 1:
+            rule = "a positive integer"
+        else:
+            rule = f"an integer >= {lo}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def _check_threshold(theta: float) -> float:
@@ -90,117 +103,32 @@ def _force_unit_sum(w: np.ndarray) -> None:
         w[int(np.argmax(w))] += residual
 
 
-class DiscreteDomain:
-    """A finite ordered collection of distinct, hashable point ids."""
-
-    __slots__ = ("points", "_index")
-
-    def __init__(self, points: Iterable):
-        pts = tuple(points)
-        if not pts:
-            raise ValueError("domain must contain at least one point")
-        index = {p: i for i, p in enumerate(pts)}
-        if len(index) != len(pts):
-            raise ValueError("domain points must be distinct")
-        self.points = pts
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __contains__(self, point) -> bool:
-        return point in self._index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiscreteDomain) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def position(self, point) -> int:
-        """Index of ``point`` in domain order; raises if unknown."""
-        try:
-            return self._index[point]
-        except KeyError:
-            raise ValueError(f"point {point!r} is not in the domain") from None
-
-
-class Hypothesis:
-    """A total ±1 classifier tabulated over a domain."""
-
-    __slots__ = ("domain", "table")
-
-    def __init__(self, domain: DiscreteDomain, values):
-        if isinstance(values, Mapping):
-            missing = [p for p in domain.points if p not in values]
-            if missing:
-                raise ValueError(
-                    f"hypothesis must be total over the domain; missing {missing[:3]}"
-                )
-            raw = np.array([values[p] for p in domain.points])
-        else:
-            raw = np.asarray(values)
-            if raw.shape != (len(domain),):
-                raise ValueError(
-                    f"hypothesis table has shape {raw.shape}, expected ({len(domain)},)"
-                )
-        self.domain = domain
-        self.table = _check_signs(raw)
-
-    def value(self, point) -> int:
-        return int(self.table[self.domain.position(point)])
-
-    def as_dict(self) -> dict:
-        return {p: int(v) for p, v in zip(self.domain.points, self.table)}
-
-
-def constant_hypothesis(domain: DiscreteDomain, label: int) -> Hypothesis:
-    """The all-(+1) or all-(−1) hypothesis over ``domain``."""
-    label = _check_label(label)
-    return Hypothesis(domain, np.full(len(domain), label, dtype=np.int8))
-
-
 class HypothesisClass:
-    """An ordered finite class of ±1 hypotheses over a common domain.
+    """An ordered finite class of ±1 hypotheses: row h, column x holds h(x).
 
-    ``includes_constants`` is true when the all-(+1) and all-(−1) hypotheses
-    each occur exactly once.  Duplicate constant hypotheses are rejected;
-    duplicates among non-constant hypotheses are permitted (|H| counts them).
+    The domain is the column range {0, …, |X|−1}.  ``includes_constants`` is
+    true when the all-(+1) and all-(−1) hypotheses each occur exactly once.
+    Duplicate constant hypotheses are rejected; duplicates among non-constant
+    hypotheses are permitted (|H| counts them).
     """
 
-    __slots__ = ("domain", "matrix", "includes_constants", "plus_index", "minus_index")
+    __slots__ = ("matrix", "domain_size", "includes_constants", "plus_index", "minus_index")
 
-    def __init__(self, domain: DiscreteDomain, hypotheses):
-        if isinstance(hypotheses, np.ndarray):
-            raw = hypotheses
-        else:
-            rows = []
-            for h in hypotheses:
-                if isinstance(h, Hypothesis):
-                    if h.domain != domain:
-                        raise ValueError("hypothesis domain mismatch")
-                    rows.append(h.table)
-                elif isinstance(h, Mapping):
-                    rows.append(Hypothesis(domain, h).table)
-                else:
-                    rows.append(np.asarray(h))
-            if not rows:
-                raise ValueError("hypothesis class must be non-empty")
-            raw = np.vstack(rows)
-        if raw.ndim != 2 or raw.shape[1] != len(domain):
+    def __init__(self, matrix):
+        raw = np.asarray(matrix)
+        if raw.ndim != 2 or 0 in raw.shape:
             raise ValueError(
-                f"hypothesis matrix has shape {raw.shape}, expected (*, {len(domain)})"
+                f"hypothesis matrix has shape {raw.shape}; it needs at least one "
+                "hypothesis row and one domain column"
             )
-        if raw.shape[0] < 1:
-            raise ValueError("hypothesis class must be non-empty")
         matrix = _check_signs(raw)
         plus_rows = np.flatnonzero((matrix == 1).all(axis=1))
         minus_rows = np.flatnonzero((matrix == -1).all(axis=1))
         if len(plus_rows) > 1 or len(minus_rows) > 1:
             raise ValueError("a constant hypothesis occurs more than once")
         matrix.setflags(write=False)
-        self.domain = domain
         self.matrix = matrix
+        self.domain_size = int(matrix.shape[1])
         self.includes_constants = len(plus_rows) == 1 and len(minus_rows) == 1
         self.plus_index = int(plus_rows[0]) if len(plus_rows) == 1 else None
         self.minus_index = int(minus_rows[0]) if len(minus_rows) == 1 else None
@@ -208,12 +136,9 @@ class HypothesisClass:
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
 
-    def hypothesis(self, i: int) -> Hypothesis:
-        return Hypothesis(self.domain, self.matrix[i])
-
     def sample_values(self, sample: "LabeledSample") -> np.ndarray:
         """Matrix of h(x_i) with shape (|H|, n), columns in sample order."""
-        _check_domain(sample, self.domain)
+        _check_domain(sample, self.domain_size)
         return self.matrix[:, sample.positions]
 
 
@@ -248,10 +173,8 @@ class VotingClassifier:
     @classmethod
     def point_mass(cls, index: int, size: int) -> "VotingClassifier":
         """All weight on hypothesis ``index`` of a class of ``size``."""
-        if not (isinstance(index, (int, np.integer)) and isinstance(size, (int, np.integer))):
-            raise ValueError(f"index and size must be integers, got {index!r} and {size!r}")
-        if not 0 <= index < size:
-            raise ValueError(f"index must lie in [0, {size}), got {index}")
+        size = _check_count(size, "size")
+        index = _check_count(index, "index", 0, size - 1)
         w = np.zeros(size, dtype=np.float64)
         w[index] = 1.0
         return cls(w)
@@ -271,29 +194,30 @@ class VotingClassifier:
 
 
 class LabeledSample:
-    """A finite labeled sample over a domain, order preserved.
+    """A finite labeled sample over the domain {0, …, domain_size−1}, in order.
 
-    ``positions`` holds the domain index of each point (intp) and ``labels``
-    its ±1 label (int8); both arrays are read-only.
+    ``positions`` holds each point (intp) and ``labels`` its ±1 label (int8);
+    both arrays are read-only.
     """
 
-    __slots__ = ("domain", "positions", "labels")
+    __slots__ = ("domain_size", "positions", "labels")
 
-    def __init__(self, domain: DiscreteDomain, positions, labels):
+    def __init__(self, domain_size: int, positions, labels):
+        domain_size = _check_count(domain_size, "domain_size")
         pos = np.asarray(positions)
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("sample positions must be a 1-d array, at least one point")
         if pos.dtype.kind not in "iu":
             raise ValueError(f"sample positions must be integers, got dtype {pos.dtype}")
-        if pos.min() < 0 or pos.max() >= len(domain):
-            raise ValueError(f"sample positions must lie in [0, {len(domain)})")
+        if pos.min() < 0 or pos.max() >= domain_size:
+            raise ValueError(f"sample positions must lie in [0, {domain_size})")
         labels = _check_labels(labels)
         if labels.size != pos.size:
             raise ValueError(f"sample has {pos.size} positions but {labels.size} labels")
         pos = pos.astype(np.intp)
         pos.setflags(write=False)
         labels.setflags(write=False)
-        self.domain = domain
+        self.domain_size = domain_size
         self.positions = pos
         self.labels = labels
 
@@ -301,8 +225,8 @@ class LabeledSample:
         return int(self.positions.size)
 
 
-def _check_domain(sample: LabeledSample, domain: DiscreteDomain) -> None:
-    if sample.domain is not domain and sample.domain != domain:
+def _check_domain(sample: LabeledSample, domain_size: int) -> None:
+    if sample.domain_size != domain_size:
         raise ValueError("sample domain differs from the hypothesis class domain")
 
 
@@ -346,7 +270,7 @@ class DataDistribution:
     def empirical(cls, sample: LabeledSample) -> "DataDistribution":
         """The empirical distribution of a sample (atom mass = frequency), sorted."""
         keys, counts = np.unique(_keys(sample), return_counts=True)
-        atoms = LabeledSample(sample.domain, keys // 2, np.where(keys % 2, 1, -1))
+        atoms = LabeledSample(sample.domain_size, keys // 2, np.where(keys % 2, 1, -1))
         return cls(atoms, counts / len(sample))
 
     def __len__(self) -> int:
@@ -354,29 +278,21 @@ class DataDistribution:
 
     def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
         """Draw n i.i.d. atoms."""
-        if n < 1:
-            raise ValueError(f"sample size must be >= 1, got {n}")
-        idx = rng.choice(len(self), size=int(n), p=self.probabilities)
+        n = _check_count(n, "n")
+        idx = rng.choice(len(self), size=n, p=self.probabilities)
         atoms = self.atoms
-        return LabeledSample(atoms.domain, atoms.positions[idx], atoms.labels[idx])
+        return LabeledSample(atoms.domain_size, atoms.positions[idx], atoms.labels[idx])
 
 
-def margin(f: VotingClassifier, H: HypothesisClass, x, y) -> float:
-    """The margin y·f(x) ∈ [−1, 1] of a single labeled point."""
-    y = _check_label(y)
-    pos = H.domain.position(x)
-    return float(y) * float(f.values_on(H)[pos])
-
-
-def _margins_at(values: np.ndarray, domain: DiscreteDomain, S: LabeledSample) -> np.ndarray:
+def _margins_at(values: np.ndarray, S: LabeledSample) -> np.ndarray:
     """y_i·values[x_i] for every point of S, ``values`` given in domain order."""
-    _check_domain(S, domain)
+    _check_domain(S, values.size)
     return S.labels * values[S.positions]
 
 
 def margins_on_sample(f: VotingClassifier, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
     """Margins y_i·f(x_i) for every sample point, in sample order."""
-    return _margins_at(f.values_on(H), H.domain, S)
+    return _margins_at(f.values_on(H), S)
 
 
 def margins_on_support(f: VotingClassifier, H: HypothesisClass, D: DataDistribution):
@@ -420,13 +336,7 @@ def scale_reduction(f: VotingClassifier, H: HypothesisClass):
         w[H.plus_index] += half_rest
         w[H.minus_index] += half_rest
         return VotingClassifier(w), H
-    extended = np.vstack(
-        [
-            H.matrix,
-            np.ones(len(H.domain), dtype=np.int8),
-            -np.ones(len(H.domain), dtype=np.int8),
-        ]
-    )
-    H_bar = HypothesisClass(H.domain, extended)
+    constant = np.ones(H.domain_size, dtype=np.int8)
+    H_bar = HypothesisClass(np.vstack([H.matrix, constant, -constant]))
     w = np.concatenate([C_THETA * f.weights, [half_rest, half_rest]])
     return VotingClassifier(w), H_bar

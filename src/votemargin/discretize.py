@@ -37,6 +37,7 @@ from .core import (
     LabeledSample,
     PreconditionError,
     VotingClassifier,
+    _check_count,
     _margins_at,
     margins_on_sample,
     margins_on_support,
@@ -65,9 +66,7 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 def _check_N(N) -> int:
     # bdtrc takes N as a double, and past 2**53 a double skips integers
-    if not isinstance(N, (int, np.integer)) or not 1 <= N <= 2**53:
-        raise ValueError(f"N must be an integer in [1, 2**53], got {N!r}")
-    return int(N)
+    return _check_count(N, "N", 1, 2**53)
 
 
 def k_star(N: int, eta: float) -> int:
@@ -302,11 +301,8 @@ class DiscretizedClassifier:
             self._values = values
         return self._values
 
-    def value(self, point) -> float:
-        return float(self.values_on_domain()[self.hypothesis_class.domain.position(point)])
-
     def margins_on_sample(self, S: LabeledSample) -> np.ndarray:
-        return _margins_at(self.values_on_domain(), self.hypothesis_class.domain, S)
+        return _margins_at(self.values_on_domain(), S)
 
     def margins_on_support(self, D: DataDistribution):
         return self.margins_on_sample(D.atoms), D.probabilities
@@ -335,10 +331,8 @@ def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) 
 def first_decrease(values):
     """Index of the first decrease by more than 1e-14, or None."""
     v = np.asarray(values, dtype=np.float64)
-    for k in range(v.size - 1):
-        if v[k + 1] < v[k] - 1e-14:
-            return k + 1
-    return None
+    drops = np.flatnonzero(v[1:] < v[:-1] - 1e-14)
+    return int(drops[0]) + 1 if drops.size else None
 
 
 def margin_law_monotone_check(N: int, eta: float, lambda_grid):
@@ -377,7 +371,7 @@ def decomposition_residual(
         value = float(value)
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {value}")
-    if g.hypothesis_class.domain != H.domain:
+    if g.hypothesis_class.domain_size != H.domain_size:
         raise ValueError("discretized classifier domain mismatch")
     half = theta_i / 2.0
 

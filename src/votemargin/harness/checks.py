@@ -17,10 +17,10 @@ from ..bounds import build_partition, delta_allocation
 from ..core import (
     C_THETA,
     DataDistribution,
-    DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    _check_count,
 )
 from ..discretize import (
     binom_margin_tail,
@@ -77,18 +77,19 @@ def repair_duplicate_constants(matrix: np.ndarray) -> np.ndarray:
 
 
 def random_hypothesis_class(rng, X_size: int, H_size: int) -> HypothesisClass:
-    """A seeded random ±1 class over the integer domain {0..X_size−1}."""
-    if X_size < 2:
-        raise ValueError(f"X_size must be at least 2, got {X_size}")
+    """A seeded random ±1 class of H_size hypotheses over {0..X_size−1}."""
+    X_size = _check_count(X_size, "X_size", 2)
+    H_size = _check_count(H_size, "H_size")
     matrix = (rng.integers(0, 2, size=(H_size, X_size)) * 2 - 1).astype(np.int8)
-    return HypothesisClass(DiscreteDomain(range(X_size)), repair_duplicate_constants(matrix))
+    return HypothesisClass(repair_duplicate_constants(matrix))
 
 
-def random_distribution(rng, domain: DiscreteDomain) -> DataDistribution:
-    """Random labels and Dirichlet atom masses over a domain."""
-    labels = rng.integers(0, 2, size=len(domain)) * 2 - 1
-    probs = rng.dirichlet(np.ones(len(domain)))
-    return DataDistribution(LabeledSample(domain, np.arange(len(domain)), labels), probs)
+def random_distribution(rng, domain_size: int) -> DataDistribution:
+    """Random labels and Dirichlet atom masses over every point of the domain."""
+    domain_size = _check_count(domain_size, "domain_size")
+    labels = rng.integers(0, 2, size=domain_size) * 2 - 1
+    probs = rng.dirichlet(np.ones(domain_size))
+    return DataDistribution(LabeledSample(domain_size, np.arange(domain_size), labels), probs)
 
 
 def random_voting(rng, size: int) -> VotingClassifier:
@@ -122,8 +123,7 @@ def smallest_c_monotone(fn, target: float) -> float:
 
 def binomial_ci(trials: int, p: float, level: float = 0.95):
     """Central exact binomial interval of counts at the given level."""
-    if not isinstance(trials, (int, np.integer)) or trials < 0:
-        raise ValueError(f"trials must be a nonnegative integer, got {trials!r}")
+    trials = _check_count(trials, "trials", 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if not 0.0 <= level <= 1.0:
@@ -231,7 +231,7 @@ def _check_decomposition(seed, out, trials, grid_points):
         H_size = int(rng.integers(2, 9))
         N = int(rng.integers(1, 17))
         H = random_hypothesis_class(rng, X_size, H_size)
-        D = random_distribution(rng, H.domain)
+        D = random_distribution(rng, H.domain_size)
         f = random_voting(rng, H_size)
         g = sample_discretization(f, H, N, rng)
         S = D.sample(int(rng.integers(5, 51)), rng)
@@ -374,6 +374,12 @@ def _check_delta_allocation(seed, out, trials, grid_points):
     )
 
 
+def _coverage(cells, xs):
+    """(uncovered, multiply covered) counts of the points xs over the cells."""
+    cover = np.sum([cell.contains(xs) for cell in cells], axis=0)
+    return int(np.count_nonzero(cover == 0)), int(np.count_nonzero(cover > 1))
+
+
 def _check_partition_coverage(seed, out, trials, grid_points):
     del seed, trials
     pts = grid_points or 10_000
@@ -384,22 +390,8 @@ def _check_partition_coverage(seed, out, trials, grid_points):
             scheme = build_partition(n, H_size)
             eps = (1.0 - scheme.theta_floor) * 1e-9
             thetas = np.linspace(scheme.theta_floor + eps, 1.0, pts)
-            cover = np.zeros(pts, dtype=np.int64)
-            for cell in scheme.theta_cells:
-                inside = (thetas > cell.lo) & (thetas <= cell.hi)
-                cover += inside
-            t_unc = int(np.count_nonzero(cover == 0))
-            t_dbl = int(np.count_nonzero(cover > 1))
-            losses = np.linspace(0.0, 1.0, pts)
-            cover_l = np.zeros(pts, dtype=np.int64)
-            for cell in scheme.loss_cells:
-                if cell.closed_left:
-                    inside = (losses >= cell.lo) & (losses <= cell.hi)
-                else:
-                    inside = (losses > cell.lo) & (losses <= cell.hi)
-                cover_l += inside
-            l_unc = int(np.count_nonzero(cover_l == 0))
-            l_dbl = int(np.count_nonzero(cover_l > 1))
+            t_unc, t_dbl = _coverage(scheme.theta_cells, thetas)
+            l_unc, l_dbl = _coverage(scheme.loss_cells, np.linspace(0.0, 1.0, pts))
             bad += t_unc + t_dbl + l_unc + l_dbl
             rows.append((n, H_size, t_unc, t_dbl, l_unc, l_dbl))
     return _finish(
@@ -422,7 +414,7 @@ def _check_massart(seed, out, trials, grid_points):
         n = int(rng.integers(1, 15))
         H_size = int(rng.integers(2, 33))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
+        S = LabeledSample(H.domain_size, rng.integers(0, H.domain_size, size=n), np.ones(n))
         exact = exhaustive_rademacher(H, S).value
         bound = massart_bound(H_size, n)
         worst = max(worst, exact - bound)
@@ -446,7 +438,7 @@ def _check_convexity_collapse(seed, out, trials, grid_points):
         n = int(rng.integers(2, 21))
         H_size = int(rng.integers(2, 17))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
+        S = LabeledSample(H.domain_size, rng.integers(0, H.domain_size, size=n), np.ones(n))
         ok = convexity_collapse_check(H, S, trials=200, rng_seed=rng)
         failures += 0 if ok else 1
         rows.append((t, n, H_size, ok))
@@ -470,7 +462,7 @@ def _check_half_margin_expectation(seed, out, trials, grid_points):
         X_size = int(rng.integers(2, 33))
         H_size = int(rng.integers(2, 9))
         H = random_hypothesis_class(rng, X_size, H_size)
-        D = random_distribution(rng, H.domain)
+        D = random_distribution(rng, H.domain_size)
         f = random_voting(rng, H_size)
         lhs, rhs, holds = expected_half_margin_loss_bound_check(f, H, D, theta_i, N)
         worst = max(worst, lhs - rhs)

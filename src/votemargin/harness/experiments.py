@@ -36,7 +36,6 @@ from ..bounds import (
 )
 from ..core import (
     DataDistribution,
-    DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     PreconditionError,
@@ -227,12 +226,8 @@ class _ConcentrationInstance:
             row[flips] = -row[flips]
             matrix[i] = row
         matrix[n_good:] = rng.integers(0, 2, size=(h_size - n_good, x_size)) * 2 - 1
-        self.H = HypothesisClass(
-            DiscreteDomain(range(x_size)), repair_duplicate_constants(matrix)
-        )
-        self.D = DataDistribution(
-            LabeledSample(self.H.domain, np.arange(x_size), labels), masses
-        )
+        self.H = HypothesisClass(repair_duplicate_constants(matrix))
+        self.D = DataDistribution(LabeledSample(x_size, np.arange(x_size), labels), masses)
         self.alpha = np.array([2.0] * n_good + [0.5] * (h_size - n_good))
         self.n_combos = p["probes"]
 

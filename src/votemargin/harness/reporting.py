@@ -2,7 +2,9 @@
 
 Every artifact the harness writes is either a CSV (17-significant-digit
 numerics, LF line endings, mandatory header) or a plain-text summary, so
-studies replay byte-for-byte from (config, master seed).
+studies replay byte-for-byte from (config, master seed) at a fixed BLAS
+thread count: a matrix product's last bits depend on how BLAS splits it
+between threads.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import C_THETA, PreconditionError
+from .core import C_THETA, PreconditionError, _check_count
 from .discretize import _check_N, binom_margin_tail, binom_margin_tail_batch
 
 __all__ = [
@@ -265,6 +265,7 @@ def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 1
     Returns (max_slope, analytic_bound, holds).
     """
     step = 1e-4
+    num_points = _check_count(num_points, "num_points")
     params.require_slope_ready()
     lo, hi = _region_interval(params, region)
     N, t = params.N, params.theta_i

@@ -13,12 +13,11 @@ voting classifiers add no complexity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisClass, LabeledSample, PreconditionError
+from .core import HypothesisClass, LabeledSample, PreconditionError, _check_count
 
 __all__ = [
     "RademacherEstimate",
@@ -62,8 +61,7 @@ def empirical_rademacher(
     only the expectation over σ is sampled.  ``rng_seed`` may be an integer
     or a numpy Generator.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials")
     rng = np.random.default_rng(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
@@ -79,7 +77,7 @@ def empirical_rademacher(
         float(per_draw.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     )
     return RademacherEstimate(
-        value=value, std_error=std_error, trials=int(trials), mode="monte-carlo"
+        value=value, std_error=std_error, trials=trials, mode="monte-carlo"
     )
 
 
@@ -136,10 +134,8 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
 
 def massart_bound(H_size: int, n: int) -> float:
     """Finite-class ceiling √(2·ln|H|/n) on the empirical Rademacher value."""
-    if not 1 <= H_size < math.inf:
-        raise ValueError(f"H_size must be finite and >= 1, got {H_size}")
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be finite and >= 1, got {n}")
+    _check_count(H_size, "H_size")
+    _check_count(n, "n")
     return float(np.sqrt(2.0 * np.log(H_size) / n))
 
 
@@ -155,8 +151,7 @@ def convexity_collapse_check(
     max_w Σ_i σ_i·(Σ_h w_h·h(x_i)) ≤ max_h Σ_i σ_i·h(x_i) + 1e-9.  Returns
     True iff no violation occurs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_count(trials, "trials")
     rng = np.random.default_rng(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]

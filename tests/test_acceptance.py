@@ -23,8 +23,6 @@ import pytest
 
 from votemargin.core import (
     DataDistribution,
-    DiscreteDomain,
-    Hypothesis,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
@@ -108,9 +106,9 @@ def random_instance(rng, x_size: int, h_size: int, n: int):
     H = random_hypothesis_class(rng, x_size, h_size)
     probs = rng.dirichlet(np.ones(x_size))
     labels = rng.choice([-1, 1], size=x_size)
-    D = DataDistribution(LabeledSample(H.domain, np.arange(x_size), labels), probs)
+    D = DataDistribution(LabeledSample(x_size, np.arange(x_size), labels), probs)
     idx = rng.integers(0, x_size, size=n)
-    S = LabeledSample(H.domain, idx, labels[idx])
+    S = LabeledSample(x_size, idx, labels[idx])
     f = VotingClassifier(rng.dirichlet(np.ones(h_size)))
     return H, D, S, f
 
@@ -157,10 +155,7 @@ def test_criterion_1_margin_law_monte_carlo(capsys):
     t0 = time.perf_counter()
     M = 200_000
     seed = 2  # pinned: passes the 5-sigma band at all 60 grid points
-    domain = DiscreteDomain([0])
-    H2 = HypothesisClass(
-        domain, [Hypothesis(domain, [1]), Hypothesis(domain, [-1])]
-    )
+    H2 = HypothesisClass([[1], [-1]])
     worst = -math.inf
     failures = []
     for bi, N in enumerate(GRID_N):
@@ -345,7 +340,7 @@ def test_criterion_8_rademacher_estimates(capsys):
         H = random_hypothesis_class(rng, x_size, h_size)
         idx = rng.integers(0, x_size, size=n)
         labels = rng.choice([-1, 1], size=n)
-        S = LabeledSample(H.domain, idx, labels)
+        S = LabeledSample(x_size, idx, labels)
         exact = exhaustive_rademacher(H, S)
         estimate = empirical_rademacher(H, S, trials=4000, rng_seed=stream(12, 1, i))
         gap = abs(estimate.value - exact.value)

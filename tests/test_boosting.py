@@ -1,5 +1,6 @@
 """Unit tests for the stump class, synthetic tasks, and boosting."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ class TestBuildStumpClass:
     def test_counts(self):
         H = build_stump_class(2, 7)
         assert len(H) == 2 * 2 * 7 + 2 == 30
-        assert len(H.domain) == 8**2
+        assert H.domain_size == 8**2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="d"):
@@ -50,15 +51,33 @@ class TestBuildStumpClass:
 
     def test_stump_semantics_on_a_line(self):
         H = build_stump_class(1, 3)
-        domain = H.domain
-        assert domain.points == ((0,), (1,), (2,), (3,))
+        assert H.domain_size == 4  # position p is the point x = p
         # row t: 1{x <= t}; rows k..2k-1 are the polarities flipped
         assert np.array_equal(H.matrix[1], np.array([1, 1, -1, -1], dtype=np.int8))
         assert np.array_equal(H.matrix[3 + 1], -H.matrix[1])
 
     def test_lexicographic_domain(self):
-        domain = build_stump_class(2, 1).domain
-        assert domain.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+        # positions 0..3 are the points (0, 0), (0, 1), (1, 0), (1, 1): row 0
+        # is 1{x_0 <= 0} and row 1 is 1{x_1 <= 0}
+        H = build_stump_class(2, 1)
+        assert H.domain_size == 4
+        np.testing.assert_array_equal(H.matrix[:2], [[1, 1, -1, -1], [1, -1, 1, -1]])
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 7), (3, 5), (4, 15)])
+    def test_matrix_is_frozen_against_the_point_by_point_build(self, d, k):
+        # The class as it was built before the lattice was vectorized: one
+        # row per (feature, threshold) over the d-tuples in product order.
+        coords = np.array(list(itertools.product(range(k + 1), repeat=d)))
+        rows = [
+            np.where(coords[:, a] <= t, 1, -1).astype(np.int8)
+            for a in range(d) for t in range(k)
+        ]
+        rows += [-r for r in rows]
+        rows += [np.ones(len(coords), dtype=np.int8), -np.ones(len(coords), dtype=np.int8)]
+        matrix = build_stump_class(d, k).matrix
+        assert matrix.dtype == np.int8
+        assert matrix.shape == (2 * d * k + 2, (k + 1) ** d)
+        assert matrix.tobytes() == np.vstack(rows).tobytes()
 
 
 class TestGenerateSynthetic:
@@ -75,15 +94,15 @@ class TestGenerateSynthetic:
     def test_noise_free_distribution_is_uniform_over_true_labels(self):
         H = build_stump_class(2, 3)
         D, S = generate_synthetic(H, 50, 0.0, stream(8, 0))
-        assert len(D.atoms) == len(H.domain)
-        assert np.allclose(D.probabilities, 1.0 / len(H.domain))
+        assert len(D.atoms) == H.domain_size
+        assert np.allclose(D.probabilities, 1.0 / H.domain_size)
         assert len(S) == 50
 
     def test_noise_mass_is_the_flip_probability(self):
         H = build_stump_class(2, 3)
         noise = 0.2
         D, _ = generate_synthetic(H, 50, noise, stream(9, 0))
-        assert len(D.atoms) == 2 * len(H.domain)
+        assert len(D.atoms) == 2 * H.domain_size
         per_point = {}
         for point, prob in zip(D.atoms.positions, D.probabilities):
             per_point.setdefault(point, []).append(prob)
@@ -96,7 +115,7 @@ class TestGenerateSynthetic:
         # every sample drawn from the task.
         H = build_stump_class(2, 3)
         D, _ = generate_synthetic(H, 50, noise, stream(9, 0))
-        size = len(H.domain)
+        size = H.domain_size
         per_point = 2 if noise else 1
         truth = D.atoms.labels[::per_point]
         np.testing.assert_array_equal(
@@ -118,10 +137,9 @@ class TestGenerateSynthetic:
 
     def test_rejects_a_class_that_is_not_a_stump_class(self):
         H = build_stump_class(1, 2)
-        domain = H.domain
-        no_constants = HypothesisClass(domain, H.matrix[:-2])
-        constants_first = HypothesisClass(domain, H.matrix[::-1])
-        only_constants = HypothesisClass(domain, H.matrix[-2:])
+        no_constants = HypothesisClass(H.matrix[:-2])
+        constants_first = HypothesisClass(H.matrix[::-1])
+        only_constants = HypothesisClass(H.matrix[-2:])
         for bad in (no_constants, constants_first, only_constants):
             with pytest.raises(ValueError, match="stump class"):
                 generate_synthetic(bad, 10, 0.1, stream(10, 0))
@@ -162,9 +180,8 @@ class TestAdaboost:
 
     def test_perfect_hypothesis_ends_the_run(self):
         H = build_stump_class(1, 3)
-        domain = H.domain
         # labels realized by the stump 1{x <= 1}, which is row 1
-        S = sample(domain, [((0,), 1), ((1,), 1), ((2,), -1), ((3,), -1)])
+        S = sample(H.domain_size, [(0, 1), (1, 1), (2, -1), (3, -1)])
         run = adaboost(S, H, 10)
         assert run.status == "perfect-hypothesis"
         assert run.T_completed == 1
@@ -176,9 +193,8 @@ class TestAdaboost:
 
     def test_early_stop_when_no_hypothesis_beats_chance(self):
         H = build_stump_class(1, 1)
-        domain = H.domain
         # both labels at both points: every hypothesis has error exactly 1/2
-        S = sample(domain, [((0,), 1), ((0,), -1), ((1,), 1), ((1,), -1)])
+        S = sample(H.domain_size, [(0, 1), (0, -1), (1, 1), (1, -1)])
         run = adaboost(S, H, 5)
         assert run.status == "early-stop"
         assert run.T_completed == 0
@@ -228,8 +244,7 @@ class TestMarginHistogram:
 
     def test_edge_margins_fall_in_the_lower_bin(self):
         H = build_stump_class(1, 1)
-        domain = H.domain
-        S = sample(domain, [((0,), 1), ((1,), -1)])
+        S = sample(H.domain_size, [(0, 1), (1, -1)])
         # equal weight on the two constants makes every margin exactly 0
         f = VotingClassifier([0.0, 0.0, 0.5, 0.5])
         hist = margin_histogram(f, H, S, bin_count=4)
@@ -238,8 +253,7 @@ class TestMarginHistogram:
 
     def test_extreme_margins_are_kept(self):
         H = build_stump_class(1, 1)
-        domain = H.domain
-        S = sample(domain, [((0,), 1), ((1,), -1)])
+        S = sample(H.domain_size, [(0, 1), (1, -1)])
         f = VotingClassifier([0.0, 0.0, 1.0, 0.0])  # constant +1
         hist = margin_histogram(f, H, S, bin_count=4)
         assert hist.counts[0] == 1 and hist.counts[-1] == 1

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from votemargin.bounds import (
@@ -271,6 +272,16 @@ class TestPartition:
         j = scheme.locate_loss(0.12).index
         assert scheme.theta_cells[i].contains(0.3)
         assert scheme.loss_cells[j].contains(0.12)
+
+    def test_contains_is_elementwise_on_arrays(self):
+        scheme = build_partition(5000, 16)
+        theta_cell, loss_cell = scheme.theta_cells[0], scheme.loss_cells[0]
+        for cell, expected in ((theta_cell, [False, True, True, False]),
+                               (loss_cell, [True, True, True, False])):
+            xs = np.array([cell.lo, np.nextafter(cell.lo, 2.0), cell.hi,
+                           np.nextafter(cell.hi, 2.0)])
+            assert cell.contains(xs).tolist() == expected
+            assert [cell.contains(float(x)) for x in xs] == expected
 
     def test_out_of_range_queries_raise(self):
         scheme = build_partition(5000, 16)

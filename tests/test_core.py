@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from votemargin.core import (
     C_THETA,
     DataDistribution,
-    DiscreteDomain,
-    Hypothesis,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
-    constant_hypothesis,
     empirical_margin_loss,
-    margin,
     margins_on_sample,
     margins_on_support,
     scale_reduction,
@@ -27,10 +23,8 @@ from labeled import distribution, sample
 
 
 def small_class():
-    """Three hypotheses over a four-point domain, used across tests."""
-    domain = DiscreteDomain(("a", "b", "c", "d"))
-    H = HypothesisClass(
-        domain,
+    """Three hypotheses over the four points {0, 1, 2, 3}, used across tests."""
+    return HypothesisClass(
         np.array(
             [
                 [1, 1, -1, -1],
@@ -38,114 +32,63 @@ def small_class():
                 [-1, 1, 1, 1],
             ],
             dtype=np.int8,
-        ),
+        )
     )
-    return domain, H
-
-
-class TestDiscreteDomain:
-    def test_points_are_ordered_and_indexed(self):
-        domain = DiscreteDomain(("x", "y", "z"))
-        assert len(domain) == 3
-        assert domain.position("y") == 1
-        assert "y" in domain and "w" not in domain
-
-    def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValueError, match="distinct"):
-            DiscreteDomain(("x", "x"))
-        with pytest.raises(ValueError, match="at least one"):
-            DiscreteDomain(())
-
-    def test_unknown_point_is_an_error(self):
-        domain = DiscreteDomain(("x",))
-        with pytest.raises(ValueError, match="not in the domain"):
-            domain.position("y")
-
-
-class TestHypothesis:
-    def test_mapping_and_array_construction_agree(self):
-        domain = DiscreteDomain(("a", "b"))
-        h1 = Hypothesis(domain, {"a": 1, "b": -1})
-        h2 = Hypothesis(domain, np.array([1, -1]))
-        assert h1.as_dict() == h2.as_dict() == {"a": 1, "b": -1}
-        assert h1.value("b") == -1
-
-    def test_must_be_total_and_pm_one(self):
-        domain = DiscreteDomain(("a", "b"))
-        with pytest.raises(ValueError, match="total"):
-            Hypothesis(domain, {"a": 1})
-        with pytest.raises(ValueError, match="\\+1 or -1"):
-            Hypothesis(domain, np.array([1, 0]))
-        with pytest.raises(ValueError, match="shape"):
-            Hypothesis(domain, np.array([1, -1, 1]))
-
-    @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan")])
-    def test_values_are_checked_before_the_int8_cast(self, bad):
-        domain = DiscreteDomain(("a", "b"))
-        with pytest.raises(ValueError, match="\\+1 or -1"):
-            Hypothesis(domain, np.array([bad, 1]))
-        with pytest.raises(ValueError, match="\\+1 or -1"):
-            Hypothesis(domain, [bad, 1])
-        with pytest.raises(ValueError, match="\\+1 or -1"):
-            Hypothesis(domain, {"a": bad, "b": 1})
 
 
 class TestHypothesisClass:
     @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan"), 1j])
     def test_values_are_checked_before_the_int8_cast(self, bad):
-        domain = DiscreteDomain(("a", "b"))
         with pytest.raises(ValueError, match="\\+1 or -1"):
-            HypothesisClass(domain, np.array([[bad, 1], [1, -1]]))
+            HypothesisClass(np.array([[bad, 1], [1, -1]]))
         with pytest.raises(ValueError, match="\\+1 or -1"):
-            HypothesisClass(domain, [[bad, 1], [1, -1]])
+            HypothesisClass([[bad, 1], [1, -1]])
 
     def test_valid_values_of_any_dtype_become_int8(self):
-        domain = DiscreteDomain(("a", "b"))
         source = np.array([[1.0, -1.0], [-1.0, -1.0]])
-        H = HypothesisClass(domain, source)
+        H = HypothesisClass(source)
         assert H.matrix.dtype == np.int8
         np.testing.assert_array_equal(H.matrix, source)
         assert H.minus_index == 1
-        assert Hypothesis(domain, [1.0, -1.0]).table.dtype == np.int8
+
+    def test_domain_size_is_the_column_count(self):
+        H = small_class()
+        assert H.domain_size == 4 and len(H) == 3
+        assert HypothesisClass([[1, -1, 1]]).domain_size == 3
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.empty((0, 3)), np.empty((2, 0)), [], [1, -1], [[[1]]]],
+        ids=["no-rows", "no-columns", "empty", "1-d", "3-d"],
+    )
+    def test_rejects_an_empty_or_non_2d_matrix(self, matrix):
+        with pytest.raises(ValueError, match="shape"):
+            HypothesisClass(matrix)
 
     def test_constant_detection(self):
-        domain = DiscreteDomain(("a", "b"))
-        H = HypothesisClass(
-            domain,
-            (
-                constant_hypothesis(domain, 1),
-                Hypothesis(domain, np.array([1, -1])),
-                constant_hypothesis(domain, -1),
-            ),
-        )
+        H = HypothesisClass([[1, 1], [1, -1], [-1, -1]])
         assert H.includes_constants
         assert H.plus_index == 0 and H.minus_index == 2
         assert len(H) == 3
 
     def test_duplicate_constants_rejected(self):
-        domain = DiscreteDomain(("a", "b"))
         with pytest.raises(ValueError, match="constant hypothesis"):
-            HypothesisClass(
-                domain, np.array([[1, 1], [1, 1]], dtype=np.int8)
-            )
+            HypothesisClass(np.array([[1, 1], [1, 1]], dtype=np.int8))
 
     def test_duplicate_nonconstants_allowed(self):
-        domain = DiscreteDomain(("a", "b"))
-        H = HypothesisClass(
-            domain, np.array([[1, -1], [1, -1]], dtype=np.int8)
-        )
+        H = HypothesisClass(np.array([[1, -1], [1, -1]], dtype=np.int8))
         assert len(H) == 2 and not H.includes_constants
 
     def test_sample_values_selects_columns(self):
-        domain, H = small_class()
-        S = sample(domain, [("c", 1), ("a", -1), ("c", 1)])
+        H = small_class()
+        S = sample(4, [(2, 1), (0, -1), (2, 1)])
         np.testing.assert_array_equal(
             H.sample_values(S),
             np.array([[-1, 1, -1], [1, 1, 1], [1, -1, 1]], dtype=np.int8),
         )
 
     def test_matrix_is_readonly(self):
-        _, H = small_class()
+        H = small_class()
         with pytest.raises(ValueError):
             H.matrix[0, 0] = -1
 
@@ -175,12 +118,12 @@ class TestVotingClassifier:
             VotingClassifier.point_mass(index, 3)
 
     def test_values_on_requires_matching_size(self):
-        _, H = small_class()
+        H = small_class()
         with pytest.raises(ValueError, match="weights"):
             VotingClassifier(np.array([0.5, 0.5])).values_on(H)
 
     def test_point_mass_recovers_hypothesis_values(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier.point_mass(2, 3)
         np.testing.assert_array_equal(f.values_on(H), H.matrix[2].astype(float))
 
@@ -191,7 +134,7 @@ class TestVotingClassifier:
         )
     )
     def test_values_stay_in_unit_interval(self, raw):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.asarray(raw) / sum(raw))
         values = f.values_on(H)
         assert (values >= -1.0).all() and (values <= 1.0).all()
@@ -199,24 +142,21 @@ class TestVotingClassifier:
 
 class TestLabeledSample:
     def test_order_and_labels(self):
-        domain, _ = small_class()
-        S = sample(domain, [("b", 1), ("a", -1), ("b", -1)])
-        assert S.domain is domain and len(S) == 3
+        S = sample(4, [(1, 1), (0, -1), (1, -1)])
+        assert S.domain_size == 4 and len(S) == 3
         np.testing.assert_array_equal(S.positions, [1, 0, 1])
         np.testing.assert_array_equal(S.labels, [1, -1, -1])
         assert S.positions.dtype == np.intp and S.labels.dtype == np.int8
 
     def test_validation(self):
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="at least one"):
-            LabeledSample(domain, np.array([], dtype=np.intp), [])
+            LabeledSample(4, np.array([], dtype=np.intp), [])
         with pytest.raises(ValueError, match="label"):
-            sample(domain, [("a", 2)])
+            sample(4, [(0, 2)])
 
     def test_arrays_are_read_only_copies(self):
-        domain, _ = small_class()
         positions, labels = np.array([0, 3]), np.array([1, -1])
-        S = LabeledSample(domain, positions, labels)
+        S = LabeledSample(4, positions, labels)
         positions[0], labels[0] = 2, -1
         np.testing.assert_array_equal(S.positions, [0, 3])
         np.testing.assert_array_equal(S.labels, [1, -1])
@@ -238,21 +178,18 @@ class TestLabeledSample:
         ids=["negative", "out-of-range", "float", "bool", "2-d", "huge"],
     )
     def test_rejects_bad_positions(self, positions):
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="positions"):
-            LabeledSample(domain, positions, [1, -1])
+            LabeledSample(4, positions, [1, -1])
 
     @pytest.mark.parametrize("labels", [[1], [1, -1, 1]])
     def test_rejects_a_length_mismatch(self, labels):
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="2 positions"):
-            LabeledSample(domain, [0, 1], labels)
+            LabeledSample(4, [0, 1], labels)
 
 
 class TestDataDistribution:
     def test_probabilities_renormalized(self):
-        domain, _ = small_class()
-        D = distribution(domain, {("a", 1): 0.25, ("b", -1): 0.75 + 1e-13})
+        D = distribution(4, {(0, 1): 0.25, (1, -1): 0.75 + 1e-13})
         assert D.probabilities.sum() == 1.0
         assert len(D) == 2
 
@@ -260,46 +197,41 @@ class TestDataDistribution:
         "masses", [(float("nan"), 1.0), (float("nan"), float("nan"))]
     )
     def test_non_finite_probabilities_rejected(self, masses):
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="finite"):
-            distribution(domain, {("a", 1): masses[0], ("b", -1): masses[1]})
+            distribution(4, {(0, 1): masses[0], (1, -1): masses[1]})
 
     def test_duplicate_atoms_rejected(self):
         # Two entries that normalize to one atom: same position, labels 1 and 1.0.
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="distinct"):
-            DataDistribution(LabeledSample(domain, [0, 0], [np.int8(1), 1.0]), [0.5, 0.5])
+            DataDistribution(LabeledSample(4, [0, 0], [np.int8(1), 1.0]), [0.5, 0.5])
 
     def test_same_point_with_both_labels_is_two_atoms(self):
-        domain, _ = small_class()
-        D = distribution(domain, {("a", 1): 0.5, ("a", -1): 0.5})
+        D = distribution(4, {(0, 1): 0.5, (0, -1): 0.5})
         assert len(D) == 2
 
     @pytest.mark.parametrize("probabilities", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
     def test_rejects_probabilities_that_do_not_match_the_atoms(self, probabilities):
-        domain, _ = small_class()
-        atoms = sample(domain, [("a", 1), ("b", -1)])
+        atoms = sample(4, [(0, 1), (1, -1)])
         with pytest.raises(ValueError, match="shape"):
             DataDistribution(atoms, probabilities)
 
     def test_empirical_counts_multiplicity(self):
-        domain, _ = small_class()
-        S = sample(domain, [("a", 1), ("a", 1), ("b", -1), ("a", -1)])
+        S = sample(4, [(0, 1), (0, 1), (1, -1), (0, -1)])
         D = DataDistribution.empirical(S)
+        assert D.atoms.domain_size == 4
         masses = {
-            (domain.points[x], int(y)): p
+            (int(x), int(y)): p
             for x, y, p in zip(D.atoms.positions, D.atoms.labels, D.probabilities)
         }
-        assert masses[("a", 1)] == pytest.approx(0.5)
-        assert masses[("b", -1)] == pytest.approx(0.25)
-        assert masses[("a", -1)] == pytest.approx(0.25)
+        assert masses[(0, 1)] == pytest.approx(0.5)
+        assert masses[(1, -1)] == pytest.approx(0.25)
+        assert masses[(0, -1)] == pytest.approx(0.25)
 
     def test_sample_is_reproducible(self):
-        domain, _ = small_class()
-        D = distribution(domain, {("a", 1): 0.5, ("b", -1): 0.5})
+        D = distribution(4, {(0, 1): 0.5, (1, -1): 0.5})
         S1 = D.sample(20, stream(7, 0))
         S2 = D.sample(20, stream(7, 0))
-        assert S1.domain is domain
+        assert S1.domain_size == 4
         np.testing.assert_array_equal(S1.positions, S2.positions)
         np.testing.assert_array_equal(S1.labels, S2.labels)
 
@@ -313,83 +245,66 @@ class TestLabelCheck:
     @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
     def test_labeled_sample_rejects(self, bad):
         with pytest.raises(ValueError, match="label"):
-            sample(small_class()[0], [("a", 1), ("b", bad)])
+            sample(4, [(0, 1), (1, bad)])
 
     @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
     def test_data_distribution_rejects(self, bad):
         with pytest.raises(ValueError, match="label"):
-            distribution(small_class()[0], {("a", 1): 0.5, ("b", bad): 0.5})
-
-    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
-    def test_constant_hypothesis_rejects(self, bad):
-        domain, _ = small_class()
-        with pytest.raises(ValueError, match="label"):
-            constant_hypothesis(domain, bad)
-
-    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
-    def test_margin_rejects(self, bad):
-        _, H = small_class()
-        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        with pytest.raises(ValueError, match="label"):
-            margin(f, H, "a", bad)
+            distribution(4, {(0, 1): 0.5, (1, bad): 0.5})
 
     def test_sequences_of_signs_are_not_labels(self):
-        domain, _ = small_class()
         with pytest.raises(ValueError, match="label"):
-            sample(domain, [("a", (1,)), ("b", (-1,))])
+            sample(4, [(0, (1,)), (1, (-1,))])
         with pytest.raises(ValueError, match="label"):
-            distribution(domain, {("a", (1,)): 0.5, ("b", (-1,)): 0.5})
+            distribution(4, {(0, (1,)): 0.5, (1, (-1,)): 0.5})
 
     def test_values_equal_to_a_sign_are_accepted_as_ints(self):
-        domain, H = small_class()
         labels = [True, np.int8(-1), 1.0, np.float64(-1.0)]
-        S = sample(domain, zip("abcd", labels))
+        S = sample(4, enumerate(labels))
         assert S.labels.dtype == np.int8
         np.testing.assert_array_equal(S.labels, [1, -1, 1, -1])
-        D = distribution(domain, {(p, y): 0.25 for p, y in zip("abcd", labels)})
+        D = distribution(4, {(x, y): 0.25 for x, y in enumerate(labels)})
         assert D.atoms.labels.dtype == np.int8
         np.testing.assert_array_equal(D.atoms.positions, [0, 1, 2, 3])
         np.testing.assert_array_equal(D.atoms.labels, [1, -1, 1, -1])
-        assert constant_hypothesis(domain, True).as_dict() == dict.fromkeys("abcd", 1)
-        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        assert margin(f, H, "a", -1.0) == -0.5
 
 
 class TestMarginsAndLosses:
     def test_margin_of_single_point(self):
-        _, H = small_class()
+        # a point's margin is margins_on_sample on a one-point sample
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        # f(a) = 0.5 + 0.25 - 0.25 = 0.5
-        assert margin(f, H, "a", 1) == pytest.approx(0.5)
-        assert margin(f, H, "a", -1) == pytest.approx(-0.5)
+        # f(0) = 0.5 + 0.25 - 0.25 = 0.5
+        assert margins_on_sample(f, H, sample(4, [(0, 1)]))[0] == pytest.approx(0.5)
+        assert margins_on_sample(f, H, sample(4, [(0, -1)]))[0] == pytest.approx(-0.5)
 
     def test_margins_on_sample_match_by_hand(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        # f over (a, b, c, d) = (0.5, 0.5, 0.0, -0.5)
-        S = sample(H.domain, [("a", 1), ("b", -1), ("c", 1), ("d", -1)])
+        # f over (0, 1, 2, 3) = (0.5, 0.5, 0.0, -0.5)
+        S = sample(4, [(0, 1), (1, -1), (2, 1), (3, -1)])
         np.testing.assert_allclose(
             margins_on_sample(f, H, S), [0.5, -0.5, 0.0, 0.5], atol=1e-15
         )
 
     def test_ties_count_as_losses(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = sample(H.domain, [("a", 1), ("b", 1), ("d", -1)])  # margins 0.5, 0.5, 0.5
+        S = sample(4, [(0, 1), (1, 1), (3, -1)])  # margins 0.5, 0.5, 0.5
         assert empirical_margin_loss(f, H, S, 0.5) == 1.0
         assert empirical_margin_loss(f, H, S, np.nextafter(0.5, 0.0)) == 0.0
 
     def test_zero_threshold_is_zero_one_loss(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = sample(H.domain, [("a", 1), ("a", -1), ("c", 1)])
+        S = sample(4, [(0, 1), (0, -1), (2, 1)])
         # margins: 0.5 (correct), -0.5 (wrong), 0.0 (tie counts as loss)
         assert empirical_margin_loss(f, H, S, 0.0) == pytest.approx(2.0 / 3.0)
 
     def test_true_loss_equals_empirical_on_empirical_distribution(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.2, 0.3, 0.5]))
-        S = sample(H.domain, [("a", 1), ("b", -1), ("b", -1), ("d", 1)])
+        S = sample(4, [(0, 1), (1, -1), (1, -1), (3, 1)])
         D = DataDistribution.empirical(S)
         for theta in (0.0, 0.1, 0.35, 0.9):
             assert true_margin_loss(f, H, D, theta) == pytest.approx(
@@ -397,9 +312,9 @@ class TestMarginsAndLosses:
             )
 
     def test_margins_on_support_orders_by_atom(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        D = distribution(H.domain, {("c", 1): 0.25, ("a", -1): 0.75})
+        D = distribution(4, {(2, 1): 0.25, (0, -1): 0.75})
         m, p = margins_on_support(f, H, D)
         np.testing.assert_allclose(m, [0.0, -0.5], atol=1e-15)
         np.testing.assert_allclose(p, [0.25, 0.75])
@@ -414,23 +329,22 @@ class TestMarginsAndLosses:
         ids=["sample_values", "margins_on_sample", "margins_on_support"],
     )
     def test_a_sample_over_another_domain_is_rejected(self, call):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        other = DiscreteDomain(("a", "b", "c", "e"))
-        S = sample(other, [("a", 1), ("e", -1)])
-        D = distribution(other, {("a", 1): 0.5, ("e", -1): 0.5})
+        # positions valid in both domains, but the sample's domain is larger
+        S = sample(5, [(0, 1), (3, -1)])
+        D = distribution(5, {(0, 1): 0.5, (3, -1): 0.5})
         with pytest.raises(ValueError, match="domain"):
             call(f, H, S, D)
-        # an equal domain built separately is the same domain
-        same = DiscreteDomain(("a", "b", "c", "d"))
-        S = sample(same, [("a", 1), ("d", -1)])
-        D = distribution(same, {("a", 1): 0.5, ("d", -1): 0.5})
+        # the same points over a domain of the class's size are accepted
+        S = sample(4, [(0, 1), (3, -1)])
+        D = distribution(4, {(0, 1): 0.5, (3, -1): 0.5})
         call(f, H, S, D)
 
     def test_threshold_validation(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        S = sample(H.domain, [("a", 1)])
+        S = sample(4, [(0, 1)])
         with pytest.raises(ValueError, match="threshold"):
             empirical_margin_loss(f, H, S, -0.1)
         with pytest.raises(ValueError, match="threshold"):
@@ -439,10 +353,10 @@ class TestMarginsAndLosses:
 
 class TestScaleReduction:
     def test_margins_scale_by_exactly_c_theta(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         f_bar, H_bar = scale_reduction(f, H)
-        S = sample(H.domain, [("a", 1), ("b", -1), ("c", 1), ("d", -1)])
+        S = sample(4, [(0, 1), (1, -1), (2, 1), (3, -1)])
         np.testing.assert_allclose(
             margins_on_sample(f_bar, H_bar, S),
             C_THETA * margins_on_sample(f, H, S),
@@ -451,23 +365,15 @@ class TestScaleReduction:
         )
 
     def test_extends_class_with_constants(self):
-        _, H = small_class()
+        H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         f_bar, H_bar = scale_reduction(f, H)
         assert len(H_bar) == len(H) + 2
-        assert H_bar.includes_constants
+        assert H_bar.includes_constants and H_bar.domain_size == H.domain_size
         assert f_bar.weights.sum() == pytest.approx(1.0)
 
     def test_reuses_existing_constants(self):
-        domain = DiscreteDomain(("a", "b"))
-        H = HypothesisClass(
-            domain,
-            (
-                constant_hypothesis(domain, 1),
-                Hypothesis(domain, np.array([1, -1])),
-                constant_hypothesis(domain, -1),
-            ),
-        )
+        H = HypothesisClass([[1, 1], [1, -1], [-1, -1]])
         f = VotingClassifier(np.array([0.0, 1.0, 0.0]))
         f_bar, H_bar = scale_reduction(f, H)
         assert H_bar is H
@@ -479,11 +385,11 @@ class TestScaleReduction:
     def test_sign_decisions_preserved(self, bits):
         # Interpret the bits as a 3x4 sign table perturbation of weights.
         rng = np.random.default_rng(bits)
-        _, H = small_class()
+        H = small_class()
         w = rng.dirichlet(np.ones(3))
         f = VotingClassifier(w)
         f_bar, H_bar = scale_reduction(f, H)
-        S = sample(H.domain, [(p, 1) for p in ("a", "b", "c", "d")])
+        S = sample(4, [(x, 1) for x in range(4)])
         before = margins_on_sample(f, H, S)
         after = margins_on_sample(f_bar, H_bar, S)
         np.testing.assert_array_equal(np.sign(before), np.sign(after))

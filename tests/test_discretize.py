@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from votemargin import discretize
 from votemargin.core import (
     DataDistribution,
-    DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     PreconditionError,
     VotingClassifier,
-    constant_hypothesis,
     margins_on_support,
     true_margin_loss,
 )
@@ -61,18 +59,17 @@ def exact_loop(N: int, lam: float, eta: float) -> float:
 def random_instance(seed: int, n_points: int = 8, n_hyps: int = 4, n_sample: int = 20):
     """A random (f, H, D, S) instance over ±1 hypothesis tables."""
     rng = stream(seed, 0)
-    domain = DiscreteDomain(tuple(f"x{i}" for i in range(n_points)))
     while True:
         matrix = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_hyps, n_points))
         # keep at most one +1 and one -1 constant row so construction succeeds
         row_sums = np.abs(matrix.sum(axis=1))
         if np.count_nonzero(row_sums == n_points) <= 1:
             break
-    H = HypothesisClass(domain, matrix)
+    H = HypothesisClass(matrix)
     f = VotingClassifier(rng.dirichlet(np.ones(n_hyps)))
     labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=n_points)
     probs = rng.dirichlet(np.ones(n_points))
-    D = DataDistribution(LabeledSample(domain, np.arange(n_points), labels), probs)
+    D = DataDistribution(LabeledSample(n_points, np.arange(n_points), labels), probs)
     S = D.sample(n_sample, rng)
     return f, H, D, S
 
@@ -219,57 +216,52 @@ class TestBinomMarginTailBatch:
 
 class TestDiscretizedClassifier:
     def small(self):
-        domain = DiscreteDomain(("a", "b", "c"))
-        H = HypothesisClass(
-            domain,
-            np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1]], dtype=np.int8),
+        return HypothesisClass(
+            np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1]], dtype=np.int8)
         )
-        return domain, H
 
     def test_values_average_the_drawn_rows(self):
-        _, H = self.small()
+        H = self.small()
         g = DiscretizedClassifier(H, [0, 0, 1, 2])
         expected = (2 * H.matrix[0] + H.matrix[1] + H.matrix[2]) / 4.0
         assert np.array_equal(g.values_on_domain(), expected)
-        assert g.value("b") == expected[1]
         assert g.N == 4
 
     def test_values_are_cached(self):
-        _, H = self.small()
+        H = self.small()
         g = DiscretizedClassifier(H, [0, 1])
         assert g.values_on_domain() is g.values_on_domain()
 
     def test_margins_on_sample_and_support(self):
-        _, H = self.small()
+        H = self.small()
         g = DiscretizedClassifier(H, [0, 2])
-        S = sample(H.domain, [("a", 1), ("c", -1), ("a", 1)])
+        S = sample(3, [(0, 1), (2, -1), (0, 1)])
         values = g.values_on_domain()
         assert np.array_equal(
             g.margins_on_sample(S), np.array([values[0], -values[2], values[0]])
         )
-        D = distribution(H.domain, {("a", 1): 0.5, ("b", -1): 0.5})
+        D = distribution(3, {(0, 1): 0.5, (1, -1): 0.5})
         margins, probs = g.margins_on_support(D)
         assert np.array_equal(margins, np.array([values[0], -values[1]]))
         assert np.array_equal(probs, np.array([0.5, 0.5]))
 
     def test_margins_reject_a_sample_over_another_domain(self):
-        _, H = self.small()
+        H = self.small()
         g = DiscretizedClassifier(H, [0, 2])
-        other = DiscreteDomain(("a", "b", "d"))
         with pytest.raises(ValueError, match="domain"):
-            g.margins_on_sample(sample(other, [("a", 1)]))
+            g.margins_on_sample(sample(4, [(0, 1)]))
         with pytest.raises(ValueError, match="domain"):
-            g.margins_on_support(distribution(other, {("d", 1): 1.0}))
+            g.margins_on_support(distribution(2, {(1, 1): 1.0}))
 
     def test_as_voting_uses_draw_frequencies(self):
-        _, H = self.small()
+        H = self.small()
         g = DiscretizedClassifier(H, [0, 0, 2, 0])
         f = g.as_voting()
         assert isinstance(f, VotingClassifier)
         assert np.array_equal(f.weights, np.array([0.75, 0.0, 0.25]))
 
     def test_rejects_bad_indices(self):
-        _, H = self.small()
+        H = self.small()
         with pytest.raises(ValueError, match="non-empty"):
             DiscretizedClassifier(H, [])
         with pytest.raises(ValueError, match="non-empty"):
@@ -282,14 +274,10 @@ class TestDiscretizedClassifier:
 
 class TestSampleDiscretization:
     def two_constant_class(self):
-        domain = DiscreteDomain(("x0",))
-        H = HypothesisClass(
-            domain, [constant_hypothesis(domain, 1), constant_hypothesis(domain, -1)]
-        )
-        return domain, H
+        return HypothesisClass([[1], [-1]])
 
     def test_reproducible_from_seed(self):
-        _, H = self.two_constant_class()
+        H = self.two_constant_class()
         f = VotingClassifier([0.6, 0.4])
         a = sample_discretization(f, H, 32, stream(5, 0))
         b = sample_discretization(f, H, 32, stream(5, 0))
@@ -298,13 +286,13 @@ class TestSampleDiscretization:
         assert not np.array_equal(a.indices, c.indices)
 
     def test_point_mass_draws_one_hypothesis(self):
-        _, H = self.two_constant_class()
+        H = self.two_constant_class()
         f = VotingClassifier([0.0, 1.0])
         g = sample_discretization(f, H, 16, stream(5, 2))
         assert np.all(g.indices == 1)
 
     def test_draw_frequencies_follow_the_weights(self):
-        _, H = self.two_constant_class()
+        H = self.two_constant_class()
         f = VotingClassifier([0.9, 0.1])
         g = sample_discretization(f, H, 4000, stream(5, 3))
         freq = np.count_nonzero(g.indices == 0) / 4000
@@ -312,11 +300,11 @@ class TestSampleDiscretization:
 
     def test_sampled_margins_follow_the_binomial_law(self):
         # end-to-end: empirical Pr[y·g(x) > 0] matches the exact tail
-        _, H = self.two_constant_class()
+        H = self.two_constant_class()
         p = 0.75
         f = VotingClassifier([p, 1.0 - p])
         lam = 2 * p - 1  # y·f(x0) with label +1
-        S = sample(H.domain, [("x0", 1)])
+        S = sample(1, [(0, 1)])
         M, N = 2000, 8
         rng = stream(5, 4)
         hits = sum(
@@ -328,7 +316,7 @@ class TestSampleDiscretization:
         assert abs(hits / M - target) <= 5 * sigma
 
     def test_rejects_weight_class_size_mismatch(self):
-        _, H = self.two_constant_class()
+        H = self.two_constant_class()
         with pytest.raises(ValueError, match="weights"):
             sample_discretization(VotingClassifier([1.0]), H, 8, stream(5, 5))
 
@@ -339,6 +327,16 @@ class TestMonotoneCheck:
         assert first_decrease([0.1, 0.2, 0.3]) is None
         assert first_decrease([0.2, 0.2 - 1e-16]) is None
         assert first_decrease([0.2, 0.2 - 1e-13]) == 1
+        assert first_decrease([0.3, 0.1, 0.0]) == 1  # the first of two drops
+        assert first_decrease([0.5]) is None and first_decrease([]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), max_size=30))
+    def test_first_decrease_agrees_with_a_pairwise_scan(self, values):
+        drops = [k + 1 for k in range(len(values) - 1) if values[k + 1] < values[k] - 1e-14]
+        found = first_decrease(values)
+        assert found == (drops[0] if drops else None)
+        assert found is None or type(found) is int
 
     def test_tail_is_monotone_on_grids(self):
         for N in (8, 129):
@@ -392,11 +390,7 @@ class TestDecompositionResidual:
             decomposition_residual(f, g, H, D, S, 0.0, 0.5)
         with pytest.raises(ValueError, match="theta_i"):
             decomposition_residual(f, g, H, D, S, 0.5, 1.5)
-        other_domain = DiscreteDomain(("y0", "y1"))
-        other_H = HypothesisClass(
-            other_domain,
-            [constant_hypothesis(other_domain, 1), constant_hypothesis(other_domain, -1)],
-        )
+        other_H = HypothesisClass([[1, 1], [-1, -1]])
         other_g = DiscretizedClassifier(other_H, [0, 1])
         with pytest.raises(ValueError, match="domain"):
             decomposition_residual(f, other_g, H, D, S, 0.5, 0.5)

@@ -1,8 +1,10 @@
 """Every public numeric entry point rejects a bad argument with ValueError.
 
 Each case is a valid call plus, per argument, the values that argument must
-refuse: NaN, ±inf, or a finite float outside its range, and for a sample
-position also a bool or an integer outside the domain.  Hypothesis swaps one
+refuse: NaN, ±inf, or a finite float outside its range; for a count (a size,
+a number of trials, rounds, bins or points) any float or bool and any
+integer outside its range; and for a sample position a bool or an integer
+outside the domain.  Hypothesis swaps one
 argument of the valid call for such a value.  Every entry point that takes a
 discretization size N refuses one above 2**53.  The CLI cases do the same to
 ``bounds eval`` and ``bounds grid``, which must exit 2 with one ``error:``
@@ -16,11 +18,18 @@ import io
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import votemargin
+from votemargin.boosting import (
+    adaboost,
+    build_stump_class,
+    generate_synthetic,
+    margin_histogram,
+)
 from votemargin.bounds import (
     BoundInputs,
     build_partition,
@@ -33,7 +42,6 @@ from votemargin.cli import main
 from votemargin.core import (
     C_THETA,
     DataDistribution,
-    DiscreteDomain,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
@@ -44,9 +52,25 @@ from votemargin.discretize import (
     k_star,
     sample_discretization,
 )
-from votemargin.harness.checks import binomial_ci
-from votemargin.phirho import PhiRhoParams, lip_const_bound, phi, phi_many, rho, rho_many
-from votemargin.rademacher import massart_bound
+from votemargin.harness.checks import (
+    binomial_ci,
+    random_distribution,
+    random_hypothesis_class,
+)
+from votemargin.phirho import (
+    PhiRhoParams,
+    lip_const_bound,
+    lipschitz_slope_check,
+    phi,
+    phi_many,
+    rho,
+    rho_many,
+)
+from votemargin.rademacher import (
+    convexity_collapse_check,
+    empirical_rademacher,
+    massart_bound,
+)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 ANY_FLOAT = st.floats()
@@ -71,19 +95,29 @@ def outside(lo, hi, *, lo_in=True, hi_in=True):
     return below(lo, lo_in=lo_in) | above
 
 
+def not_a_count(lo, hi=None):
+    """Any float or bool, or an integer outside [lo, hi]."""
+    bad = ANY_FLOAT | st.booleans() | st.integers(max_value=lo - 1)
+    return bad if hi is None else bad | st.integers(min_value=hi + 1)
+
+
 #: A two-point domain: a sample position is an integer in {0, 1}.  The
 #: positions of a case are all equal, so their array takes the bad value's dtype.
-DOMAIN = DiscreteDomain(("a", "b"))
+DOMAIN_SIZE = 2
 BAD_POSITION = (
     ANY_FLOAT
     | st.booleans()
     | st.integers(max_value=-1)
-    | st.integers(min_value=len(DOMAIN))
+    | st.integers(min_value=DOMAIN_SIZE)
 )
 
 BOUND_FIELDS = dict(n=5000, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
 SCHEME = build_partition(5000, 16)
 PARAMS = PhiRhoParams(0.25, 64)
+SLOPE_READY = PhiRhoParams(0.25, 128)  # N >= 32*(2*theta_i)^-2
+STUMPS = build_stump_class(1, 2)
+TASK, TASK_SAMPLE = generate_synthetic(STUMPS, 20, 0.1, 0)
+TWO_CONSTANTS = HypothesisClass([[1, 1], [-1, -1]])
 
 # name -> (callable, valid keyword arguments, {argument: strategy of bad values})
 CASES = {
@@ -91,8 +125,8 @@ CASES = {
         BoundInputs,
         BOUND_FIELDS,
         {
-            "n": ANY_FLOAT,
-            "H_size": ANY_FLOAT,
+            "n": not_a_count(1),
+            "H_size": not_a_count(2),
             "theta": outside(0.0, 1.0, lo_in=False),
             "delta": outside(0.0, 1.0, lo_in=False, hi_in=False),
             "loss": outside(0.0, 1.0),
@@ -107,7 +141,7 @@ CASES = {
     "build_partition": (
         build_partition,
         dict(n=5000, H_size=16),
-        {"n": ANY_FLOAT, "H_size": ANY_FLOAT},
+        {"n": not_a_count(1), "H_size": not_a_count(2)},
     ),
     "delta_allocation": (
         delta_allocation,
@@ -128,29 +162,29 @@ CASES = {
         dict(theta_next=0.5, n=5000, H_size=16),
         {
             "theta_next": outside(0.0, 2.0, lo_in=False),
-            "n": ANY_FLOAT,
-            "H_size": ANY_FLOAT,
+            "n": not_a_count(1),
+            "H_size": not_a_count(2),
         },
     ),
     "k_star": (
         k_star,
         dict(N=16, eta=0.25),
-        {"N": ANY_FLOAT, "eta": outside(-1.0, 1.0)},
+        {"N": not_a_count(1, 2**53), "eta": outside(-1.0, 1.0)},
     ),
     "binom_margin_tail": (
         binom_margin_tail,
         dict(N=16, lam=0.3, eta=0.25),
-        {"N": ANY_FLOAT, "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
+        {"N": not_a_count(1, 2**53), "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
     ),
     "binom_margin_tail_batch": (
         lambda N, lam, eta: binom_margin_tail_batch(N, [0.1, lam], eta),
         dict(N=16, lam=0.3, eta=0.25),
-        {"N": ANY_FLOAT, "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
+        {"N": not_a_count(1, 2**53), "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
     ),
     "PhiRhoParams": (
         PhiRhoParams,
         dict(theta_i=0.25, N=64),
-        {"theta_i": outside(0.0, C_THETA, lo_in=False), "N": ANY_FLOAT},
+        {"theta_i": outside(0.0, C_THETA, lo_in=False), "N": not_a_count(1, 2**53)},
     ),
     "phi": (phi, dict(lam=0.1, params=PARAMS), {"lam": outside(-C_THETA, C_THETA)}),
     "rho": (rho, dict(lam=0.1, params=PARAMS), {"lam": outside(-C_THETA, C_THETA)}),
@@ -167,7 +201,7 @@ CASES = {
     "massart_bound": (
         massart_bound,
         dict(H_size=16, n=200),
-        {"H_size": below(1.0), "n": below(1.0)},
+        {"H_size": not_a_count(1), "n": not_a_count(1)},
     ),
     "lip_const_bound": (
         lip_const_bound,
@@ -177,16 +211,16 @@ CASES = {
     "binomial_ci": (
         binomial_ci,
         dict(trials=100, p=0.1, level=0.95),
-        {"trials": ANY_FLOAT, "p": outside(0.0, 1.0), "level": outside(0.0, 1.0)},
+        {"trials": not_a_count(0), "p": outside(0.0, 1.0), "level": outside(0.0, 1.0)},
     ),
     "LabeledSample": (
-        lambda position: LabeledSample(DOMAIN, [position], [1]),
-        dict(position=1),
-        {"position": BAD_POSITION},
+        lambda domain_size, position: LabeledSample(domain_size, [position], [1]),
+        dict(domain_size=DOMAIN_SIZE, position=1),
+        {"domain_size": not_a_count(1), "position": BAD_POSITION},
     ),
     "DataDistribution": (
         lambda a, b, position: DataDistribution(
-            LabeledSample(DOMAIN, [position, position], [1, -1]), [a, b]
+            LabeledSample(DOMAIN_SIZE, [position, position], [1, -1]), [a, b]
         ),
         dict(a=0.25, b=0.75, position=1),
         {"a": outside(0.0, 1.0), "b": outside(0.0, 1.0), "position": BAD_POSITION},
@@ -200,14 +234,61 @@ CASES = {
         VotingClassifier.point_mass,
         dict(index=1, size=3),
         {
-            "index": ANY_FLOAT | st.integers(max_value=-1) | st.integers(min_value=3),
-            "size": ANY_FLOAT | st.integers(max_value=1),
+            "index": not_a_count(0, 2),
+            "size": ANY_FLOAT | st.booleans() | st.integers(max_value=1),
         },
+    ),
+    "DataDistribution.sample": (
+        lambda n: TASK.sample(n, np.random.default_rng(0)),
+        dict(n=5),
+        {"n": not_a_count(1)},
+    ),
+    "build_stump_class": (build_stump_class, dict(d=1, k=2), {"d": not_a_count(1), "k": not_a_count(1)}),
+    "generate_synthetic": (
+        lambda n, noise: generate_synthetic(STUMPS, n, noise, 0),
+        dict(n=5, noise=0.1),
+        {"n": not_a_count(1), "noise": outside(0.0, 0.5, hi_in=False)},
+    ),
+    "adaboost": (
+        lambda T: adaboost(TASK_SAMPLE, STUMPS, T),
+        dict(T=2),
+        {"T": not_a_count(1)},
+    ),
+    "margin_histogram": (
+        lambda bin_count: margin_histogram(
+            VotingClassifier.point_mass(0, len(STUMPS)), STUMPS, TASK_SAMPLE, bin_count
+        ),
+        dict(bin_count=4),
+        {"bin_count": not_a_count(2)},
+    ),
+    "empirical_rademacher": (
+        lambda trials: empirical_rademacher(STUMPS, TASK_SAMPLE, trials, 0),
+        dict(trials=10),
+        {"trials": not_a_count(1)},
+    ),
+    "convexity_collapse_check": (
+        lambda trials: convexity_collapse_check(STUMPS, TASK_SAMPLE, trials, 0),
+        dict(trials=10),
+        {"trials": not_a_count(1)},
+    ),
+    "lipschitz_slope_check": (
+        lambda num_points: lipschitz_slope_check(SLOPE_READY, "middle", num_points),
+        dict(num_points=10),
+        {"num_points": not_a_count(1)},
+    ),
+    "random_hypothesis_class": (
+        lambda X_size, H_size: random_hypothesis_class(np.random.default_rng(0), X_size, H_size),
+        dict(X_size=3, H_size=4),
+        {"X_size": not_a_count(2), "H_size": not_a_count(1)},
+    ),
+    "random_distribution": (
+        lambda domain_size: random_distribution(np.random.default_rng(0), domain_size),
+        dict(domain_size=3),
+        {"domain_size": not_a_count(1)},
     ),
 }
 
 
-TWO_CONSTANTS = HypothesisClass(DOMAIN, [[1, 1], [-1, -1]])
 N_CALLS = {
     "k_star": lambda N: k_star(N, 0.1),
     "binom_margin_tail": lambda N: binom_margin_tail(N, 0.1, 0.1),

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from votemargin import rademacher
-from votemargin.core import (
-    DiscreteDomain,
-    HypothesisClass,
-    LabeledSample,
-    PreconditionError,
-)
+from votemargin.core import HypothesisClass, LabeledSample, PreconditionError
 from votemargin.harness.checks import random_hypothesis_class
 from votemargin.rademacher import (
     EXHAUSTIVE_LIMIT,
@@ -28,33 +23,28 @@ from labeled import sample
 
 
 def opposite_constants(n_points: int):
-    domain = DiscreteDomain(tuple(f"x{i}" for i in range(n_points)))
     matrix = np.vstack(
         [np.ones(n_points, dtype=np.int8), -np.ones(n_points, dtype=np.int8)]
     )
-    H = HypothesisClass(domain, matrix)
-    S = LabeledSample(domain, np.arange(n_points), np.ones(n_points))
+    H = HypothesisClass(matrix)
+    S = LabeledSample(n_points, np.arange(n_points), np.ones(n_points))
     return H, S
 
 
 def all_patterns_on_two_points():
-    domain = DiscreteDomain(("a", "b"))
-    H = HypothesisClass(
-        domain, np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8)
-    )
-    S = sample(domain, [("a", 1), ("b", -1)])
+    H = HypothesisClass(np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int8))
+    S = sample(2, [(0, 1), (1, -1)])
     return H, S
 
 
 def random_class(seed: int, n_hyps: int, n_points: int):
     rng = stream(seed, 0)
-    domain = DiscreteDomain(tuple(f"x{i}" for i in range(n_points)))
     while True:
         matrix = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_hyps, n_points))
         if np.count_nonzero(np.abs(matrix.sum(axis=1)) == n_points) <= 1:
             break
-    H = HypothesisClass(domain, matrix)
-    S = LabeledSample(domain, np.arange(n_points), np.ones(n_points))
+    H = HypothesisClass(matrix)
+    S = LabeledSample(n_points, np.arange(n_points), np.ones(n_points))
     return H, S
 
 
@@ -82,7 +72,7 @@ def massart_draws(seed: int, count: int):
         n = int(rng.integers(1, 15))
         H_size = int(rng.integers(2, 33))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(H.domain, rng.integers(0, len(H.domain), size=n), np.ones(n))
+        S = LabeledSample(H.domain_size, rng.integers(0, H.domain_size, size=n), np.ones(n))
         yield H, S
 
 
@@ -98,9 +88,8 @@ class TestRademacherEstimate:
 
 class TestExhaustive:
     def test_single_hypothesis_has_zero_complexity(self):
-        domain = DiscreteDomain(("a", "b", "c"))
-        H = HypothesisClass(domain, np.array([[1, -1, 1]], dtype=np.int8))
-        S = sample(domain, [("a", 1), ("b", 1), ("c", 1)])
+        H = HypothesisClass(np.array([[1, -1, 1]], dtype=np.int8))
+        S = sample(3, [(0, 1), (1, 1), (2, 1)])
         est = exhaustive_rademacher(H, S)
         assert est.value == 0.0
         assert est.mode == "exhaustive" and est.std_error == 0.0
@@ -124,21 +113,19 @@ class TestExhaustive:
             assert est.trials == 2 ** len(S)
 
     def test_single_point(self):
-        domain = DiscreteDomain(("a", "b"))
-        H = HypothesisClass(domain, np.array([[1, -1], [-1, 1], [1, 1]]))
-        for point, value in (("a", 1.0), ("b", 1.0)):
-            S = sample(domain, [(point, 1)])
+        H = HypothesisClass(np.array([[1, -1], [-1, 1], [1, 1]]))
+        for point, value in ((0, 1.0), (1, 1.0)):
+            S = sample(2, [(point, 1)])
             est = exhaustive_rademacher(H, S)
             assert est.value == matmul_reference(H, S) == value
             assert est.trials == 2
-        single = HypothesisClass(domain, np.array([[1, -1]]))
-        assert exhaustive_rademacher(single, sample(domain, [("a", -1)])).value == 0.0
+        single = HypothesisClass(np.array([[1, -1]]))
+        assert exhaustive_rademacher(single, sample(2, [(0, -1)])).value == 0.0
 
     def test_rejects_a_sample_over_another_domain(self):
         H, _ = all_patterns_on_two_points()
-        other = DiscreteDomain(("a", "c"))
         with pytest.raises(ValueError, match="domain"):
-            exhaustive_rademacher(H, sample(other, [("a", 1), ("c", 1)]))
+            exhaustive_rademacher(H, sample(3, [(0, 1), (1, 1)]))
 
     @pytest.mark.parametrize(
         "n, n_hyps", [(17, 32), (18, 5), (20, 32)], ids=["n17", "n18", "n20"]
