@@ -36,6 +36,17 @@ def small_class():
     )
 
 
+class TestHypothesis:
+    """A single hypothesis is a one-row class matrix."""
+
+    @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan")])
+    def test_values_are_checked_before_the_int8_cast(self, bad):
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            HypothesisClass(np.array([[bad, 1]]))
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            HypothesisClass([[bad, 1]])
+
+
 class TestHypothesisClass:
     @pytest.mark.parametrize("bad", [255, -128, 1.7, float("nan"), 1j])
     def test_values_are_checked_before_the_int8_cast(self, bad):
@@ -251,6 +262,13 @@ class TestLabelCheck:
     def test_data_distribution_rejects(self, bad):
         with pytest.raises(ValueError, match="label"):
             distribution(4, {(0, 1): 0.5, (1, bad): 0.5})
+
+    @pytest.mark.parametrize("bad", NON_SIGN_LABELS)
+    def test_margin_rejects(self, bad):
+        # a point's margin is margins_on_sample on a one-point sample
+        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="label"):
+            margins_on_sample(f, small_class(), LabeledSample(4, [0], [bad]))
 
     def test_sequences_of_signs_are_not_labels(self):
         with pytest.raises(ValueError, match="label"):
