@@ -21,6 +21,7 @@ from .core import (
     LabeledSample,
     VotingClassifier,
     _check_count,
+    _check_real,
     margins_on_sample,
 )
 
@@ -68,9 +69,7 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     Returns (distribution, i.i.d. sample of size n); deterministic given the
     seed.
     """
-    noise = float(noise)
-    if not 0.0 <= noise < 0.5:
-        raise ValueError(f"noise must lie in [0, 0.5), got {noise}")
+    noise = _check_real(noise, "noise", 0, 0.5, hi_open=True)
     n = _check_count(n, "n")
     num_stumps = len(H) - 2
     if num_stumps < 1 or (H.plus_index, H.minus_index) != (num_stumps, num_stumps + 1):

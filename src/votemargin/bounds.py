@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import C_THETA, PreconditionError, _check_count
+from .core import PreconditionError, _check_count, _check_real
+from .discretize import _slope_threshold
 
 __all__ = [
     "BoundInputs",
@@ -43,19 +44,6 @@ __all__ = [
 BOUND_NAMES = ("sfbl98", "breiman", "gz13", "theorem1", "gkl20-lower")
 
 
-def _check_sizes(n, H_size) -> None:
-    """Reject an n or |H| that is not an integer in range or that no float holds."""
-    _check_count(n, "n")
-    _check_count(H_size, "H_size", 2)
-    for name, value in (("n", n), ("H_size", H_size)):
-        try:
-            float(value)  # the formulas divide by, or into, n and |H|
-        except OverflowError:
-            raise ValueError(
-                f"{name} has {len(str(value))} digits, too many for a float"
-            ) from None
-
-
 def admissible_theta_floor(n, H_size) -> float:
     """Smallest admissible margin for the sharp bound: √(e·ln|H|/n)."""
     return math.sqrt(math.e * math.log(H_size) / n)
@@ -77,15 +65,12 @@ class BoundInputs:
     c: float = 1.0
 
     def __post_init__(self):
-        _check_sizes(self.n, self.H_size)
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must lie in [0, 1], got {self.loss}")
-        if not (math.isfinite(self.c) and self.c >= 0.0):
-            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
+        _check_count(self.n, "n")
+        _check_count(self.H_size, "H_size", 2)
+        _check_real(self.theta, "theta", 0, 1, lo_open=True)
+        _check_real(self.delta, "delta", 0, 1, lo_open=True, hi_open=True)
+        _check_real(self.loss, "loss", 0, 1)
+        _check_real(self.c, "c", 0, math.inf, hi_open=True)
         if self.theta**2 * self.n == 0.0 or not math.isfinite(self.complexity_rate):
             raise ValueError(
                 f"theta = {self.theta} is too small: ln|H|/(theta^2*n) is not finite"
@@ -125,7 +110,7 @@ class BoundReport:
 
     value = loss_offset + sqrt_term + log_term + delta_term; deviation is
     the value with the loss offset removed, i.e. the bound on the
-    generalization gap itself.  Every term must be finite.
+    generalization gap itself.  A term that is not finite is refused.
     """
 
     name: str
@@ -238,9 +223,7 @@ def gkl20_lower_report(inputs: BoundInputs, tau: float) -> BoundReport:
     value is still computed and the violated conditions are reported as
     warnings on the report.
     """
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    tau = _check_real(tau, "tau", 0, 1, lo_open=True)
     warnings = []
     if tau <= 1.0 / inputs.H_size:
         warnings.append(
@@ -324,19 +307,12 @@ class PartitionScheme:
         return admissible_theta_floor(self.n, self.H_size)
 
     def locate_theta(self, theta: float) -> PartitionCell:
-        for cell in self.theta_cells:
-            if cell.contains(theta):
-                return cell
-        raise ValueError(
-            f"theta = {theta} is outside the covered margin range "
-            f"({self.theta_cells[0].lo:.6g}, 1]"
-        )
+        theta = _check_real(theta, "theta", self.theta_cells[0].lo, 1, lo_open=True)
+        return next(cell for cell in self.theta_cells if cell.contains(theta))
 
     def locate_loss(self, loss: float) -> PartitionCell:
-        for cell in self.loss_cells:
-            if cell.contains(loss):
-                return cell
-        raise ValueError(f"loss = {loss} is outside the covered range [0, 1]")
+        loss = _check_real(loss, "loss", 0, 1)
+        return next(cell for cell in self.loss_cells if cell.contains(loss))
 
 
 def build_partition(n: int, H_size: int) -> PartitionScheme:
@@ -348,7 +324,8 @@ def build_partition(n: int, H_size: int) -> PartitionScheme:
     the last cell clipped at 1.  Loss cells are L_0 = [0, 1/n] and
     L_j = (2^{j−1}/n, 2^j/n], clipped at 1.
     """
-    _check_sizes(n, H_size)
+    _check_count(n, "n")
+    _check_count(H_size, "H_size", 2)
     log_H = math.log(H_size)
     if n < math.e * log_H:
         raise ValueError(
@@ -404,11 +381,6 @@ class DeltaAllocation:
     def cell_sum(self) -> float:
         return math.fsum(self.cell_deltas.values())
 
-    @property
-    def within_budget(self) -> bool:
-        half = self.delta / 2.0
-        return self.pair_sum <= half and self.cell_sum <= half
-
 
 def delta_allocation(delta: float, scheme: PartitionScheme) -> DeltaAllocation:
     """Split δ across the cells of a partition, at its own n and |H|.
@@ -417,8 +389,7 @@ def delta_allocation(delta: float, scheme: PartitionScheme) -> DeltaAllocation:
     Margin-cell budgets: δ_i = (δ/e)³·exp(−ln(e·θ_{i+1}²·n)·ln|H|/θ_{i+1}²).
     Dyadic endpoints are used throughout.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    delta = _check_real(delta, "delta", 0, 1, lo_open=True, hi_open=True)
     n = scheme.n
     log_H = math.log(scheme.H_size)
     base = (delta / math.e) ** 3
@@ -443,14 +414,11 @@ def choose_N_main(theta_next: float, loss_next: float, c: float = 32.0) -> int:
     floor 32·θ_{i+1}⁻².  Both arguments are dyadic upper endpoints and may
     exceed 1 (never 2).
     """
-    if not 0.0 < theta_next <= 2.0:
-        raise ValueError(f"theta_next must lie in (0, 2], got {theta_next}")
-    if not 0.0 < loss_next <= 2.0:
-        raise ValueError(f"loss_next must lie in (0, 2], got {loss_next}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be finite and positive, got {c}")
+    theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
+    loss_next = _check_real(loss_next, "loss_next", 0, 2, lo_open=True)
+    c = _check_real(c, "c", 0, math.inf, lo_open=True, hi_open=True)
     raw = c * theta_next**-2 * math.log(math.e / loss_next)
-    floor = 32.0 * theta_next**-2
+    floor = _slope_threshold(theta_next / 2.0)  # θ_{i+1} = 2θ_i
     return max(math.ceil(raw), math.ceil(floor))
 
 
@@ -460,9 +428,9 @@ def choose_N_within_const(theta_next: float, n: int, H_size: int) -> int:
     N = ceil(2¹¹·θ_{i+1}⁻²·ln(θ_{i+1}²·n/ln|H|)), clamped up to the
     precondition floor 64·θ_{i+1}⁻².  Requires θ_{i+1}²·n > ln|H|.
     """
-    if not 0.0 < theta_next <= 2.0:
-        raise ValueError(f"theta_next must lie in (0, 2], got {theta_next}")
-    _check_sizes(n, H_size)
+    theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
+    _check_count(n, "n")
+    _check_count(H_size, "H_size", 2)
     arg = theta_next**2 * n / math.log(H_size)
     if not math.isfinite(arg):
         raise ValueError("theta_next^2*n/ln|H| is too large for a float")

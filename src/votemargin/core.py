@@ -27,10 +27,11 @@ __all__ = [
     "margins_on_support",
     "empirical_margin_loss",
     "true_margin_loss",
-    "scale_reduction",
 ]
 
-#: Global margin-rescaling factor; fixed, not configurable.
+#: Half-width c_θ of the margin range on which φ and ρ are defined.  The
+#: analysis rescales a voter toward the two constant hypotheses, which scales
+#: every margin by c_θ, so the margins it feeds to φ and ρ lie in [−c_θ, c_θ].
 C_THETA = 1.0 / math.sqrt(2.0)
 
 #: Tolerance for "sums to one" checks on weights and probabilities.
@@ -64,7 +65,8 @@ def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
     """``value`` as an int, after checking it is an integer in [lo, hi].
 
     A float, even an integral one, NaN, ±inf and a bool are refused, so a
-    count is never silently truncated or read from a truth value.
+    count is never silently truncated or read from a truth value; so is an
+    integer no float can hold, since the formulas read counts as floats.
     """
     if (
         isinstance(value, bool)
@@ -79,14 +81,67 @@ def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
         else:
             rule = f"an integer >= {lo}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} has {len(str(value))} digits, too many for a float") from None
     return int(value)
 
 
-def _check_threshold(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"margin threshold must lie in [0, 1], got {theta}")
-    return theta
+#: Python and numpy scalar types a real argument may have (bool aside).
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _check_real(value, name: str, lo, hi, lo_open: bool = False, hi_open: bool = False) -> float:
+    """``value`` as a float, after checking it is a finite real number in range.
+
+    A Python or numpy int or float passes if it lies in the interval from lo
+    to hi, which holds each end unless ``lo_open`` or ``hi_open`` says not.
+    A bool, str, complex or array is refused, and so are NaN and ±inf.  The
+    message prints lo and hi exactly as the caller passes them.
+    """
+    real = isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int no float holds
+        x = math.nan
+    if not (
+        math.isfinite(x)
+        and (lo < x if lo_open else lo <= x)
+        and (x < hi if hi_open else x <= hi)
+    ):
+        shown = value if real else repr(value)
+        raise ValueError(
+            f"{name} must lie in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}, "
+            f"got {shown}"
+        )
+    return x
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as an array, after checking its dtype holds real numbers.
+
+    Integer and float arrays pass; bool, str, object and complex arrays are
+    refused rather than converted.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got an array of dtype {array.dtype}")
+    return array
+
+
+def _check_reals(values, name: str, lo, hi) -> np.ndarray:
+    """``values`` as a float64 array, after checking every entry lies in [lo, hi].
+
+    The rule is ``_check_real``'s for a closed interval: NaN and ±inf fail
+    it.  The range test reads the array's minimum and maximum, with no
+    temporary array.
+    """
+    array = _real_array(values, name)
+    if array.size and not (lo <= array.min() and array.max() <= hi):
+        bad = array[~((lo <= array) & (array <= hi))].flat[0]
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {bad}")
+    return array.astype(np.float64, copy=False)
 
 
 def _force_unit_sum(w: np.ndarray) -> None:
@@ -103,16 +158,38 @@ def _force_unit_sum(w: np.ndarray) -> None:
         w[int(np.argmax(w))] += residual
 
 
+def _unit_sum(values: np.ndarray, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, renormalized to sum exactly to 1.
+
+    The entries must be real, finite and nonnegative and sum to 1 within
+    ``WEIGHT_TOL``.  Division by the total and ``_force_unit_sum`` then make
+    the float sum exactly 1.0.
+    """
+    w = _real_array(values, name).astype(np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{name} must be finite")
+    if (w < 0).any():
+        raise ValueError(f"{name} must be nonnegative")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"{name} must sum to 1 within {WEIGHT_TOL:g}; got sum {total!r}")
+    w /= total
+    _force_unit_sum(w)
+    w.setflags(write=False)
+    return w
+
+
 class HypothesisClass:
     """An ordered finite class of ±1 hypotheses: row h, column x holds h(x).
 
-    The domain is the column range {0, …, |X|−1}.  ``includes_constants`` is
-    true when the all-(+1) and all-(−1) hypotheses each occur exactly once.
-    Duplicate constant hypotheses are rejected; duplicates among non-constant
-    hypotheses are permitted (|H| counts them).
+    The domain is the column range {0, …, |X|−1}.  ``plus_index`` and
+    ``minus_index`` are the rows of the all-(+1) and all-(−1) hypotheses, or
+    None when the class lacks one.  Duplicate constant hypotheses are
+    rejected; duplicates among non-constant hypotheses are permitted (|H|
+    counts them).
     """
 
-    __slots__ = ("matrix", "domain_size", "includes_constants", "plus_index", "minus_index")
+    __slots__ = ("matrix", "domain_size", "plus_index", "minus_index")
 
     def __init__(self, matrix):
         raw = np.asarray(matrix)
@@ -129,7 +206,6 @@ class HypothesisClass:
         matrix.setflags(write=False)
         self.matrix = matrix
         self.domain_size = int(matrix.shape[1])
-        self.includes_constants = len(plus_rows) == 1 and len(minus_rows) == 1
         self.plus_index = int(plus_rows[0]) if len(plus_rows) == 1 else None
         self.minus_index = int(minus_rows[0]) if len(minus_rows) == 1 else None
 
@@ -153,22 +229,10 @@ class VotingClassifier:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64).copy()
+        w = np.asarray(weights)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d array")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(
-                f"weights must sum to 1 within {WEIGHT_TOL:g}; got sum {total!r}"
-            )
-        w /= total
-        _force_unit_sum(w)
-        w.setflags(write=False)
-        self.weights = w
+        self.weights = _unit_sum(w, "weights")
 
     @classmethod
     def point_mass(cls, index: int, size: int) -> "VotingClassifier":
@@ -248,30 +312,11 @@ class DataDistribution:
     def __init__(self, atoms: LabeledSample, probabilities):
         if np.unique(_keys(atoms)).size != len(atoms):
             raise ValueError("distribution atoms must be distinct")
-        probs = np.array(probabilities, dtype=np.float64)
+        probs = np.asarray(probabilities)
         if probs.shape != (len(atoms),):
             raise ValueError(f"probabilities have shape {probs.shape}, not ({len(atoms)},)")
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite")
-        if (probs < 0).any():
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(
-                f"probabilities must sum to 1 within {WEIGHT_TOL:g}; got sum {total!r}"
-            )
-        probs /= total
-        _force_unit_sum(probs)
-        probs.setflags(write=False)
         self.atoms = atoms
-        self.probabilities = probs
-
-    @classmethod
-    def empirical(cls, sample: LabeledSample) -> "DataDistribution":
-        """The empirical distribution of a sample (atom mass = frequency), sorted."""
-        keys, counts = np.unique(_keys(sample), return_counts=True)
-        atoms = LabeledSample(sample.domain_size, keys // 2, np.where(keys % 2, 1, -1))
-        return cls(atoms, counts / len(sample))
+        self.probabilities = _unit_sum(probs, "probabilities")
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -305,38 +350,14 @@ def empirical_margin_loss(f: VotingClassifier, H: HypothesisClass, S: LabeledSam
 
     θ = 0 gives the empirical 0-1 loss.
     """
-    theta = _check_threshold(theta)
+    theta = _check_real(theta, "margin threshold", 0, 1)
     m = margins_on_sample(f, H, S)
     return float(np.count_nonzero(m <= theta)) / m.size
 
 
 def true_margin_loss(f: VotingClassifier, H: HypothesisClass, D: DataDistribution, theta: float) -> float:
     """Pr over D of margin ≤ θ, computed exactly over the atoms of D."""
-    theta = _check_threshold(theta)
+    theta = _check_real(theta, "margin threshold", 0, 1)
     m, p = margins_on_support(f, H, D)
     return float(p[m <= theta].sum())
 
-
-def scale_reduction(f: VotingClassifier, H: HypothesisClass):
-    """Rescale f toward the constants: f̄ = c_θ·f + ((1−c_θ)/2)·(h₊ + h₋).
-
-    Every margin scales by exactly c_θ (the constants cancel in y·f̄(x)), so
-    sign decisions are preserved while margins land in [−c_θ, c_θ].  Returns
-    (f̄, H̄) where H̄ extends H with the two constant hypotheses unless they
-    are already present.
-    """
-    if len(f) != len(H):
-        raise ValueError(
-            f"classifier has {len(f)} weights but class has {len(H)} hypotheses"
-        )
-    half_rest = (1.0 - C_THETA) / 2.0
-    if H.includes_constants:
-        w = C_THETA * f.weights
-        w = w.copy()
-        w[H.plus_index] += half_rest
-        w[H.minus_index] += half_rest
-        return VotingClassifier(w), H
-    constant = np.ones(H.domain_size, dtype=np.int8)
-    H_bar = HypothesisClass(np.vstack([H.matrix, constant, -constant]))
-    w = np.concatenate([C_THETA * f.weights, [half_rest, half_rest]])
-    return VotingClassifier(w), H_bar

@@ -38,6 +38,8 @@ from .core import (
     PreconditionError,
     VotingClassifier,
     _check_count,
+    _check_real,
+    _check_reals,
     _margins_at,
     margins_on_sample,
     margins_on_support,
@@ -57,16 +59,23 @@ __all__ = [
 ]
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not -1.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-    return value
-
-
 def _check_N(N) -> int:
     # bdtrc takes N as a double, and past 2**53 a double skips integers
     return _check_count(N, "N", 1, 2**53)
+
+
+def _slope_threshold(theta_i: float) -> float:
+    """Smallest N at which the slope and half-margin statements hold: 32·(2θ_i)⁻²."""
+    return 32.0 * (2.0 * theta_i) ** -2
+
+
+def _require_slope_ready(N: int, theta_i: float) -> None:
+    """Raise PreconditionError unless N ≥ 32·(2θ_i)⁻²."""
+    threshold = _slope_threshold(theta_i)
+    if N < threshold:
+        raise PreconditionError(
+            f"N = {N} violates the precondition N >= 32*(2*theta_i)^-2 = {threshold:.6g}"
+        )
 
 
 def k_star(N: int, eta: float) -> int:
@@ -75,7 +84,7 @@ def k_star(N: int, eta: float) -> int:
     k* = floor((η/2 + 1/2)·N) + 1, evaluated in exact rational arithmetic.
     """
     N = _check_N(N)
-    eta = _check_unit_interval("eta", eta)
+    eta = _check_real(eta, "eta", -1, 1)
     return int((Fraction(eta) + 1) * N // 2) + 1
 
 
@@ -88,9 +97,6 @@ _GUARD_BITS = 64
 #: below the leading term.
 _STOP_BITS = 32
 
-#: Scalar tail calls the front could not round, answered by the exact loop.
-_exact_fallbacks = 0
-
 
 def _tail_problem(N, lam, eta):
     """The validated scalar tail as (N, k*, pn, qn, sh), or 0.0/1.0 when trivial.
@@ -100,7 +106,7 @@ def _tail_problem(N, lam, eta):
     integer C(N,k)·pn^k·qn^(N−k) over 2^(N·sh) and p + q = 1 holds exactly.
     """
     N = _check_N(N)
-    lam = _check_unit_interval("lambda", lam)
+    lam = _check_real(lam, "lambda", -1, 1)
     ks = k_star(N, eta)
     if ks > N:
         return 0.0
@@ -234,9 +240,8 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
     working precision 64, then 128, then 256 bits.  Only when all three
     brackets straddle a rounding boundary (in practice, a tail that is
     exactly the midpoint between two doubles) does the exact integer loop
-    answer; ``_exact_fallbacks`` counts those calls.
+    answer.
     """
-    global _exact_fallbacks
     problem = _tail_problem(N, lam, eta)
     if isinstance(problem, float):
         return problem
@@ -244,7 +249,6 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
         value = _front_tail(*problem, precision)
         if value is not None:
             return value
-    _exact_fallbacks += 1
     return _exact_tail(*problem)
 
 
@@ -257,9 +261,7 @@ def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
     median at N = 12800, which is ample for grid and Monte Carlo work.
     """
     N = _check_N(N)
-    lams = np.asarray(lams, dtype=np.float64)
-    if not (np.abs(lams) <= 1.0).all():
-        raise ValueError("lambda values must be finite and lie in [-1, 1]")
+    lams = _check_reals(lams, "lambda", -1, 1)
     ks = k_star(N, eta)
     if ks > N:
         return np.zeros(lams.shape)
@@ -307,11 +309,6 @@ class DiscretizedClassifier:
     def margins_on_support(self, D: DataDistribution):
         return self.margins_on_sample(D.atoms), D.probabilities
 
-    def as_voting(self) -> VotingClassifier:
-        """The element of C(H) with weights = draw counts / N."""
-        counts = np.bincount(self.indices, minlength=len(self.hypothesis_class))
-        return VotingClassifier(counts / self.N)
-
 
 def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) -> DiscretizedClassifier:
     """Draw g ~ Q_f: N i.i.d. hypothesis indices with probabilities a_h.
@@ -341,12 +338,12 @@ def margin_law_monotone_check(N: int, eta: float, lambda_grid):
     Returns (ok, first_violation_index); the index points at the first grid
     entry whose tail drops below its predecessor by more than 1e-14.
     """
-    grid = np.asarray(lambda_grid, dtype=np.float64)
+    grid = np.asarray(lambda_grid)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("lambda grid must be a non-empty 1-d array")
+    tails = binom_margin_tail_batch(N, grid, eta)  # checks the grid
     if (np.diff(grid) < 0).any():
         raise ValueError("lambda grid must be sorted ascending")
-    tails = binom_margin_tail_batch(N, grid, eta)
     violation = first_decrease(tails)
     return violation is None, violation
 
@@ -367,10 +364,8 @@ def decomposition_residual(
     correction terms.  The identity is algebraic, so the residual is float
     noise (≤ 1e−12) for any f, g, D, S and any θ, θ_i in (0, 1].
     """
-    for name, value in (("theta", theta), ("theta_i", theta_i)):
-        value = float(value)
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    theta = _check_real(theta, "theta", 0, 1, lo_open=True)
+    theta_i = _check_real(theta_i, "theta_i", 0, 1, lo_open=True)
     if g.hypothesis_class.domain_size != H.domain_size:
         raise ValueError("discretized classifier domain mismatch")
     half = theta_i / 2.0
@@ -411,16 +406,9 @@ def expected_half_margin_loss_bound_check(
     one minus the binomial margin tail at η = θ_i/2.  Requires
     N ≥ 32·(2θ_i)^{−2}.  Returns (lhs, rhs, holds).
     """
-    theta_i = float(theta_i)
-    if not 0.0 < theta_i <= 1.0:
-        raise ValueError(f"theta_i must lie in (0, 1], got {theta_i}")
+    theta_i = _check_real(theta_i, "theta_i", 0, 1, lo_open=True)
     N = _check_N(N)
-    threshold = 32.0 * (2.0 * theta_i) ** -2
-    if N < threshold:
-        raise PreconditionError(
-            f"N = {N} violates the half-margin precondition "
-            f"N >= 32*(2*theta_i)^-2 = {threshold:.6g}"
-        )
+    _require_slope_ready(N, theta_i)
     margins, probs = margins_on_support(f, H, D)
     tails = binom_margin_tail_batch(N, margins, theta_i / 2.0)
     lhs = float(probs @ (1.0 - tails))

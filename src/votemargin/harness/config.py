@@ -11,6 +11,8 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core import _check_count, _check_real
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
@@ -28,17 +30,13 @@ class ConfigError(ValueError):
     """A config file failed to parse or validate."""
 
 
-def _int_field(name, lo=None, hi=None):
+def _int_field(name, lo, hi=None):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {text!r}") from None
-        if lo is not None and value < lo:
-            raise ConfigError(f"{name} must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{name} must be <= {hi}, got {value}")
-        return value
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        return _check_count(value, name, lo, hi)
 
     return parse
 
@@ -48,27 +46,19 @@ def _float_field(name, lo, hi, lo_open=False, hi_open=False):
         try:
             value = float(text)
         except ValueError:
-            raise ConfigError(f"{name} must be a number, got {text!r}") from None
-        lo_ok = value > lo if lo_open else value >= lo
-        hi_ok = value < hi if hi_open else value <= hi
-        if not (lo_ok and hi_ok):
-            lo_b = "(" if lo_open else "["
-            hi_b = ")" if hi_open else "]"
-            raise ConfigError(
-                f"{name} must lie in {lo_b}{lo}, {hi}{hi_b}, got {value}"
-            )
-        return value
+            raise ValueError(f"{name} must be a number, got {text!r}") from None
+        return _check_real(value, name, lo, hi, lo_open, hi_open)
 
     return parse
 
 
-def _int_list_field(name, lo=None):
-    item = _int_field(name, lo=lo)
+def _int_list_field(name, lo):
+    item = _int_field(name, lo)
 
     def parse(text: str) -> tuple:
         values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
         if not values:
-            raise ConfigError(f"{name} must list at least one integer")
+            raise ValueError(f"{name} must list at least one integer")
         return values
 
     return parse
@@ -80,7 +70,7 @@ def _float_list_field(name, lo, hi, lo_open=False, hi_open=False):
     def parse(text: str) -> tuple:
         values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
         if not values:
-            raise ConfigError(f"{name} must list at least one number")
+            raise ValueError(f"{name} must list at least one number")
         return values
 
     return parse
@@ -89,7 +79,7 @@ def _float_list_field(name, lo, hi, lo_open=False, hi_open=False):
 def _str_field(name):
     def parse(text: str) -> str:
         if not text:
-            raise ConfigError(f"{name} must be non-empty")
+            raise ValueError(f"{name} must be non-empty")
         return text
 
     return parse
@@ -98,7 +88,7 @@ def _str_field(name):
 # Concentration experiments run on deliberately small instances; the limits
 # below are refusals, not suggestions.
 _CONCENTRATION_SCHEMA = {
-    "seed": (_int_field("seed"), True, None),
+    "seed": (_int_field("seed", lo=0), True, None),
     "n": (_int_field("n", lo=1, hi=500), False, 200),
     "h_size": (_int_field("h_size", lo=2, hi=16), False, 8),
     "x_size": (_int_field("x_size", lo=2, hi=64), False, 32),
@@ -113,7 +103,7 @@ _SCHEMAS = {
     "half-margin": dict(_CONCENTRATION_SCHEMA),
     "within-const": dict(_CONCENTRATION_SCHEMA),
     "gap-vs-bounds": {
-        "seed": (_int_field("seed"), True, None),
+        "seed": (_int_field("seed", lo=0), True, None),
         "d": (_int_field("d", lo=1), False, 2),
         "k": (_int_field("k", lo=1), False, 7),
         "noise": (_float_field("noise", 0.0, 0.5, hi_open=True), False, 0.0),
@@ -139,7 +129,7 @@ _SCHEMAS = {
         "out": (_str_field("out"), False, None),
     },
     "adaboost": {
-        "seed": (_int_field("seed"), True, None),
+        "seed": (_int_field("seed", lo=0), True, None),
         "d": (_int_field("d", lo=1), False, 2),
         "k": (_int_field("k", lo=1), False, 7),
         "noise": (_float_field("noise", 0.0, 0.5, hi_open=True), False, 0.1),
@@ -149,7 +139,7 @@ _SCHEMAS = {
         "out": (_str_field("out"), False, None),
     },
     "validate": {
-        "seed": (_int_field("seed"), False, DEFAULT_SEED),
+        "seed": (_int_field("seed", lo=0), False, DEFAULT_SEED),
         "trials": (_int_field("trials", lo=1), False, None),
         "grid_points": (_int_field("grid_points", lo=2), False, None),
         "out": (_str_field("out"), False, None),
@@ -183,7 +173,10 @@ def _build(kind: str, raw: dict) -> ExperimentConfig:
     params = {}
     for key, (parse, required, default) in schema.items():
         if key in raw:
-            params[key] = parse(raw[key])
+            try:
+                params[key] = parse(raw[key])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         elif required:
             raise ConfigError(f"section [{kind}] requires key '{key}'")
         else:

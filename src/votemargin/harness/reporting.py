@@ -77,15 +77,18 @@ def write_summary(path, lines) -> Path:
 
 @dataclass(frozen=True)
 class LemmaCheckReport:
-    """Outcome of one numerical check suite."""
+    """Outcome of one numerical check suite: it passes iff max_violation <= tolerance."""
 
     lemma: str
     summary: str
     max_violation: float
     tolerance: float
-    passed: bool
     calibrated_constant: float | None = None
     csv_path: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
 
     def lines(self):
         yield f"lemma: {self.lemma}"

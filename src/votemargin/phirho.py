@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import C_THETA, PreconditionError, _check_count
-from .discretize import _check_N, binom_margin_tail, binom_margin_tail_batch
+from .core import C_THETA, _check_count, _check_real, _check_reals
+from .discretize import (
+    _check_N,
+    _require_slope_ready,
+    _slope_threshold,
+    binom_margin_tail,
+    binom_margin_tail_batch,
+)
 
 __all__ = [
     "PhiRhoParams",
@@ -46,10 +52,7 @@ class PhiRhoParams:
     N: int
 
     def __post_init__(self):
-        if not 0.0 < self.theta_i <= C_THETA:
-            raise ValueError(
-                f"theta_i must lie in (0, {C_THETA!r}], got {self.theta_i}"
-            )
+        _check_real(self.theta_i, "theta_i", 0, C_THETA, lo_open=True)
         _check_N(self.N)
 
     @property
@@ -60,14 +63,7 @@ class PhiRhoParams:
     @property
     def lipschitz_threshold(self) -> float:
         """Smallest admissible N for the slope certificates: 32·(2θ_i)⁻²."""
-        return 32.0 * (2.0 * self.theta_i) ** -2
-
-    def require_slope_ready(self):
-        if self.N < self.lipschitz_threshold:
-            raise PreconditionError(
-                f"N = {self.N} violates the slope precondition "
-                f"N >= 32*(2*theta_i)^-2 = {self.lipschitz_threshold:.6g}"
-            )
+        return _slope_threshold(self.theta_i)
 
     def tail(self, lam: float) -> float:
         """Pr[discretized margin > θ_i/2] given source margin λ."""
@@ -77,16 +73,9 @@ class PhiRhoParams:
         return binom_margin_tail_batch(self.N, lams, self.eta)
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not -C_THETA <= lam <= C_THETA:
-        raise ValueError(f"lambda must lie in [-{C_THETA!r}, {C_THETA!r}], got {lam}")
-    return lam
-
-
 def phi(lam: float, params: PhiRhoParams) -> float:
     """Upper comparison function: tail(λ) for λ ≤ 0, linear taper to 0 at θ_i."""
-    lam = _check_lambda(lam)
+    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
     if lam <= 0.0:
         return params.tail(lam)
     if lam <= params.theta_i:
@@ -96,7 +85,7 @@ def phi(lam: float, params: PhiRhoParams) -> float:
 
 def rho(lam: float, params: PhiRhoParams) -> float:
     """Lower comparison function: 0 for λ ≤ 0, linear rise, then 1 − tail(λ)."""
-    lam = _check_lambda(lam)
+    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
     if lam <= 0.0:
         return 0.0
     if lam <= params.theta_i:
@@ -106,12 +95,8 @@ def rho(lam: float, params: PhiRhoParams) -> float:
 
 def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized φ over an array of margins."""
-    lams = np.asarray(lams, dtype=np.float64)
+    lams = _check_reals(lams, "lambda", -C_THETA, C_THETA)
     flat = lams.ravel()
-    if not (np.abs(flat) <= C_THETA).all():
-        raise ValueError(
-            f"lambda values must be finite and lie in [-{C_THETA!r}, {C_THETA!r}]"
-        )
     out = np.zeros(flat.shape, dtype=np.float64)
     left = flat <= 0.0
     if left.any():
@@ -124,12 +109,8 @@ def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
 
 def rho_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized ρ over an array of margins."""
-    lams = np.asarray(lams, dtype=np.float64)
+    lams = _check_reals(lams, "lambda", -C_THETA, C_THETA)
     flat = lams.ravel()
-    if not (np.abs(flat) <= C_THETA).all():
-        raise ValueError(
-            f"lambda values must be finite and lie in [-{C_THETA!r}, {C_THETA!r}]"
-        )
     out = np.zeros(flat.shape, dtype=np.float64)
     mid = (flat > 0.0) & (flat <= params.theta_i)
     if mid.any():
@@ -197,16 +178,11 @@ def diff_replacement_check(
     pointwise for any θ in (θ_i, 2θ_i]; both sides are evaluated through the
     same exact binomial tail, so violations are counted at tolerance 0.
     """
-    theta = float(theta)
-    if not params.theta_i < theta <= 2.0 * params.theta_i:
-        raise ValueError(
-            f"theta must lie in (theta_i, 2*theta_i] = "
-            f"({params.theta_i}, {2.0 * params.theta_i}], got {theta}"
-        )
+    theta = _check_real(theta, "theta", params.theta_i, 2.0 * params.theta_i, lo_open=True)
     if lambda_grid is None:
         lambda_grid = np.linspace(-C_THETA, C_THETA, 10_001)
-    lams = np.asarray(lambda_grid, dtype=np.float64)
-    tails = params.tail_many(lams)
+    lams = np.asarray(lambda_grid)
+    tails = params.tail_many(lams)  # checks the grid
     phis = phi_many(lams, params)
     rhos = rho_many(lams, params)
     below_zero = lams <= 0.0
@@ -266,7 +242,7 @@ def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 1
     """
     step = 1e-4
     num_points = _check_count(num_points, "num_points")
-    params.require_slope_ready()
+    _require_slope_ready(params.N, params.theta_i)
     lo, hi = _region_interval(params, region)
     N, t = params.N, params.theta_i
     if region == "middle":
@@ -289,15 +265,14 @@ def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 1
 
 def lip_const_bound(params: PhiRhoParams, c: float = 32.0) -> float:
     """Single-constant Lipschitz ceiling c·exp(−Nθ'²/c)·(θ'N + 1/θ'), θ' = 2θ_i."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and positive, got {c}")
+    c = _check_real(c, "c", 0, math.inf, lo_open=True, hi_open=True)
     tp = 2.0 * params.theta_i
     return c * math.exp(-params.N * tp**2 / c) * (tp * params.N + 1.0 / tp)
 
 
 def lip_const_check(params: PhiRhoParams, num_points: int = 10_000):
     """Max measured slope over all three regions vs. the c = 32 ceiling."""
-    params.require_slope_ready()
+    _require_slope_ready(params.N, params.theta_i)
     max_slope = max(
         lipschitz_slope_check(params, region, num_points=num_points)[0]
         for region in LIPSCHITZ_REGIONS

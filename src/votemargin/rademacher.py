@@ -134,9 +134,9 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
 
 def massart_bound(H_size: int, n: int) -> float:
     """Finite-class ceiling √(2·ln|H|/n) on the empirical Rademacher value."""
-    _check_count(H_size, "H_size")
-    _check_count(n, "n")
-    return float(np.sqrt(2.0 * np.log(H_size) / n))
+    H_size = _check_count(H_size, "H_size")
+    n = _check_count(n, "n")
+    return float(np.sqrt(2.0 * np.log(float(H_size)) / n))
 
 
 def convexity_collapse_check(

@@ -45,7 +45,6 @@ class TestBuildStumpClass:
 
     def test_shapes_and_constant_rows(self):
         H = build_stump_class(2, 7)
-        assert H.includes_constants
         assert H.plus_index == 2 * 2 * 7  # constants follow both stump blocks
         assert H.minus_index == 2 * 2 * 7 + 1
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votemargin.core import (
-    C_THETA,
     DataDistribution,
     HypothesisClass,
     LabeledSample,
@@ -14,7 +13,6 @@ from votemargin.core import (
     empirical_margin_loss,
     margins_on_sample,
     margins_on_support,
-    scale_reduction,
     true_margin_loss,
 )
 from votemargin.rng import stream
@@ -78,7 +76,6 @@ class TestHypothesisClass:
 
     def test_constant_detection(self):
         H = HypothesisClass([[1, 1], [1, -1], [-1, -1]])
-        assert H.includes_constants
         assert H.plus_index == 0 and H.minus_index == 2
         assert len(H) == 3
 
@@ -88,7 +85,7 @@ class TestHypothesisClass:
 
     def test_duplicate_nonconstants_allowed(self):
         H = HypothesisClass(np.array([[1, -1], [1, -1]], dtype=np.int8))
-        assert len(H) == 2 and not H.includes_constants
+        assert len(H) == 2 and H.plus_index is None and H.minus_index is None
 
     def test_sample_values_selects_columns(self):
         H = small_class()
@@ -226,18 +223,6 @@ class TestDataDistribution:
         with pytest.raises(ValueError, match="shape"):
             DataDistribution(atoms, probabilities)
 
-    def test_empirical_counts_multiplicity(self):
-        S = sample(4, [(0, 1), (0, 1), (1, -1), (0, -1)])
-        D = DataDistribution.empirical(S)
-        assert D.atoms.domain_size == 4
-        masses = {
-            (int(x), int(y)): p
-            for x, y, p in zip(D.atoms.positions, D.atoms.labels, D.probabilities)
-        }
-        assert masses[(0, 1)] == pytest.approx(0.5)
-        assert masses[(1, -1)] == pytest.approx(0.25)
-        assert masses[(0, -1)] == pytest.approx(0.25)
-
     def test_sample_is_reproducible(self):
         D = distribution(4, {(0, 1): 0.5, (1, -1): 0.5})
         S1 = D.sample(20, stream(7, 0))
@@ -323,7 +308,7 @@ class TestMarginsAndLosses:
         H = small_class()
         f = VotingClassifier(np.array([0.2, 0.3, 0.5]))
         S = sample(4, [(0, 1), (1, -1), (1, -1), (3, 1)])
-        D = DataDistribution.empirical(S)
+        D = distribution(4, {(0, 1): 0.25, (1, -1): 0.5, (3, 1): 0.25})
         for theta in (0.0, 0.1, 0.35, 0.9):
             assert true_margin_loss(f, H, D, theta) == pytest.approx(
                 empirical_margin_loss(f, H, S, theta), abs=1e-15
@@ -367,47 +352,3 @@ class TestMarginsAndLosses:
             empirical_margin_loss(f, H, S, -0.1)
         with pytest.raises(ValueError, match="threshold"):
             empirical_margin_loss(f, H, S, 1.5)
-
-
-class TestScaleReduction:
-    def test_margins_scale_by_exactly_c_theta(self):
-        H = small_class()
-        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        f_bar, H_bar = scale_reduction(f, H)
-        S = sample(4, [(0, 1), (1, -1), (2, 1), (3, -1)])
-        np.testing.assert_allclose(
-            margins_on_sample(f_bar, H_bar, S),
-            C_THETA * margins_on_sample(f, H, S),
-            rtol=0.0,
-            atol=1e-15,
-        )
-
-    def test_extends_class_with_constants(self):
-        H = small_class()
-        f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
-        f_bar, H_bar = scale_reduction(f, H)
-        assert len(H_bar) == len(H) + 2
-        assert H_bar.includes_constants and H_bar.domain_size == H.domain_size
-        assert f_bar.weights.sum() == pytest.approx(1.0)
-
-    def test_reuses_existing_constants(self):
-        H = HypothesisClass([[1, 1], [1, -1], [-1, -1]])
-        f = VotingClassifier(np.array([0.0, 1.0, 0.0]))
-        f_bar, H_bar = scale_reduction(f, H)
-        assert H_bar is H
-        assert f_bar.weights[1] == pytest.approx(C_THETA)
-        assert f_bar.weights[0] == f_bar.weights[2] == pytest.approx((1 - C_THETA) / 2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 12 - 1))
-    def test_sign_decisions_preserved(self, bits):
-        # Interpret the bits as a 3x4 sign table perturbation of weights.
-        rng = np.random.default_rng(bits)
-        H = small_class()
-        w = rng.dirichlet(np.ones(3))
-        f = VotingClassifier(w)
-        f_bar, H_bar = scale_reduction(f, H)
-        S = sample(4, [(x, 1) for x in range(4)])
-        before = margins_on_sample(f, H, S)
-        after = margins_on_sample(f_bar, H_bar, S)
-        np.testing.assert_array_equal(np.sign(before), np.sign(after))

@@ -20,7 +20,8 @@ import pytest
 from votemargin.bounds import BoundInputs, theorem1_report
 from votemargin.cli import main
 from votemargin.core import PreconditionError
-from votemargin.discretize import binom_margin_tail_batch
+from votemargin.discretize import binom_margin_tail, binom_margin_tail_batch
+from votemargin.harness import checks
 from votemargin.harness.checks import (
     VALID_LEMMA_IDS,
     binomial_ci,
@@ -198,9 +199,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("n = 501", r"n must be <= 500"),
+            ("n = 501", r"n must be an integer in \[1, 500\], got 501"),
             ("n = abc", "n must be an integer"),
-            ("trials = 100", r"trials must be >= 200"),
+            ("trials = 100", r"trials must be an integer >= 200, got 100"),
             ("delta = 1.5", r"delta must lie in \(0\.0, 1\.0\)"),
             ("theta = 0", r"theta must lie in \(0\.0, 1\.0\]"),
         ],
@@ -425,6 +426,19 @@ class TestValidateDispatch:
         slug = lemma_id.replace("-", "_")
         assert (tmp_path / f"validate_{slug}.csv").is_file()
         assert (tmp_path / f"validate_{slug}.txt").is_file()
+
+    def test_margin_law_judges_hits_against_the_exact_interval(self, tmp_path, monkeypatch):
+        # seed 28 put one hit where the exact tail is 1.5e-6, outside a normal band
+        config = parse_config_text(f"[validate]\nseed = 28\nout = {tmp_path}\n")
+        assert validate("margin-law", config).passed
+        header = (tmp_path / "validate_margin_law.csv").read_text().splitlines()[0]
+        assert header == "N,lambda,eta,exact_tail,mc_tail,hits,ci_lo,ci_hi,ok"
+        # a defect: the tail of N + 1 draws stands in for the tail of N
+        monkeypatch.setattr(
+            checks, "binom_margin_tail", lambda N, lam, eta: binom_margin_tail(N + 1, lam, eta)
+        )
+        report = validate("margin-law", config)
+        assert not report.passed and report.max_violation > 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = parse_config_text(validate_text(out=tmp_path))
@@ -659,7 +673,7 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: c must be finite and nonnegative, got {c}\n"
+        assert captured.err == f"error: c must lie in [0, inf), got {c}\n"
 
     def test_bounds_eval_does_not_import_scipy(self):
         # The closed-form bounds need no binomial tail, so a cold CLI run

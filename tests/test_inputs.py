@@ -1,15 +1,19 @@
 """Every public numeric entry point rejects a bad argument with ValueError.
 
 Each case is a valid call plus, per argument, the values that argument must
-refuse: NaN, ±inf, or a finite float outside its range; for a count (a size,
-a number of trials, rounds, bins or points) any float or bool and any
-integer outside its range; and for a sample position a bool or an integer
-outside the domain.  Hypothesis swaps one
-argument of the valid call for such a value.  Every entry point that takes a
-discretization size N refuses one above 2**53.  The CLI cases do the same to
-``bounds eval`` and ``bounds grid``, which must exit 2 with one ``error:``
-line.  A last test checks that every ``__all__`` entry of every module
-resolves, so a deletion cannot leave a stale export behind.
+refuse: for a real, NaN, ±inf, a finite float outside its range, or a value
+that is not a real number at all (a bool, the string "0.5", a complex); for
+an array of reals (margins, weights, probabilities), one such float among
+valid entries, or a bool, str or complex array; for a count (a size, a
+number of trials, rounds, bins or points) any float or bool, any integer
+outside its range, and one no float can hold; and for a sample position a
+bool or an integer outside the domain.  Hypothesis swaps one argument of the
+valid call for such a value.  Every entry point that takes a discretization
+size N refuses one above 2**53.  The CLI cases do the same to ``bounds
+eval`` and ``bounds grid``, which must exit 2 with one ``error:`` line, and
+a config with a negative seed fails to parse.  A last test checks that every
+``__all__`` entry of every module resolves, so a deletion cannot leave a
+stale export behind.
 """
 
 import contextlib
@@ -45,11 +49,16 @@ from votemargin.core import (
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    empirical_margin_loss,
+    true_margin_loss,
 )
 from votemargin.discretize import (
     binom_margin_tail,
     binom_margin_tail_batch,
+    decomposition_residual,
+    expected_half_margin_loss_bound_check,
     k_star,
+    margin_law_monotone_check,
     sample_discretization,
 )
 from votemargin.harness.checks import (
@@ -57,8 +66,10 @@ from votemargin.harness.checks import (
     random_distribution,
     random_hypothesis_class,
 )
+from votemargin.harness.config import EXPERIMENT_KINDS, ConfigError, parse_config_text
 from votemargin.phirho import (
     PhiRhoParams,
+    diff_replacement_check,
     lip_const_bound,
     lipschitz_slope_check,
     phi,
@@ -74,6 +85,12 @@ from votemargin.rademacher import (
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 ANY_FLOAT = st.floats()
+#: Values no real argument accepts, whatever its range.
+NOT_A_REAL = st.sampled_from([True, False, "0.5", 0.5 + 0j])
+#: Arrays no array-of-reals argument accepts, whatever its range.
+NOT_REAL_ARRAYS = st.sampled_from(
+    [np.array([True, False]), np.array(["0.1", "0.5"]), np.array([0.1 + 0j, 0.5])]
+)
 
 
 def below(lo, *, lo_in=True):
@@ -95,9 +112,19 @@ def outside(lo, hi, *, lo_in=True, hi_in=True):
     return below(lo, lo_in=lo_in) | above
 
 
+def real(bad_floats):
+    """The bad floats of a real argument, or a value that is not a real."""
+    return bad_floats | NOT_A_REAL
+
+
+def reals(bad_floats):
+    """Two-entry arrays whose second entry is a bad float, or arrays not of reals."""
+    return bad_floats.map(lambda x: [0.1, x]) | NOT_REAL_ARRAYS
+
+
 def not_a_count(lo, hi=None):
-    """Any float or bool, or an integer outside [lo, hi]."""
-    bad = ANY_FLOAT | st.booleans() | st.integers(max_value=lo - 1)
+    """Any float or bool, an integer outside [lo, hi], or one no float holds."""
+    bad = ANY_FLOAT | st.booleans() | st.integers(max_value=lo - 1) | st.just(10**400)
     return bad if hi is None else bad | st.integers(min_value=hi + 1)
 
 
@@ -118,6 +145,8 @@ SLOPE_READY = PhiRhoParams(0.25, 128)  # N >= 32*(2*theta_i)^-2
 STUMPS = build_stump_class(1, 2)
 TASK, TASK_SAMPLE = generate_synthetic(STUMPS, 20, 0.1, 0)
 TWO_CONSTANTS = HypothesisClass([[1, 1], [-1, -1]])
+VOTE = VotingClassifier.point_mass(0, len(STUMPS))
+DRAW = sample_discretization(VOTE, STUMPS, 4, 0)
 
 # name -> (callable, valid keyword arguments, {argument: strategy of bad values})
 CASES = {
@@ -127,16 +156,16 @@ CASES = {
         {
             "n": not_a_count(1),
             "H_size": not_a_count(2),
-            "theta": outside(0.0, 1.0, lo_in=False),
-            "delta": outside(0.0, 1.0, lo_in=False, hi_in=False),
-            "loss": outside(0.0, 1.0),
-            "c": below(0.0),
+            "theta": real(outside(0.0, 1.0, lo_in=False)),
+            "delta": real(outside(0.0, 1.0, lo_in=False, hi_in=False)),
+            "loss": real(outside(0.0, 1.0)),
+            "c": real(below(0.0)),
         },
     ),
     "gkl20_lower_report": (
         gkl20_lower_report,
         dict(inputs=BoundInputs(**BOUND_FIELDS), tau=0.2),
-        {"tau": outside(0.0, 1.0, lo_in=False)},
+        {"tau": real(outside(0.0, 1.0, lo_in=False))},
     ),
     "build_partition": (
         build_partition,
@@ -146,22 +175,22 @@ CASES = {
     "delta_allocation": (
         delta_allocation,
         dict(delta=0.05, scheme=SCHEME),
-        {"delta": outside(0.0, 1.0, lo_in=False, hi_in=False)},
+        {"delta": real(outside(0.0, 1.0, lo_in=False, hi_in=False))},
     ),
     "choose_N_main": (
         choose_N_main,
         dict(theta_next=0.5, loss_next=0.25, c=32.0),
         {
-            "theta_next": outside(0.0, 2.0, lo_in=False),
-            "loss_next": outside(0.0, 2.0, lo_in=False),
-            "c": below(0.0, lo_in=False),
+            "theta_next": real(outside(0.0, 2.0, lo_in=False)),
+            "loss_next": real(outside(0.0, 2.0, lo_in=False)),
+            "c": real(below(0.0, lo_in=False)),
         },
     ),
     "choose_N_within_const": (
         choose_N_within_const,
         dict(theta_next=0.5, n=5000, H_size=16),
         {
-            "theta_next": outside(0.0, 2.0, lo_in=False),
+            "theta_next": real(outside(0.0, 2.0, lo_in=False)),
             "n": not_a_count(1),
             "H_size": not_a_count(2),
         },
@@ -169,34 +198,59 @@ CASES = {
     "k_star": (
         k_star,
         dict(N=16, eta=0.25),
-        {"N": not_a_count(1, 2**53), "eta": outside(-1.0, 1.0)},
+        {"N": not_a_count(1, 2**53), "eta": real(outside(-1.0, 1.0))},
     ),
     "binom_margin_tail": (
         binom_margin_tail,
         dict(N=16, lam=0.3, eta=0.25),
-        {"N": not_a_count(1, 2**53), "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
+        {
+            "N": not_a_count(1, 2**53),
+            "lam": real(outside(-1.0, 1.0)),
+            "eta": real(outside(-1.0, 1.0)),
+        },
     ),
     "binom_margin_tail_batch": (
-        lambda N, lam, eta: binom_margin_tail_batch(N, [0.1, lam], eta),
-        dict(N=16, lam=0.3, eta=0.25),
-        {"N": not_a_count(1, 2**53), "lam": outside(-1.0, 1.0), "eta": outside(-1.0, 1.0)},
+        binom_margin_tail_batch,
+        dict(N=16, lams=[0.1, 0.3], eta=0.25),
+        {
+            "N": not_a_count(1, 2**53),
+            "lams": reals(outside(-1.0, 1.0)),
+            "eta": real(outside(-1.0, 1.0)),
+        },
     ),
     "PhiRhoParams": (
         PhiRhoParams,
         dict(theta_i=0.25, N=64),
-        {"theta_i": outside(0.0, C_THETA, lo_in=False), "N": not_a_count(1, 2**53)},
+        {"theta_i": real(outside(0.0, C_THETA, lo_in=False)), "N": not_a_count(1, 2**53)},
     ),
-    "phi": (phi, dict(lam=0.1, params=PARAMS), {"lam": outside(-C_THETA, C_THETA)}),
-    "rho": (rho, dict(lam=0.1, params=PARAMS), {"lam": outside(-C_THETA, C_THETA)}),
+    "phi": (phi, dict(lam=0.1, params=PARAMS), {"lam": real(outside(-C_THETA, C_THETA))}),
+    "rho": (rho, dict(lam=0.1, params=PARAMS), {"lam": real(outside(-C_THETA, C_THETA))}),
     "phi_many": (
-        lambda lam, params: phi_many([0.1, lam], params),
-        dict(lam=0.1, params=PARAMS),
-        {"lam": outside(-C_THETA, C_THETA)},
+        phi_many,
+        dict(lams=[0.1, 0.1], params=PARAMS),
+        {"lams": reals(outside(-C_THETA, C_THETA))},
     ),
     "rho_many": (
-        lambda lam, params: rho_many([0.1, lam], params),
-        dict(lam=0.1, params=PARAMS),
-        {"lam": outside(-C_THETA, C_THETA)},
+        rho_many,
+        dict(lams=[0.1, 0.1], params=PARAMS),
+        {"lams": reals(outside(-C_THETA, C_THETA))},
+    ),
+    "diff_replacement_check": (
+        diff_replacement_check,
+        dict(params=PARAMS, theta=0.4, lambda_grid=[0.1, 0.1]),
+        {
+            "theta": real(outside(0.25, 0.5, lo_in=False)),
+            "lambda_grid": reals(outside(-C_THETA, C_THETA)),
+        },
+    ),
+    "margin_law_monotone_check": (
+        margin_law_monotone_check,
+        dict(N=16, eta=0.25, lambda_grid=[0.1, 0.1]),
+        {
+            "N": not_a_count(1, 2**53),
+            "eta": real(outside(-1.0, 1.0)),
+            "lambda_grid": reals(outside(-1.0, 1.0)),
+        },
     ),
     "massart_bound": (
         massart_bound,
@@ -206,12 +260,16 @@ CASES = {
     "lip_const_bound": (
         lip_const_bound,
         dict(params=PARAMS, c=32.0),
-        {"c": below(0.0, lo_in=False)},
+        {"c": real(below(0.0, lo_in=False))},
     ),
     "binomial_ci": (
         binomial_ci,
         dict(trials=100, p=0.1, level=0.95),
-        {"trials": not_a_count(0), "p": outside(0.0, 1.0), "level": outside(0.0, 1.0)},
+        {
+            "trials": not_a_count(0),
+            "p": real(outside(0.0, 1.0)),
+            "level": real(outside(0.0, 1.0)),
+        },
     ),
     "LabeledSample": (
         lambda domain_size, position: LabeledSample(domain_size, [position], [1]),
@@ -219,16 +277,47 @@ CASES = {
         {"domain_size": not_a_count(1), "position": BAD_POSITION},
     ),
     "DataDistribution": (
-        lambda a, b, position: DataDistribution(
-            LabeledSample(DOMAIN_SIZE, [position, position], [1, -1]), [a, b]
+        lambda probabilities, position: DataDistribution(
+            LabeledSample(DOMAIN_SIZE, [position, position], [1, -1]), probabilities
         ),
-        dict(a=0.25, b=0.75, position=1),
-        {"a": outside(0.0, 1.0), "b": outside(0.0, 1.0), "position": BAD_POSITION},
+        dict(probabilities=[0.25, 0.75], position=1),
+        {"probabilities": reals(outside(0.0, 1.0)), "position": BAD_POSITION},
     ),
     "VotingClassifier": (
-        lambda a, b: VotingClassifier([a, b]),
-        dict(a=0.25, b=0.75),
-        {"a": outside(0.0, 1.0), "b": outside(0.0, 1.0)},
+        VotingClassifier,
+        dict(weights=[0.25, 0.75]),
+        {"weights": reals(outside(0.0, 1.0))},
+    ),
+    "empirical_margin_loss": (
+        empirical_margin_loss,
+        dict(f=VOTE, H=STUMPS, S=TASK_SAMPLE, theta=0.5),
+        {"theta": real(outside(0.0, 1.0))},
+    ),
+    "true_margin_loss": (
+        true_margin_loss,
+        dict(f=VOTE, H=STUMPS, D=TASK, theta=0.5),
+        {"theta": real(outside(0.0, 1.0))},
+    ),
+    "decomposition_residual": (
+        decomposition_residual,
+        dict(f=VOTE, g=DRAW, H=STUMPS, D=TASK, S=TASK_SAMPLE, theta=0.5, theta_i=0.25),
+        {
+            "theta": real(outside(0.0, 1.0, lo_in=False)),
+            "theta_i": real(outside(0.0, 1.0, lo_in=False)),
+        },
+    ),
+    "expected_half_margin_loss_bound_check": (
+        expected_half_margin_loss_bound_check,
+        dict(f=VOTE, H=STUMPS, D=TASK, theta_i=0.5, N=32),
+        {"theta_i": real(outside(0.0, 1.0, lo_in=False)), "N": not_a_count(1, 2**53)},
+    ),
+    "locate": (
+        lambda theta, loss: (SCHEME.locate_theta(theta), SCHEME.locate_loss(loss)),
+        dict(theta=0.3, loss=0.12),
+        {
+            "theta": real(outside(SCHEME.theta_cells[0].lo, 1.0, lo_in=False)),
+            "loss": real(outside(0.0, 1.0)),
+        },
     ),
     "point_mass": (
         VotingClassifier.point_mass,
@@ -247,7 +336,7 @@ CASES = {
     "generate_synthetic": (
         lambda n, noise: generate_synthetic(STUMPS, n, noise, 0),
         dict(n=5, noise=0.1),
-        {"n": not_a_count(1), "noise": outside(0.0, 0.5, hi_in=False)},
+        {"n": not_a_count(1), "noise": real(outside(0.0, 0.5, hi_in=False))},
     ),
     "adaboost": (
         lambda T: adaboost(TASK_SAMPLE, STUMPS, T),
@@ -306,6 +395,21 @@ def test_an_N_a_double_cannot_hold_is_rejected(name, N):
     # bdtrc takes N as a double, which holds every integer only up to 2**53
     with pytest.raises(ValueError, match="N"):
         N_CALLS[name](N)
+
+
+def test_massart_bound_reads_any_count_a_float_holds():
+    expected = math.sqrt(2.0 * math.log(2.0**64) / 5)
+    assert massart_bound(2**64, 5) == pytest.approx(expected)
+    with pytest.raises(ValueError, match="n has 401 digits"):
+        massart_bound(5, 10**400)
+    with pytest.raises(ValueError, match="H_size has 401 digits"):
+        massart_bound(10**400, 5)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_a_negative_seed_fails_at_parse(kind):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -3"):
+        parse_config_text(f"[{kind}]\nseed = -3\n")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

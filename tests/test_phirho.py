@@ -35,9 +35,9 @@ class TestPhiRhoParams:
         assert p.tail(-0.3) == binom_margin_tail(100, -0.3, 0.2)
 
     def test_slope_readiness(self):
-        PhiRhoParams(0.5, 32).require_slope_ready()  # threshold is exactly 32
+        lipschitz_slope_check(PhiRhoParams(0.5, 32), "middle", 10)  # threshold is exactly 32
         with pytest.raises(PreconditionError, match="N"):
-            PhiRhoParams(0.5, 31).require_slope_ready()
+            lipschitz_slope_check(PhiRhoParams(0.5, 31), "middle", 10)
 
     def test_theta_i_range(self):
         PhiRhoParams(C_THETA, 8)  # upper endpoint is admissible
