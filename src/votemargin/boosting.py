@@ -40,6 +40,23 @@ __all__ = [
 EPSILON_CLAMP = 1e-12
 
 
+def _lattice_coordinate(positions: np.ndarray, axis: int, d: int, k: int) -> np.ndarray:
+    """Coordinate ``axis`` of the lattice points at ``positions`` in {0..k}^d.
+
+    It is the position's base-(k+1) digit number ``axis``, most significant
+    first.
+    """
+    return positions // (k + 1) ** (d - 1 - axis) % (k + 1)
+
+
+def _stump_blocks(d: int, k: int):
+    """Per feature a, the (k, (k+1)^d) bool table of x_a ≤ t, t = 0..k−1."""
+    positions = np.arange((k + 1) ** d)
+    thresholds = np.arange(k)[:, None]
+    for a in range(d):
+        yield a, _lattice_coordinate(positions, a, d, k) <= thresholds
+
+
 def build_stump_class(d: int, k: int) -> HypothesisClass:
     """Axis-aligned threshold stumps over the lattice {0..k}^d.
 
@@ -53,11 +70,61 @@ def build_stump_class(d: int, k: int) -> HypothesisClass:
     """
     d = _check_count(d, "d")
     k = _check_count(k, "k")
-    coords = np.indices((k + 1,) * d).reshape(d, -1)  # (d, |X|), lexicographic
-    below = coords[:, None, :] <= np.arange(k)[:, None]  # (d, k, |X|): x_a <= t
-    stumps = 2 * below.reshape(d * k, -1).astype(np.int8) - 1
-    constant = np.ones((1, coords.shape[1]), dtype=np.int8)
-    return HypothesisClass(np.vstack([stumps, -stumps, constant, -constant]))
+    dk = d * k
+    matrix = np.empty((2 * dk + 2, (k + 1) ** d), dtype=np.int8)
+    for a, below in _stump_blocks(d, k):
+        matrix[a * k:(a + 1) * k] = np.where(below, np.int8(1), np.int8(-1))
+    np.negative(matrix[:dk], out=matrix[dk:2 * dk])
+    matrix[-2] = 1
+    matrix[-1] = -1
+    return HypothesisClass(matrix)
+
+
+def _stump_shape(H: HypothesisClass):
+    """(d, k) if H is exactly ``build_stump_class(d, k)``, else None.
+
+    The shape fixes (d, k): |H| = 2·d·k + 2 and |X| = (k+1)^d have at most
+    one solution, since ln(k+1)/k falls as k grows.  Every row is then
+    compared with the lattice, one feature block at a time.
+    """
+    rows, size = H.matrix.shape
+    if rows < 4 or rows % 2 or (H.plus_index, H.minus_index) != (rows - 2, rows - 1):
+        return None
+    dk = (rows - 2) // 2
+    d = next((d for d in range(1, dk + 1) if dk % d == 0 and (dk // d + 1) ** d == size), None)
+    if d is None:
+        return None
+    k = dk // d
+    for a, below in _stump_blocks(d, k):
+        positive = H.matrix[a * k:(a + 1) * k]
+        negative = H.matrix[dk + a * k:dk + (a + 1) * k]
+        if not (np.array_equal(positive == 1, below) and np.array_equal(negative == -1, below)):
+            return None
+    return d, k
+
+
+def _stump_errors(keys: list, w: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write the weighted error of every row of a stump class into ``out``.
+
+    ``keys[a]`` holds 2·x_a + (y_i > 0) for every sample point.  Per feature
+    a, one weighted ``np.bincount`` adds the w_i, in sample order, into
+    ``mass[v, c]``: the weight on points with x_a = v and label −1 (c = 0)
+    or +1 (c = 1).  Cumulative sums over v then give, per label, the mass at
+    x_a ≤ t (v ascending from 0) and at x_a > t (v descending from k).  The
+    stump 1{x_a ≤ t} errs on the label −1 mass at or below t plus the label
+    +1 mass above it; its negation on the other two.  The constant +1 errs on
+    all label −1 mass and the constant −1 on all label +1 mass: the totals of
+    feature 0's ascending sums.  No error is taken as 1 minus another.
+    """
+    dk = len(keys) * k
+    for a, key in enumerate(keys):
+        mass = np.bincount(key, weights=w, minlength=2 * (k + 1)).reshape(k + 1, 2)
+        below = np.cumsum(mass, axis=0)  # row v: mass at x_a <= v
+        above = np.cumsum(mass[:0:-1], axis=0)[::-1]  # row t: mass at x_a > t
+        out[a * k:(a + 1) * k] = below[:-1, 0] + above[:, 1]
+        out[dk + a * k:dk + (a + 1) * k] = below[:-1, 1] + above[:, 0]
+        if a == 0:
+            out[-2:] = below[-1]
 
 
 def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
@@ -128,19 +195,34 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     weight on it; if no hypothesis beats error ½ the run stops early.  The
     algorithm is deterministic.
 
+    Every weighted error is a sum in one fixed order, with no BLAS call, so
+    the bits depend neither on the BLAS library nor on its thread count.  On
+    a class that is exactly ``build_stump_class(d, k)`` they come from
+    per-feature label masses (see ``_stump_errors``).  On any other class,
+    ε_h = Σ_i w_i·[h(x_i) ≠ y_i] is accumulated over the sample in sample
+    order, i = 0 first, from an int8 mismatch matrix (a one-row class gets
+    ``np.einsum``'s own summation loop).  The only |H|×n matrices are int8:
+    y_i·h(x_i), and the mismatches for a class that is not a stump class.
+
     Final weights aggregate the α's per distinct hypothesis and normalize,
     so the product is a valid voting classifier over H.
     """
     T = _check_count(T, "T")
     n = len(S)
-    mismatch = (H.sample_values(S) != S.labels).astype(np.float64)  # (|H|, n)
-    # y_i·h(x_i), exactly ±1, reused every round.  Building each round's row
-    # from ``mismatch`` instead saves this matrix but not peak memory: freed
-    # alone, one matrix stays in the C heap from one run to the next, and
-    # repeated runs then peaked 19 MB higher at d = 4, k = 15, n = 20000.
-    agreement = 1.0 - 2.0 * mismatch
-
+    agreement = H.sample_values(S)  # (|H|, n) int8
+    agreement *= S.labels  # y_i·h(x_i), exactly ±1, reused every round
     w = np.full(n, 1.0 / n)
+    shape = _stump_shape(H)
+    if shape is None:
+        # sample-major, so einsum's loop adds the terms of each ε in sample order
+        mismatch = np.ascontiguousarray(agreement.T < 0, dtype=np.int8)
+    else:
+        d, k = shape
+        keys = [
+            2 * _lattice_coordinate(S.positions, a, d, k) + (S.labels > 0) for a in range(d)
+        ]
+        eps_all = np.empty(len(H))
+
     score = np.zeros(n)  # y_i·Σ_t α_t·h_t(x_i)
     alphas = []
     picks = []
@@ -148,7 +230,10 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     status = "completed"
 
     for t in range(1, T + 1):
-        eps_all = mismatch @ w
+        if shape is None:
+            eps_all = np.einsum("ji,j->i", mismatch, w)
+        else:
+            _stump_errors(keys, w, k, eps_all)
         best = int(np.argmin(eps_all))
         eps = float(eps_all[best])
         if eps >= 0.5:
@@ -158,7 +243,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
         alpha = 0.5 * math.log((1.0 - eps_c) / eps_c)
         picks.append(best)
         alphas.append(alpha)
-        score = score + alpha * agreement[best]
+        score += alpha * agreement[best]
         alpha_sum = math.fsum(alphas)
         margins = score / alpha_sum
         rounds.append(
@@ -175,7 +260,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
         if eps == 0.0:
             status = "perfect-hypothesis"
             break
-        w = w * np.exp(-alpha * agreement[best])
+        w *= np.exp(-alpha * agreement[best])
         w /= w.sum()
 
     if not rounds:

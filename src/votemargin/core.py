@@ -47,8 +47,19 @@ def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndar
 
     The check runs before the cast, so 255 cannot wrap to -1, 1.7 cannot
     truncate to 1, and NaN, ±inf, 1j or a string fail instead of converting.
+    An integer array is checked by its minimum, maximum and count of nonzero
+    entries, three reductions with no temporary array; any other dtype is
+    compared entry by entry.
     """
-    if not ((values == 1) | (values == -1)).all():
+    if values.dtype.kind in "iu":
+        signs = values.size == 0 or (
+            int(values.min()) >= -1
+            and int(values.max()) <= 1
+            and np.count_nonzero(values) == values.size
+        )
+    else:
+        signs = ((values == 1) | (values == -1)).all()
+    if not signs:
         raise ValueError(f"{what} must be +1 or -1")
     return values.astype(np.int8)
 
@@ -130,6 +141,18 @@ def _real_array(values, name: str) -> np.ndarray:
     return array
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an array, after checking its dtype holds integers.
+
+    Float, bool, str, object and complex arrays are refused rather than
+    truncated or converted.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    return array
+
+
 def _check_reals(values, name: str, lo, hi) -> np.ndarray:
     """``values`` as a float64 array, after checking every entry lies in [lo, hi].
 
@@ -199,8 +222,8 @@ class HypothesisClass:
                 "hypothesis row and one domain column"
             )
         matrix = _check_signs(raw)
-        plus_rows = np.flatnonzero((matrix == 1).all(axis=1))
-        minus_rows = np.flatnonzero((matrix == -1).all(axis=1))
+        plus_rows = np.flatnonzero(matrix.min(axis=1) == 1)
+        minus_rows = np.flatnonzero(matrix.max(axis=1) == -1)
         if len(plus_rows) > 1 or len(minus_rows) > 1:
             raise ValueError("a constant hypothesis occurs more than once")
         matrix.setflags(write=False)
@@ -247,14 +270,22 @@ class VotingClassifier:
         return int(self.weights.size)
 
     def values_on(self, H: HypothesisClass) -> np.ndarray:
-        """f(x) for every domain point, in domain order."""
+        """f(x) = Σ_h a_h·h(x) for every domain point, in domain order.
+
+        Each sum is taken straight from the int8 class matrix, one hypothesis
+        at a time in row order: f(x) starts at a_0·h_0(x) and adds a_h·h(x)
+        for h = 1, 2, … in turn.  ``np.einsum`` without ``optimize`` never
+        hands the product to BLAS, so the bits do not depend on the BLAS
+        library or its thread count, and no float copy of the matrix is made.
+        """
         if len(self) != len(H):
             raise ValueError(
                 f"classifier has {len(self)} weights but class has {len(H)} hypotheses"
             )
-        # A convex combination of ±1 values lies in [-1, 1]; the float dot
-        # product can overshoot by one ulp, so clamp back to the exact range.
-        return np.clip(self.weights @ H.matrix, -1.0, 1.0)
+        values = np.einsum("i,ij->j", self.weights, H.matrix)
+        # A convex combination of ±1 values lies in [-1, 1]; the float sum
+        # can overshoot by one ulp, so clamp back to the exact range.
+        return np.clip(values, -1.0, 1.0, out=values)
 
 
 class LabeledSample:
@@ -271,8 +302,7 @@ class LabeledSample:
         pos = np.asarray(positions)
         if pos.ndim != 1 or pos.size < 1:
             raise ValueError("sample positions must be a 1-d array, at least one point")
-        if pos.dtype.kind not in "iu":
-            raise ValueError(f"sample positions must be integers, got dtype {pos.dtype}")
+        pos = _integer_array(pos, "sample positions")
         if pos.min() < 0 or pos.max() >= domain_size:
             raise ValueError(f"sample positions must lie in [0, {domain_size})")
         labels = _check_labels(labels)

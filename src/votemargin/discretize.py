@@ -40,6 +40,7 @@ from .core import (
     _check_count,
     _check_real,
     _check_reals,
+    _integer_array,
     _margins_at,
     margins_on_sample,
     margins_on_support,
@@ -280,9 +281,10 @@ class DiscretizedClassifier:
     __slots__ = ("hypothesis_class", "indices", "_values")
 
     def __init__(self, H: HypothesisClass, indices):
-        idx = np.asarray(indices, dtype=np.intp).copy()
+        idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size < 1:
             raise ValueError("indices must be a non-empty 1-d sequence")
+        idx = _integer_array(idx, "hypothesis indices").astype(np.intp)
         if idx.min() < 0 or idx.max() >= len(H):
             raise ValueError("hypothesis index out of range")
         idx.setflags(write=False)

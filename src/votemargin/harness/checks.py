@@ -102,8 +102,9 @@ def smallest_c_monotone(fn, target: float) -> float:
     """Smallest c ≥ 0 with fn(c) ≥ target, for fn increasing in c.
 
     The bracket starts at [0, 1] and doubles its upper end until it holds
-    the answer.
+    the answer.  The target must be a finite real number.
     """
+    target = _check_real(target, "target", -math.inf, math.inf)
     if target <= 0.0:
         return 0.0
     hi = 1.0

@@ -2,14 +2,19 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votemargin import boosting
 from votemargin.boosting import (
     EPSILON_CLAMP,
     BoostingRun,
     MarginHistogram,
+    _stump_shape,
     adaboost,
     build_stump_class,
     generate_synthetic,
@@ -29,6 +34,76 @@ def separable_task(n: int = 200, seed: int = 1234):
     H = build_stump_class(2, 7)
     D, S = generate_synthetic(H, n, 0.0, stream(seed, 0))
     return H, D, S
+
+
+#: (hypothesis, ε_t, α_t) of every round of ``frozen_task``, and the final
+#: weights, bit for bit: the round table CSVs of the adaboost and
+#: gap-vs-bounds experiments are built from them.
+FROZEN_ROUNDS = [
+    (4, "0x1.bbbbbbbbbbbbcp-3", "0x1.4902c08bec8cbp-1"),
+    (6, "0x1.7b99c4810c267p-2", "0x1.0ef326a050f49p-2"),
+    (3, "0x1.c010ca5e2b34ep-2", "0x1.011457b06ac7bp-3"),
+    (2, "0x1.ec614a2fb75bep-2", "0x1.3a12bbfc6e904p-5"),
+    (7, "0x1.e3173ac951ce8p-2", "0x1.cf0a678c88beap-5"),
+    (2, "0x1.ee9b4b02074c3p-2", "0x1.1666bcc2efdccp-5"),
+]
+FROZEN_WEIGHTS = [
+    "0x0.0p+0", "0x0.0p+0", "0x1.fe0ff65bca5d7p-5", "0x1.baa3ed1abdec5p-4",
+    "0x1.1b3ef60f2da6ap-1", "0x0.0p+0", "0x1.d285b87df44d7p-3",
+    "0x1.8ea1ec840e2a3p-5",
+]
+
+
+def frozen_task():
+    H = build_stump_class(1, 3)
+    _, S = generate_synthetic(H, 60, 0.2, stream(11, 0))
+    return H, S
+
+
+def reference_stump_adaboost(S, d, k, T):
+    """AdaBoost on ``build_stump_class(d, k)``, each ε summed by hand in the
+    documented order: per feature, the weights added in sample order into
+    (lattice value, label) bins, then running sums over the lattice values,
+    ascending for the mass at or below a threshold and descending for the
+    mass above it.  The weight update is numpy's, as in ``adaboost``.
+
+    Returns ([(hypothesis, ε, α)], final weights).
+    """
+    n = len(S)
+    coords = [[int(p) // (k + 1) ** (d - 1 - a) % (k + 1) for p in S.positions] for a in range(d)]
+    positive = [int(y) > 0 for y in S.labels]
+    agreement = build_stump_class(d, k).sample_values(S) * S.labels
+    size = 2 * d * k + 2
+    w = np.full(n, 1.0 / n)
+    rounds, totals = [], [0.0] * size
+    for _ in range(T):
+        eps = [0.0] * size
+        for a in range(d):
+            mass = [[0.0, 0.0] for _ in range(k + 1)]
+            for i, wi in enumerate(w.tolist()):
+                mass[coords[a][i]][positive[i]] += wi
+            below, run = [], [0.0, 0.0]
+            for v in range(k + 1):
+                run = [run[0] + mass[v][0], run[1] + mass[v][1]]
+                below.append(run)
+            above, run = [None] * k, [0.0, 0.0]
+            for v in range(k, 0, -1):
+                run = [run[0] + mass[v][0], run[1] + mass[v][1]]
+                above[v - 1] = run
+            for t in range(k):
+                eps[a * k + t] = below[t][0] + above[t][1]
+                eps[d * k + a * k + t] = below[t][1] + above[t][0]
+            if a == 0:
+                eps[-2], eps[-1] = below[k]
+        best = min(range(size), key=eps.__getitem__)  # lowest index on ties
+        eps_c = min(max(eps[best], EPSILON_CLAMP), 1.0 - EPSILON_CLAMP)
+        alpha = 0.5 * math.log((1.0 - eps_c) / eps_c)
+        rounds.append((best, eps[best], alpha))
+        totals[best] += alpha
+        w = w * np.exp(-alpha * agreement[best])
+        w /= w.sum()
+    totals = np.array(totals)
+    return rounds, VotingClassifier(totals / totals.sum()).weights
 
 
 class TestBuildStumpClass:
@@ -77,6 +152,28 @@ class TestBuildStumpClass:
         assert matrix.dtype == np.int8
         assert matrix.shape == (2 * d * k + 2, (k + 1) ** d)
         assert matrix.tobytes() == np.vstack(rows).tobytes()
+
+
+class TestStumpShape:
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 1), (1, 3), (2, 7), (3, 5), (4, 15)])
+    def test_recognizes_every_built_class(self, d, k):
+        assert _stump_shape(build_stump_class(d, k)) == (d, k)
+
+    def test_one_flipped_entry_is_not_a_stump_class(self):
+        H = build_stump_class(2, 3)
+        for row, column in [(0, 5), (7, 0), (9, 15)]:
+            matrix = H.matrix.copy()
+            matrix[row, column] *= -1
+            assert _stump_shape(HypothesisClass(matrix)) is None
+
+    def test_a_class_of_the_stump_shape_is_not_always_a_stump_class(self):
+        H = build_stump_class(2, 3)
+        # right shape and constants, the wrong rows
+        assert _stump_shape(HypothesisClass(np.vstack([-H.matrix[:-2], H.matrix[-2:]]))) is None
+        # the stump rows without their negations, padded to the same |H|
+        assert _stump_shape(HypothesisClass(np.vstack([H.matrix[:6], H.matrix[:6], H.matrix[-2:]]))) is None
+        assert _stump_shape(HypothesisClass(H.matrix[:-2])) is None
+        assert _stump_shape(HypothesisClass(H.matrix[:, :-1])) is None
 
 
 class TestGenerateSynthetic:
@@ -200,25 +297,87 @@ class TestAdaboost:
         assert np.allclose(run.classifier.weights, 1.0 / len(H))
 
     def test_round_and_weight_bits_are_frozen(self):
-        # Every ε_t, α_t and final weight, bit for bit: the round table CSVs
-        # of the adaboost and gap-vs-bounds experiments are built from them.
-        H = build_stump_class(1, 3)
-        _, S = generate_synthetic(H, 60, 0.2, stream(11, 0))
+        H, S = frozen_task()
         run = adaboost(S, H, 6)
         assert run.status == "completed"
-        assert [(r.hypothesis, r.epsilon.hex(), r.alpha.hex()) for r in run.rounds] == [
-            (4, "0x1.bbbbbbbbbbbbbp-3", "0x1.4902c08bec8cbp-1"),
-            (6, "0x1.7b99c4810c268p-2", "0x1.0ef326a050f48p-2"),
-            (3, "0x1.c010ca5e2b34ep-2", "0x1.011457b06ac7bp-3"),
-            (2, "0x1.ec614a2fb75bcp-2", "0x1.3a12bbfc6e922p-5"),
-            (7, "0x1.e3173ac951ce8p-2", "0x1.cf0a678c88beap-5"),
-            (2, "0x1.ee9b4b02074c6p-2", "0x1.1666bcc2efdaep-5"),
-        ]
-        assert [float(w).hex() for w in run.classifier.weights] == [
-            "0x0.0p+0", "0x0.0p+0", "0x1.fe0ff65bca5d7p-5", "0x1.baa3ed1abdec5p-4",
-            "0x1.1b3ef60f2da6ap-1", "0x0.0p+0", "0x1.d285b87df44d5p-3",
-            "0x1.8ea1ec840e2a3p-5",
-        ]
+        assert [(r.hypothesis, r.epsilon.hex(), r.alpha.hex()) for r in run.rounds] == FROZEN_ROUNDS
+        assert [float(w).hex() for w in run.classifier.weights] == FROZEN_WEIGHTS
+
+    def test_reference_loop_reproduces_the_frozen_bits(self):
+        _, S = frozen_task()
+        rounds, weights = reference_stump_adaboost(S, 1, 3, 6)
+        assert [(h, eps.hex(), alpha.hex()) for h, eps, alpha in rounds] == FROZEN_ROUNDS
+        assert [float(w).hex() for w in weights] == FROZEN_WEIGHTS
+
+    def test_reference_loop_matches_a_larger_run_bit_for_bit(self):
+        H = build_stump_class(2, 3)
+        _, S = generate_synthetic(H, 150, 0.1, stream(12, 0))
+        run = adaboost(S, H, 12)
+        rounds, weights = reference_stump_adaboost(S, 2, 3, 12)
+        assert [(r.hypothesis, r.epsilon, r.alpha) for r in run.rounds] == rounds
+        assert run.classifier.weights.tobytes() == weights.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        k=st.integers(1, 5),
+        n=st.integers(1, 80),
+        noise=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 15),
+    )
+    def test_stump_and_generic_errors_pick_the_same_hypotheses(self, d, k, n, noise, seed, T):
+        # The stump path, and the generic path forced by hiding the class's
+        # shape, on the same instance.  Their picks agree until two errors
+        # tie within rounding, where either pick is a minimizer; the stump
+        # path's own errors at that round show the tie.
+        H = build_stump_class(d, k)
+        _, S = generate_synthetic(H, n, noise, stream(seed, 0))
+        stump_errors = []
+        real = boosting._stump_errors
+
+        def record(keys, w, k, out):
+            real(keys, w, k, out)
+            stump_errors.append(out.copy())
+
+        with mock.patch.object(boosting, "_stump_errors", record):
+            stump = adaboost(S, H, T)
+        with mock.patch.object(boosting, "_stump_shape", lambda H: None):
+            generic = adaboost(S, H, T)
+        assert len(stump_errors) >= stump.T_completed
+        for r, (a, b) in enumerate(zip(stump.rounds, generic.rounds)):
+            if a.hypothesis != b.hypothesis:
+                errors = stump_errors[r]
+                assert errors[b.hypothesis] - errors[a.hypothesis] <= 1e-13
+                break
+            assert abs(a.epsilon - b.epsilon) <= 1e-13
+        else:
+            assert (stump.status, stump.T_completed) == (generic.status, generic.T_completed)
+            np.testing.assert_allclose(
+                stump.classifier.weights, generic.classifier.weights, rtol=0, atol=1e-12
+            )
+
+    def test_a_class_with_two_stump_rows_swapped_takes_the_generic_path(self):
+        H = build_stump_class(2, 3)
+        matrix = H.matrix.copy()
+        matrix[[0, 1]] = matrix[[1, 0]]
+        swapped = HypothesisClass(matrix)
+        assert (swapped.plus_index, swapped.minus_index) == (len(H) - 2, len(H) - 1)
+        assert _stump_shape(swapped) is None
+        _, S = generate_synthetic(H, 200, 0.1, stream(13, 0))
+        with mock.patch.object(boosting, "_stump_errors", side_effect=AssertionError):
+            run = adaboost(S, swapped, 10)
+        # Each ε against a correctly rounded sum, re-run in the same picks.
+        mismatch = swapped.sample_values(S) != S.labels
+        agreement = swapped.sample_values(S) * S.labels
+        w = np.full(len(S), 1.0 / len(S))
+        assert run.T_completed == 10
+        for r in run.rounds:
+            exact = [math.fsum(w[row].tolist()) for row in mismatch]
+            assert r.hypothesis == int(np.argmin(exact))
+            assert abs(r.epsilon - exact[r.hypothesis]) <= 1e-15
+            w = w * np.exp(-r.alpha * agreement[r.hypothesis])
+            w /= w.sum()
 
     def test_T_is_validated(self):
         H, _, S = separable_task(n=20)

@@ -53,6 +53,33 @@ class TestHypothesisClass:
         with pytest.raises(ValueError, match="\\+1 or -1"):
             HypothesisClass([[bad, 1], [1, -1]])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[255, 1], [1, 1]], dtype=np.uint8),
+            np.array([[0, 1], [1, -1]], dtype=np.int8),
+            np.array([[2, 1], [1, -1]], dtype=np.int16),
+            np.array([[-2, 1], [1, -1]]),
+            np.array([[2**40, 1], [1, -1]]),
+            np.array([["1", "-1"], ["1", "-1"]]),
+        ],
+        ids=["uint8-255", "int8-0", "int16-2", "int64-minus-2", "int64-huge", "str"],
+    )
+    def test_integer_arrays_are_checked_by_their_range_and_zeros(self, bad):
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            HypothesisClass(bad)
+
+    def test_valid_integer_arrays_of_any_width_become_int8(self):
+        sources = [
+            np.array([[1, -1], [-1, -1]], dtype=np.int8),
+            np.array([[1, -1], [-1, -1]], dtype=np.int64),
+            np.array([[1, 1]], dtype=np.uint8),
+        ]
+        for source in sources:
+            H = HypothesisClass(source)
+            assert H.matrix.dtype == np.int8
+            np.testing.assert_array_equal(H.matrix, source)
+
     def test_valid_values_of_any_dtype_become_int8(self):
         source = np.array([[1.0, -1.0], [-1.0, -1.0]])
         H = HypothesisClass(source)

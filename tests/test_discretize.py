@@ -278,6 +278,15 @@ class TestDiscretizedClassifier:
         with pytest.raises(ValueError, match="out of range"):
             DiscretizedClassifier(H, [-1])
 
+    @pytest.mark.parametrize(
+        "indices", [[0.7, 1.9], [0.0, 2.0], ["0", "2"], [True, False]],
+        ids=["fractional", "integral-floats", "strings", "bools"],
+    )
+    def test_indices_must_be_integers(self, indices):
+        # 0.7 used to truncate to 0 and '2' to parse as 2
+        with pytest.raises(ValueError, match="must be integers"):
+            DiscretizedClassifier(self.small(), indices)
+
 
 class TestSampleDiscretization:
     def two_constant_class(self):

@@ -312,6 +312,12 @@ class TestCheckHelpers:
         assert smallest_c_monotone(lambda c: c, 0.0) == 0.0
         assert smallest_c_monotone(lambda c: c, -2.0) == 0.0
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_smallest_c_monotone_rejects_a_non_finite_target(self, target):
+        # a NaN target used to return 1.0, a plausible constant
+        with pytest.raises(ValueError, match="target"):
+            smallest_c_monotone(lambda c: c, target)
+
     def test_smallest_c_monotone_rejects_unreachable_target(self):
         with pytest.raises(ValueError, match="no constant reaches"):
             smallest_c_monotone(lambda c: c / (1.0 + c), 2.0)
@@ -596,6 +602,30 @@ class TestAdaboostExperiment:
         config = parse_config_text(gap_text(tmp_path))
         with pytest.raises(ValueError, match="kind"):
             adaboost_experiment(config)
+
+    def test_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The weighted errors and the voter values are sums in a fixed order
+        # with no BLAS call, so one and two BLAS threads write the same bytes.
+        # At this size and seed, the errors as a BLAS matrix-vector product
+        # change bits at round 11 between one and two threads.
+        script = "import sys, votemargin.cli; sys.exit(votemargin.cli.main(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            config = tmp_path / f"threads-{threads}.ini"
+            config.write_text(adaboost_text(out, seed=2, d=4, k=15, n=20000, t=12, bins=20))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            result = subprocess.run(
+                [sys.executable, "-c", script, "experiment", "run", str(config)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            written.append(
+                [(out / name).read_bytes() for name in ("adaboost_rounds.csv", "adaboost_margins.csv")]
+            )
+        assert written[0] == written[1]
 
 
 def run(path) -> int:

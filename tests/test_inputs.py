@@ -6,8 +6,9 @@ that is not a real number at all (a bool, the string "0.5", a complex); for
 an array of reals (margins, weights, probabilities), one such float among
 valid entries, or a bool, str or complex array; for a count (a size, a
 number of trials, rounds, bins or points) any float or bool, any integer
-outside its range, and one no float can hold; and for a sample position a
-bool or an integer outside the domain.  Hypothesis swaps one argument of the
+outside its range, and one no float can hold; for a sample position or a
+hypothesis index a float, bool or string or an integer out of range; and
+for a hypothesis value or a label anything but +1 and -1.  Hypothesis swaps one argument of the
 valid call for such a value.  Every entry point that takes a discretization
 size N refuses one above 2**53.  The CLI cases do the same to ``bounds
 eval`` and ``bounds grid``, which must exit 2 with one ``error:`` line, and
@@ -53,6 +54,7 @@ from votemargin.core import (
     true_margin_loss,
 )
 from votemargin.discretize import (
+    DiscretizedClassifier,
     binom_margin_tail,
     binom_margin_tail_batch,
     decomposition_residual,
@@ -65,6 +67,7 @@ from votemargin.harness.checks import (
     binomial_ci,
     random_distribution,
     random_hypothesis_class,
+    smallest_c_monotone,
 )
 from votemargin.harness.config import EXPERIMENT_KINDS, ConfigError, parse_config_text
 from votemargin.phirho import (
@@ -128,14 +131,22 @@ def not_a_count(lo, hi=None):
     return bad if hi is None else bad | st.integers(min_value=hi + 1)
 
 
-#: A two-point domain: a sample position is an integer in {0, 1}.  The
-#: positions of a case are all equal, so their array takes the bad value's dtype.
+#: A two-point domain: a sample position is an integer in {0, 1}, and so is
+#: an index into a two-hypothesis class.  The positions (or indices) of a
+#: case are all equal, so their array takes the bad value's dtype.
 DOMAIN_SIZE = 2
 BAD_POSITION = (
     ANY_FLOAT
     | st.booleans()
     | st.integers(max_value=-1)
     | st.integers(min_value=DOMAIN_SIZE)
+    | st.sampled_from(["0", "1"])
+)
+#: Values a ±1 entry refuses: 255 must not wrap to -1 nor 1.7 truncate to 1.
+BAD_SIGN = (
+    st.integers().filter(lambda v: v not in (1, -1))
+    | ANY_FLOAT.filter(lambda v: v not in (1.0, -1.0))
+    | st.sampled_from([255, 1j, "1", "-1"])
 )
 
 BOUND_FIELDS = dict(n=5000, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
@@ -272,9 +283,24 @@ CASES = {
         },
     ),
     "LabeledSample": (
-        lambda domain_size, position: LabeledSample(domain_size, [position], [1]),
-        dict(domain_size=DOMAIN_SIZE, position=1),
-        {"domain_size": not_a_count(1), "position": BAD_POSITION},
+        lambda domain_size, position, label: LabeledSample(domain_size, [position], [label]),
+        dict(domain_size=DOMAIN_SIZE, position=1, label=-1),
+        {"domain_size": not_a_count(1), "position": BAD_POSITION, "label": BAD_SIGN},
+    ),
+    "HypothesisClass": (
+        lambda value: HypothesisClass([[value, 1], [1, -1]]),
+        dict(value=-1),
+        {"value": BAD_SIGN},
+    ),
+    "DiscretizedClassifier": (
+        lambda index: DiscretizedClassifier(TWO_CONSTANTS, [index, index]),
+        dict(index=1),
+        {"index": BAD_POSITION},
+    ),
+    "smallest_c_monotone": (
+        lambda target: smallest_c_monotone(lambda c: c, target),
+        dict(target=0.3),
+        {"target": real(NON_FINITE)},
     ),
     "DataDistribution": (
         lambda probabilities, position: DataDistribution(
