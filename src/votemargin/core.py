@@ -340,7 +340,8 @@ class DataDistribution:
     __slots__ = ("atoms", "probabilities")
 
     def __init__(self, atoms: LabeledSample, probabilities):
-        if np.unique(_keys(atoms)).size != len(atoms):
+        keys = np.sort(_keys(atoms))
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("distribution atoms must be distinct")
         probs = np.asarray(probabilities)
         if probs.shape != (len(atoms),):

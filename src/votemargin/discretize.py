@@ -300,7 +300,10 @@ class DiscretizedClassifier:
         """g(x) for every domain point, in domain order."""
         if self._values is None:
             H = self.hypothesis_class
-            values = H.matrix[self.indices].astype(np.float64).mean(axis=0)
+            # Σ_draws h(x) as an exact integer: draw counts times the int8
+            # rows, in hypothesis order, divided by N once.
+            counts = np.bincount(self.indices, minlength=len(H))
+            values = np.einsum("i,ij->j", counts, H.matrix) / self.N
             values.setflags(write=False)
             self._values = values
         return self._values
@@ -322,9 +325,19 @@ def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) 
         raise ValueError(
             f"classifier has {len(f)} weights but class has {len(H)} hypotheses"
         )
-    rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(len(H), size=N, replace=True, p=f.weights)
-    return DiscretizedClassifier(H, indices)
+    return DiscretizedClassifier(H, _draw_indices(f, N, np.random.default_rng(rng_seed)))
+
+
+def _draw_indices(f: VotingClassifier, shape, rng: np.random.Generator) -> np.ndarray:
+    """Hypothesis indices of the given shape, i.i.d. with probabilities a_h.
+
+    The one draw behind ``sample_discretization`` (shape N) and the Monte
+    Carlo margins of the ``margin-law`` suite (shape (rows, N)).  numpy draws
+    the entries in row-major order from one uniform stream, so an N-draw is
+    row 0 of an (M, N) draw from the same generator, and consecutive row
+    blocks equal one draw of all their rows.
+    """
+    return rng.choice(len(f), size=shape, replace=True, p=f.weights)
 
 
 def first_decrease(values):

@@ -6,38 +6,38 @@ inequalities, partition budgets, Rademacher estimates, and the calibrated
 concentration/trend experiments — and writes one ``criterion k: PASS/FAIL``
 line to the real stdout so the verdicts survive pytest's capture.
 
+Criteria 1, 3, 4 and 5 are pinned ``[validate]`` sections run through
+``validate()``, the code behind ``votemargin validate``: the suite decides
+the verdict, and the test checks the report and the CSV rows for the
+criterion's grid, sample size and tolerance.
+
 Monte Carlo criteria use pinned seeds (chosen once, recorded in the test);
 their tolerances are the statistical bands stated with each criterion, not
 tuned values.  Calibrated constants are regression-locked: a change in the
 experiment pipeline that moves them is a test failure, not a re-freeze.
 """
 
+import csv
 import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
 
-from votemargin.core import (
-    DataDistribution,
-    HypothesisClass,
-    LabeledSample,
-    VotingClassifier,
-)
+from votemargin.cli import main
+from votemargin.core import LabeledSample
 from votemargin.discretize import (
     DiscretizedClassifier,
     binom_margin_tail,
     decomposition_residual,
-    margin_law_monotone_check,
-    sample_discretization,
 )
 from votemargin.harness.checks import (
-    _FIVE_SIGMA_LEVEL,
-    binomial_ci,
+    random_distribution,
     random_hypothesis_class,
+    random_voting,
     validate,
 )
 from votemargin.harness.config import parse_config_text
@@ -48,13 +48,9 @@ from votemargin.harness.experiments import (
 )
 from votemargin.harness.reporting import read_constants_csv
 from votemargin.phirho import (
-    C_THETA,
     LIPSCHITZ_REGIONS,
     PhiRhoParams,
-    branch_continuity_residuals,
-    diff_replacement_check,
     lipschitz_slope_check,
-    phi_bound_check,
 )
 from votemargin.rademacher import (
     convexity_collapse_check,
@@ -69,6 +65,16 @@ SUITE_START = time.perf_counter()
 GRID_N = (8, 32, 128, 1024)
 GRID_LAMBDA = (-0.9, -0.5, 0.0, 0.3, 0.7)
 GRID_ETA = (0.0, 0.25, 0.5)
+
+#: The pinned [validate] sections of the criteria a validate suite decides.
+#: Criterion 3 runs monotonicity at its defaults, which are its grid;
+#: criterion 5 runs phi-bound and phi-rho-ineq from the one section.
+CRITERION_CONFIGS = {
+    1: "[validate]\nseed = 2\ntrials = 200000\n",
+    3: "[validate]\n",
+    4: "[validate]\nseed = 11\ntrials = 100\n",
+    5: "[validate]\nseed = 13\ntrials = 50\ngrid_points = 10001\n",
+}
 
 # Regression locks for the calibrated constants (seed 42 pipeline below).
 CALIBRATED_HALF_MARGIN = 0.005681385512477127
@@ -106,16 +112,12 @@ def announce(capsys, number: int, passed: bool, detail: str) -> None:
         print(f"criterion {number}: {verdict} — {detail}")
 
 
-def random_instance(rng, x_size: int, h_size: int, n: int):
-    """A random hypothesis class with a distribution, sample, and voter."""
-    H = random_hypothesis_class(rng, x_size, h_size)
-    probs = rng.dirichlet(np.ones(x_size))
-    labels = rng.choice([-1, 1], size=x_size)
-    D = DataDistribution(LabeledSample(x_size, np.arange(x_size), labels), probs)
-    idx = rng.integers(0, x_size, size=n)
-    S = LabeledSample(x_size, idx, labels[idx])
-    f = VotingClassifier(rng.dirichlet(np.ones(h_size)))
-    return H, D, S, f
+def run_suite(lemma_id: str, criterion: int, out):
+    """The criterion's pinned suite run through validate(): (report, CSV rows)."""
+    config = parse_config_text(f"{CRITERION_CONFIGS[criterion]}out = {out}\n")
+    report = validate(lemma_id, config)
+    with open(report.csv_path, newline="") as fh:
+        return report, list(csv.DictReader(fh))
 
 
 def reference_tail(N: int, lam: float, eta: float) -> float:
@@ -154,45 +156,28 @@ def calibrated_dir(tmp_path_factory):
     return out, reports
 
 
-def test_criterion_1_margin_law_monte_carlo(capsys):
-    """MC margins from the actual index sampler (small N) and the binomial
-    shortcut (large N) agree with the exact law at every grid point: each hit
-    count lies in the exact binomial interval at the two-sided 5-sigma level."""
+def test_criterion_1_margin_law_monte_carlo(tmp_path, capsys):
+    """`validate margin-law` at seed 2 with M = 200 000: Monte Carlo margins
+    of discretizations drawn by the library's sampler agree with the exact
+    law at all 60 grid points, each hit count inside the exact binomial
+    interval at the two-sided 5-sigma level."""
     t0 = time.perf_counter()
     M = 200_000
-    seed = 2  # pinned; every seed in 0..99 passes
-    H2 = HypothesisClass([[1], [-1]])
-    worst = 0
-    failures = []
-    for bi, N in enumerate(GRID_N):
-        for li, lam in enumerate(GRID_LAMBDA):
-            rng = stream(seed, bi, li)
-            a = (1.0 + lam) / 2.0
-            f = VotingClassifier([a, 1.0 - a])
-            if N <= 32:
-                idx = rng.choice(2, size=(M, N), p=f.weights)
-                margins = H2.matrix[idx, 0].mean(axis=1)
-            else:
-                kcorrect = rng.binomial(N, a, size=M)
-                margins = (2.0 * kcorrect - N) / N
-            for eta in GRID_ETA:
-                hits = int(np.count_nonzero(margins > eta))
-                exact = binom_margin_tail(N, lam, eta)
-                # exact, not normal: at a rare tail one hit already lies
-                # outside a normal band
-                lo, hi = binomial_ci(M, exact, _FIVE_SIGMA_LEVEL)
-                excess = max(lo - hits, hits - hi, 0)
-                worst = max(worst, excess)
-                if excess:
-                    failures.append((N, lam, eta, hits, lo, hi))
+    # pinned; at the default 20 000 trials every seed in 0..99 passes
+    report, rows = run_suite("margin-law", 1, tmp_path)
     elapsed = time.perf_counter() - t0
-    passed = not failures and elapsed < 120.0
+    grid = [(int(r["N"]), float(r["lambda"]), float(r["eta"])) for r in rows]
+    passed = report.passed and elapsed < 120.0
     announce(
         capsys, 1, passed,
-        f"60 grid points, M={M}, worst hit count {worst} outside the exact "
-        f"5-sigma interval, {elapsed:.1f}s",
+        f"{len(rows)} grid points, M={M}, worst hit count "
+        f"{round(report.max_violation * M)} outside the exact 5-sigma interval, "
+        f"{elapsed:.1f}s",
     )
-    assert not failures, failures
+    assert grid == list(itertools.product(GRID_N, GRID_LAMBDA, GRID_ETA))
+    assert f"{M} draws" in report.summary
+    assert report.tolerance == 0.0
+    assert report.passed, [r for r in rows if r["ok"] != "true"]
     assert elapsed < 120.0
 
 
@@ -212,36 +197,24 @@ def test_criterion_2_exact_oracle_equivalence(capsys):
     assert worst <= 1e-13
 
 
-def test_criterion_3_monotonicity_in_lambda(capsys):
-    """The tail is non-decreasing in lambda on 1000-point grids, zero
-    violations for every (N, eta) pair of the acceptance grid."""
-    grid = np.linspace(-1.0, 1.0, 1000)
-    bad = []
-    for N in GRID_N:
-        for eta in GRID_ETA:
-            ok, first_bad = margin_law_monotone_check(N, eta, grid)
-            if not ok:
-                bad.append((N, eta, first_bad))
-    announce(capsys, 3, not bad, f"{len(GRID_N) * len(GRID_ETA)} (N, eta) pairs, "
-                         f"{len(bad)} with a decrease")
-    assert not bad, bad
+def test_criterion_3_monotonicity_in_lambda(tmp_path, capsys):
+    """`validate monotonicity`: the tail is non-decreasing in lambda on
+    1000-point grids, zero violations for every (N, eta) pair of the
+    acceptance grid."""
+    report, rows = run_suite("monotonicity", 3, tmp_path)
+    announce(capsys, 3, report.passed, f"{len(rows)} (N, eta) pairs, "
+                          f"{int(report.max_violation)} with a decrease")
+    grid = [(int(r["N"]), float(r["eta"]), int(r["grid_points"])) for r in rows]
+    assert grid == list(itertools.product(GRID_N, GRID_ETA, [1000]))
+    assert report.tolerance == 0.0
+    assert report.passed, [r for r in rows if r["ok"] != "true"]
 
 
-def test_criterion_4_decomposition_identity(capsys):
-    """Loss-splitting identity residual <= 1e-12 on 100 random instances,
-    plus 10 instances checked for every g in the full discretization set."""
-    rng = stream(11, 0)
-    worst = 0.0
-    for _ in range(100):
-        x_size = int(rng.integers(4, 65))
-        h_size = int(rng.integers(2, 9))
-        n = int(rng.integers(5, 41))
-        N = int(rng.integers(1, 17))
-        H, D, S, f = random_instance(rng, x_size, h_size, n)
-        g = sample_discretization(f, H, N, rng)
-        theta = float(rng.uniform(0.05, 1.0))
-        theta_i = float(rng.uniform(0.05, 1.0))
-        worst = max(worst, decomposition_residual(f, g, H, D, S, theta, theta_i))
+def test_criterion_4_decomposition_identity(tmp_path, capsys):
+    """`validate decomposition`: loss-splitting identity residual <= 1e-12 on
+    100 random instances, plus 10 instances checked for every g in the full
+    discretization set."""
+    report, rows = run_suite("decomposition", 4, tmp_path)
 
     rng = stream(11, 1)
     worst_exhaustive = 0.0
@@ -250,8 +223,10 @@ def test_criterion_4_decomposition_identity(capsys):
         h_size = int(rng.integers(2, 4))
         n = int(rng.integers(4, 13))
         N = int(rng.integers(2, 5))
-        H, D, S, _ = random_instance(rng, x_size, h_size, n)
-        f = VotingClassifier(rng.dirichlet(np.ones(h_size)))
+        H = random_hypothesis_class(rng, x_size, h_size)
+        D = random_distribution(rng, x_size)
+        S = D.sample(n, rng)
+        f = random_voting(rng, h_size)
         theta = float(rng.uniform(0.05, 1.0))
         theta_i = float(rng.uniform(0.05, 1.0))
         for tup in itertools.product(range(h_size), repeat=N):
@@ -260,39 +235,50 @@ def test_criterion_4_decomposition_identity(capsys):
                 worst_exhaustive,
                 decomposition_residual(f, g, H, D, S, theta, theta_i),
             )
-    worst_overall = max(worst, worst_exhaustive)
-    passed = worst_overall <= 1e-12
-    announce(capsys, 4, passed, f"100 random + 10 exhaustive instances, worst residual "
-                        f"{worst_overall:.3e} <= 1e-12")
-    assert worst <= 1e-12
+    worst_overall = max(report.max_violation, worst_exhaustive)
+    passed = report.passed and worst_exhaustive <= 1e-12
+    announce(capsys, 4, passed, f"{len(rows)} random + 10 exhaustive instances, worst "
+                        f"residual {worst_overall:.3e} <= 1e-12")
+    assert len(rows) == 100
+    assert report.tolerance == 1e-12
+    assert report.passed
     assert worst_exhaustive <= 1e-12
 
 
-def test_criterion_5_phi_rho_surrogates(capsys):
-    """For 50 (theta_i, N) pairs: branch continuity <= 1e-12, sup phi under
-    the exp(-N theta^2/16) ceiling, and all four replacement inequalities
-    hold pointwise on dense grids with zero violations."""
-    rng = stream(13, 0)
-    worst_residual = 0.0
-    total_violations = 0
-    for _ in range(50):
-        theta_i = float(rng.uniform(0.05, C_THETA))
-        N = int(rng.integers(1, 513))
-        params = PhiRhoParams(theta_i, N)
-        worst_residual = max(
-            worst_residual, float(np.max(np.abs(branch_continuity_residuals(params))))
-        )
-        _, _, holds = phi_bound_check(params)
-        assert holds, (theta_i, N)
-        theta = float(rng.uniform(theta_i, 2.0 * theta_i))
-        theta = min(max(theta, np.nextafter(theta_i, 1.0)), 2.0 * theta_i)
-        report = diff_replacement_check(params, theta)
-        total_violations += sum(report.violations)
-    passed = worst_residual <= 1e-12 and total_violations == 0
-    announce(capsys, 5, passed, f"50 pairs; worst continuity residual "
-                        f"{worst_residual:.3e}, {total_violations} sandwich violations")
-    assert worst_residual <= 1e-12
-    assert total_violations == 0
+def test_criterion_5_phi_rho_surrogates(tmp_path, capsys):
+    """`validate phi-bound` and `validate phi-rho-ineq`, 50 (theta_i, N) pairs
+    each: branch continuity <= 1e-12, sup phi under the exp(-N theta^2/16)
+    ceiling, and all four replacement inequalities hold pointwise on
+    10001-point grids with zero violations."""
+    bound, bound_rows = run_suite("phi-bound", 5, tmp_path)
+    ineq, ineq_rows = run_suite("phi-rho-ineq", 5, tmp_path)
+    worst_residual = max(float(r["max_continuity_residual"]) for r in bound_rows)
+    passed = bound.passed and ineq.passed
+    announce(capsys, 5, passed, f"{len(bound_rows)} + {len(ineq_rows)} pairs; worst "
+                        f"continuity residual {worst_residual:.3e}, "
+                        f"{int(ineq.max_violation)} sandwich violations")
+    assert len(bound_rows) == len(ineq_rows) == 50
+    assert "10001-point" in ineq.summary
+    assert bound.tolerance == ineq.tolerance == 0.0
+    assert bound.passed, [r for r in bound_rows if r["ok"] != "true"]
+    assert ineq.passed
+
+
+@pytest.mark.parametrize(
+    "criterion, lemma_id",
+    [(3, "monotonicity"), (4, "decomposition"), (5, "phi-bound"), (5, "phi-rho-ineq")],
+)
+def test_criterion_configs_run_the_same_through_the_cli(tmp_path, capsys, criterion, lemma_id):
+    """`votemargin validate <id> --config <file>` on a criterion's pinned
+    section exits 0, prints the report and writes the CSV bytes of the
+    criterion's validate()."""
+    report, _ = run_suite(lemma_id, criterion, tmp_path / "api")
+    config = tmp_path / "criterion.ini"
+    config.write_text(f"{CRITERION_CONFIGS[criterion]}out = {tmp_path / 'cli'}\n")
+    assert main(["validate", lemma_id, "--config", str(config)]) == 0
+    assert f"lemma: {lemma_id}\nverdict: pass\n" in capsys.readouterr().out
+    cli_csv = tmp_path / "cli" / Path(report.csv_path).name
+    assert cli_csv.read_bytes() == Path(report.csv_path).read_bytes()
 
 
 def test_criterion_6_lipschitz_slopes(capsys):

@@ -239,6 +239,11 @@ class TestDataDistribution:
         # Two entries that normalize to one atom: same position, labels 1 and 1.0.
         with pytest.raises(ValueError, match="distinct"):
             DataDistribution(LabeledSample(4, [0, 0], [np.int8(1), 1.0]), [0.5, 0.5])
+        # the check sorts the atoms, so a huge domain costs nothing
+        atoms = LabeledSample(2**40, [2**40 - 1, 0, 2**40 - 1], [1, 1, -1])
+        assert len(DataDistribution(atoms, [0.5, 0.25, 0.25])) == 3
+        with pytest.raises(ValueError, match="distinct"):
+            DataDistribution(LabeledSample(2**40, [5, 0, 5], [1, 1, 1]), [0.5, 0.25, 0.25])
 
     def test_same_point_with_both_labels_is_two_atoms(self):
         D = distribution(4, {(0, 1): 0.5, (0, -1): 0.5})

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votemargin import discretize
+from votemargin.boosting import build_stump_class
 from votemargin.core import (
-    DataDistribution,
     HypothesisClass,
-    LabeledSample,
     PreconditionError,
     VotingClassifier,
     margins_on_support,
@@ -29,6 +29,13 @@ from votemargin.discretize import (
     k_star,
     margin_law_monotone_check,
     sample_discretization,
+)
+from votemargin.harness.checks import (
+    _FIVE_SIGMA_LEVEL,
+    binomial_ci,
+    random_distribution,
+    random_hypothesis_class,
+    random_voting,
 )
 from votemargin.rng import stream
 
@@ -59,19 +66,9 @@ def exact_loop(N: int, lam: float, eta: float) -> float:
 def random_instance(seed: int, n_points: int = 8, n_hyps: int = 4, n_sample: int = 20):
     """A random (f, H, D, S) instance over ±1 hypothesis tables."""
     rng = stream(seed, 0)
-    while True:
-        matrix = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_hyps, n_points))
-        # keep at most one +1 and one -1 constant row so construction succeeds
-        row_sums = np.abs(matrix.sum(axis=1))
-        if np.count_nonzero(row_sums == n_points) <= 1:
-            break
-    H = HypothesisClass(matrix)
-    f = VotingClassifier(rng.dirichlet(np.ones(n_hyps)))
-    labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=n_points)
-    probs = rng.dirichlet(np.ones(n_points))
-    D = DataDistribution(LabeledSample(n_points, np.arange(n_points), labels), probs)
-    S = D.sample(n_sample, rng)
-    return f, H, D, S
+    H = random_hypothesis_class(rng, n_points, n_hyps)
+    D = random_distribution(rng, n_points)
+    return random_voting(rng, n_hyps), H, D, D.sample(n_sample, rng)
 
 
 class TestKStar:
@@ -233,6 +230,25 @@ class TestDiscretizedClassifier:
         expected = (2 * H.matrix[0] + H.matrix[1] + H.matrix[2]) / 4.0
         assert np.array_equal(g.values_on_domain(), expected)
         assert g.N == 4
+        for t in range(20):  # bit for bit the float mean of the drawn rows
+            rng = stream(8, t)
+            H = random_hypothesis_class(rng, int(rng.integers(2, 200)), int(rng.integers(1, 40)))
+            idx = rng.integers(0, len(H), size=int(rng.integers(1, 600)))
+            reference = H.matrix[idx].astype(np.float64).mean(axis=0)
+            assert DiscretizedClassifier(H, idx).values_on_domain().tobytes() == reference.tobytes()
+
+    def test_values_make_no_float_copy_of_the_drawn_rows(self):
+        # N = 256 draws over 122 x 65 536 stumps, where an N x |X| float64
+        # copy would take 128 MB
+        H = build_stump_class(4, 15)
+        g = DiscretizedClassifier(H, stream(8, 99).integers(0, len(H), size=256))
+        tracemalloc.start()
+        try:
+            g.values_on_domain()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_values_are_cached(self):
         H = self.small()
@@ -300,6 +316,8 @@ class TestSampleDiscretization:
         c = sample_discretization(f, H, 32, stream(5, 1))
         assert np.array_equal(a.indices, b.indices)
         assert not np.array_equal(a.indices, c.indices)
+        # the N indices are row 0 of an (M, N) draw from the same generator
+        assert np.array_equal(a.indices, discretize._draw_indices(f, (100, 32), stream(5, 0))[0])
 
     def test_point_mass_draws_one_hypothesis(self):
         H = self.two_constant_class()
@@ -327,9 +345,8 @@ class TestSampleDiscretization:
             float(sample_discretization(f, H, N, rng).margins_on_sample(S)[0]) > 0.0
             for _ in range(M)
         )
-        target = binom_margin_tail(N, lam, 0.0)
-        sigma = math.sqrt(target * (1.0 - target) / M)
-        assert abs(hits / M - target) <= 5 * sigma
+        lo, hi = binomial_ci(M, binom_margin_tail(N, lam, 0.0), _FIVE_SIGMA_LEVEL)
+        assert lo <= hits <= hi
 
     def test_rejects_weight_class_size_mismatch(self):
         H = self.two_constant_class()
@@ -368,21 +385,6 @@ class TestMonotoneCheck:
 
 
 class TestDecompositionResidual:
-    def test_residual_is_float_noise_on_random_instances(self):
-        for t in range(30):
-            f, H, D, S = random_instance(100 + t)
-            g = sample_discretization(f, H, int(stream(200 + t, 0).integers(1, 17)), stream(300 + t, 0))
-            rng = stream(400 + t, 0)
-            theta = float(rng.uniform(0.05, 1.0))
-            theta_i = float(rng.uniform(0.05, 1.0))
-            assert decomposition_residual(f, g, H, D, S, theta, theta_i) <= 1e-12
-
-    def test_residual_over_every_discretization_of_a_small_class(self):
-        f, H, D, S = random_instance(99, n_points=4, n_hyps=3, n_sample=10)
-        for indices in itertools.product(range(3), repeat=3):
-            g = DiscretizedClassifier(H, list(indices))
-            assert decomposition_residual(f, g, H, D, S, 0.4, 0.5) <= 1e-12
-
     def test_expected_half_margin_loss_matches_exhaustive_enumeration(self):
         # E over all |H|^N discretizations of L_D^{θ_i/2}(g), with exact
         # product weights, must equal the per-atom binomial-tail expression.

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from votemargin import discretize
 from votemargin.bounds import BoundInputs, theorem1_report
 from votemargin.cli import main
 from votemargin.core import PreconditionError
@@ -434,15 +435,29 @@ class TestValidateDispatch:
         assert (tmp_path / f"validate_{slug}.txt").is_file()
 
     def test_margin_law_judges_hits_against_the_exact_interval(self, tmp_path, monkeypatch):
-        # seed 28 put one hit where the exact tail is 1.5e-6, outside a normal band
         config = parse_config_text(f"[validate]\nseed = 28\nout = {tmp_path}\n")
         assert validate("margin-law", config).passed
-        header = (tmp_path / "validate_margin_law.csv").read_text().splitlines()[0]
-        assert header == "N,lambda,eta,exact_tail,mc_tail,hits,ci_lo,ci_hi,ok"
+        lines = (tmp_path / "validate_margin_law.csv").read_text().splitlines()
+        assert lines[0] == "N,lambda,eta,exact_tail,mc_tail,hits,ci_lo,ci_hi,ok"
+        assert len(lines) == 61 and lines[-1].startswith("1024,")
         # a defect: the tail of N + 1 draws stands in for the tail of N
         monkeypatch.setattr(
             checks, "binom_margin_tail", lambda N, lam, eta: binom_margin_tail(N + 1, lam, eta)
         )
+        report = validate("margin-law", config)
+        assert not report.passed and report.max_violation > 0
+
+    def test_margin_law_draws_through_the_sampler_in_blocks(self, tmp_path, monkeypatch):
+        config = parse_config_text(f"[validate]\nseed = 3\ntrials = 2000\nout = {tmp_path}\n")
+        assert validate("margin-law", config).passed
+        blocked = (tmp_path / "validate_margin_law.csv").read_bytes()  # 1024 + 976 rows
+        monkeypatch.setattr(checks, "_MC_BLOCK_ROWS", 2000)
+        validate("margin-law", config)
+        assert (tmp_path / "validate_margin_law.csv").read_bytes() == blocked
+        # a defect in the draw the suite shares with sample_discretization
+        for module in (discretize, checks):
+            monkeypatch.setattr(module, "_draw_indices", lambda f, shape, rng: rng.choice(
+                len(f), size=shape, p=f.weights[::-1]))
         report = validate("margin-law", config)
         assert not report.passed and report.max_violation > 0
 
@@ -820,16 +835,6 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0].startswith("tau,")
-
-    def test_validate_subcommand(self, tmp_path, capsys):
-        config = tmp_path / "v.ini"
-        config.write_text(validate_text(out=tmp_path))
-        code = main(["validate", "decomposition", "--config", str(config)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "lemma: decomposition" in out
-        assert "verdict: pass" in out
-        assert (tmp_path / "validate_decomposition.csv").is_file()
 
     def test_validate_unknown_id(self, capsys):
         code = main(["validate", "bogus"])
