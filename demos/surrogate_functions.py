@@ -54,10 +54,12 @@ print(f"sup phi = {sup_phi:.6g} <= exp(-N theta_i^2/16) = {ceiling:.6g}: {holds}
 # 2 theta_i], phi sits between the indicator-weighted tails, and rho
 # between the complementary ones.  Violation counts must be zero.
 # ------------------------------------------------------------------
-report = diff_replacement_check(params, theta=0.6)
-print(f"\nsandwich check at theta = {report.theta} on {report.grid_size} points:")
-print(f"  violations per inequality: {report.violations}")
-print(f"  largest signed gap: {report.max_violation:.3e}")
+theta = 0.6
+grid = np.linspace(-C_THETA, C_THETA, 10_001)
+violations, max_violation = diff_replacement_check(params, theta, grid)
+print(f"\nsandwich check at theta = {theta} on {grid.size} points:")
+print(f"  violations per inequality: {violations}")
+print(f"  largest signed gap: {max_violation:.3e}")
 
 # ------------------------------------------------------------------
 # Lipschitz regions.  The middle region (0, theta_i] is linear; the two

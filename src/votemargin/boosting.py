@@ -179,7 +179,6 @@ class BoostingRun:
     rounds: tuple
     classifier: VotingClassifier
     status: str
-    T_requested: int
 
     @property
     def T_completed(self) -> int:
@@ -272,9 +271,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     else:
         totals = np.bincount(picks, weights=alphas, minlength=len(H))
         classifier = VotingClassifier(totals / totals.sum())
-    return BoostingRun(
-        rounds=tuple(rounds), classifier=classifier, status=status, T_requested=T
-    )
+    return BoostingRun(rounds=tuple(rounds), classifier=classifier, status=status)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ Subcommands:
   within-const, gap-vs-bounds or adaboost (a training run with its round
   table and margin histogram).
 
-Exit status: 0 on pass, 1 on a failed assertion, 2 on usage, config, or
-precondition errors.  Output directories default to the VOTEMARGIN_OUT
+Exit status: 0 on pass, 1 on a failed assertion, 2 on usage, config,
+precondition or file errors (an output path that is not a directory, a
+missing constants file).  Output directories default to the VOTEMARGIN_OUT
 environment variable, then the working directory.
 """
 
@@ -264,7 +265,7 @@ def main(argv=None) -> int:
             return _validate(args)
         if args.command == "experiment":
             return _experiment_run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command dispatch")

@@ -157,10 +157,6 @@ class ExperimentConfig:
     seed: int
     params: dict
 
-    @property
-    def out(self):
-        return self.params.get("out")
-
 
 def _build(kind: str, raw: dict) -> ExperimentConfig:
     schema = _SCHEMAS[kind]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "branch_continuity_residuals",
     "phi_bound_check",
     "diff_replacement_check",
-    "DiffReplacementReport",
     "lipschitz_slope_check",
     "lip_const_bound",
     "lip_const_check",
@@ -69,6 +69,16 @@ class PhiRhoParams:
         """Pr[discretized margin > θ_i/2] given source margin λ."""
         return binom_margin_tail(self.N, lam, self.eta)
 
+    @cached_property
+    def tail_zero(self) -> float:
+        """T(0), where φ leaves the tail for its taper; computed on first use."""
+        return self.tail(0.0)
+
+    @cached_property
+    def tail_theta_i(self) -> float:
+        """T(θ_i), where ρ's rise meets 1 − tail; computed on first use."""
+        return self.tail(self.theta_i)
+
     def tail_many(self, lams) -> np.ndarray:
         return binom_margin_tail_batch(self.N, lams, self.eta)
 
@@ -79,7 +89,7 @@ def phi(lam: float, params: PhiRhoParams) -> float:
     if lam <= 0.0:
         return params.tail(lam)
     if lam <= params.theta_i:
-        return (params.theta_i - lam) / params.theta_i * params.tail(0.0)
+        return (params.theta_i - lam) / params.theta_i * params.tail_zero
     return 0.0
 
 
@@ -89,7 +99,7 @@ def rho(lam: float, params: PhiRhoParams) -> float:
     if lam <= 0.0:
         return 0.0
     if lam <= params.theta_i:
-        return lam / params.theta_i * (1.0 - params.tail(params.theta_i))
+        return lam / params.theta_i * (1.0 - params.tail_theta_i)
     return 1.0 - params.tail(lam)
 
 
@@ -103,7 +113,7 @@ def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
         out[left] = params.tail_many(flat[left])
     mid = (flat > 0.0) & (flat <= params.theta_i)
     if mid.any():
-        out[mid] = (params.theta_i - flat[mid]) / params.theta_i * params.tail(0.0)
+        out[mid] = (params.theta_i - flat[mid]) / params.theta_i * params.tail_zero
     return out.reshape(lams.shape)
 
 
@@ -114,7 +124,7 @@ def rho_many(lams, params: PhiRhoParams) -> np.ndarray:
     out = np.zeros(flat.shape, dtype=np.float64)
     mid = (flat > 0.0) & (flat <= params.theta_i)
     if mid.any():
-        out[mid] = flat[mid] / params.theta_i * (1.0 - params.tail(params.theta_i))
+        out[mid] = flat[mid] / params.theta_i * (1.0 - params.tail_theta_i)
     right = flat > params.theta_i
     if right.any():
         out[right] = 1.0 - params.tail_many(flat[right])
@@ -122,23 +132,20 @@ def rho_many(lams, params: PhiRhoParams) -> np.ndarray:
 
 
 def branch_continuity_residuals(params: PhiRhoParams) -> np.ndarray:
-    """|left branch − right branch| of φ and ρ at both breakpoints.
+    """Jumps |f(b) − f(b⁺)| of f = φ, ρ at the breakpoints b = 0 and θ_i.
 
-    Order: φ at 0, φ at θ_i, ρ at 0, ρ at θ_i.  All four are float noise.
+    Order: φ at 0, φ at θ_i, ρ at 0, ρ at θ_i.  Each is measured on the exact
+    scalar φ or ρ, with b⁺ the next float above b: every branch is closed on
+    the right, so b lies on the left piece and b⁺ on the right one.  When b⁺
+    leaves the margin range (θ_i = c_θ) the right piece is empty and the jump
+    is 0.  A continuous glue leaves float noise.
     """
-    t = params.theta_i
-    tail0 = params.tail(0.0)
-    tail_t = params.tail(t)
-    return np.abs(
-        np.array(
-            [
-                tail0 - (t - 0.0) / t * tail0,
-                (t - t) / t * tail0 - 0.0,
-                0.0 - 0.0 / t * (1.0 - tail_t),
-                t / t * (1.0 - tail_t) - (1.0 - tail_t),
-            ]
-        )
-    )
+    jumps = []
+    for fn in (phi, rho):
+        for b in (0.0, params.theta_i):
+            right = math.nextafter(b, math.inf)
+            jumps.append(abs(fn(b, params) - fn(right, params)) if right <= C_THETA else 0.0)
+    return np.array(jumps)
 
 
 def phi_bound_check(params: PhiRhoParams, lambda_grid=None):
@@ -155,28 +162,14 @@ def phi_bound_check(params: PhiRhoParams, lambda_grid=None):
     return sup_phi, bound, sup_phi <= bound
 
 
-@dataclass(frozen=True)
-class DiffReplacementReport:
-    """Violation counts for the four indicator-replacement inequalities."""
-
-    theta: float
-    grid_size: int
-    violations: tuple
-    max_violation: float
-
-    @property
-    def ok(self) -> bool:
-        return all(v == 0 for v in self.violations)
-
-
-def diff_replacement_check(
-    params: PhiRhoParams, theta: float, lambda_grid=None
-) -> DiffReplacementReport:
+def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid=None):
     """Verify the sandwich 1{λ≤0}·tail ≤ φ ≤ 1{λ≤θ}·tail and its ρ mirror.
 
     The ρ mirror is 1{λ>θ}·(1−tail) ≤ ρ ≤ 1{λ>0}·(1−tail).  All four hold
     pointwise for any θ in (θ_i, 2θ_i]; both sides are evaluated through the
     same exact binomial tail, so violations are counted at tolerance 0.
+    Returns (violations, max_violation): the count of grid points where each
+    inequality fails, in the order above, and the largest signed gap.
     """
     theta = _check_real(theta, "theta", params.theta_i, 2.0 * params.theta_i, lo_open=True)
     if lambda_grid is None:
@@ -196,12 +189,7 @@ def diff_replacement_check(
     )
     violations = tuple(int(np.count_nonzero(g > 0.0)) for g in gaps)
     max_violation = float(max(g.max() if g.size else 0.0 for g in gaps))
-    return DiffReplacementReport(
-        theta=theta,
-        grid_size=int(lams.size),
-        violations=violations,
-        max_violation=max_violation,
-    )
+    return violations, max_violation
 
 
 def _region_interval(params: PhiRhoParams, region: str):
@@ -220,7 +208,7 @@ def _max_abs_slope(fn, lo: float, hi: float, num_points: int, step: float) -> fl
     Central differences with the stencil clipped to the interval, so no
     stencil ever straddles a branch point (breakpoints coincide with region
     endpoints); points within one step of an endpoint fall back to one-sided
-    differences automatically.
+    differences automatically.  An empty interval has max slope 0.
     """
     grid = np.linspace(lo, hi, num_points)
     left = np.maximum(grid - step, lo)
@@ -228,7 +216,7 @@ def _max_abs_slope(fn, lo: float, hi: float, num_points: int, step: float) -> fl
     width = right - left
     usable = width > 0
     slopes = (fn(right[usable]) - fn(left[usable])) / width[usable]
-    return float(np.abs(slopes).max())
+    return float(np.abs(slopes).max(initial=0.0))
 
 
 def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 10_000):

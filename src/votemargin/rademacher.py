@@ -38,18 +38,11 @@ _TABLE_BITS = 16
 
 @dataclass(frozen=True)
 class RademacherEstimate:
-    """An estimate of (1/n)·E_σ[sup_h Σ σ_i·h(x_i)]."""
+    """An estimate of (1/n)·E_σ[sup_h Σ σ_i·h(x_i)]; std_error 0 means exact."""
 
     value: float
     std_error: float
     trials: int
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("monte-carlo", "exhaustive"):
-            raise ValueError(f"mode must be monte-carlo or exhaustive, got {self.mode!r}")
-        if self.mode == "exhaustive" and self.std_error != 0.0:
-            raise ValueError("exhaustive estimates are exact; std_error must be 0")
 
 
 def empirical_rademacher(
@@ -76,9 +69,7 @@ def empirical_rademacher(
     std_error = (
         float(per_draw.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     )
-    return RademacherEstimate(
-        value=value, std_error=std_error, trials=trials, mode="monte-carlo"
-    )
+    return RademacherEstimate(value=value, std_error=std_error, trials=trials)
 
 
 def _signed_sums(columns: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -127,9 +118,7 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
         total += int(corr.max(axis=0).sum(dtype=np.int64))
         total -= int(corr.min(axis=0).sum(dtype=np.int64))
     count = 1 << n
-    return RademacherEstimate(
-        value=total / (count * n), std_error=0.0, trials=count, mode="exhaustive"
-    )
+    return RademacherEstimate(value=total / (count * n), std_error=0.0, trials=count)
 
 
 def massart_bound(H_size: int, n: int) -> float:

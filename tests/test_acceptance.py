@@ -265,6 +265,20 @@ def test_criterion_5_phi_rho_surrogates(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "glue, wrong_lam",
+    [("tail_zero", lambda p: p.theta_i), ("tail_theta_i", lambda p: 0.0)],
+    ids=["phi-glued-at-theta_i", "rho-glued-at-zero"],
+)
+def test_criterion_5_fails_on_a_wrong_glue(tmp_path, monkeypatch, glue, wrong_lam):
+    """Glue phi with T(theta_i), or rho with T(0): each makes a branch jump
+    that the continuity column of `validate phi-bound` catches."""
+    monkeypatch.setattr(PhiRhoParams, glue, property(lambda p: p.tail(wrong_lam(p))))
+    report, rows = run_suite("phi-bound", 5, tmp_path)
+    assert not report.passed
+    assert max(float(r["max_continuity_residual"]) for r in rows) > 0.5
+
+
+@pytest.mark.parametrize(
     "criterion, lemma_id",
     [(3, "monotonicity"), (4, "decomposition"), (5, "phi-bound"), (5, "phi-rho-ineq")],
 )

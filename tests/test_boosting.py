@@ -251,7 +251,7 @@ class TestAdaboost:
         assert run1.status == run2.status
         assert isinstance(run1, BoostingRun)
         assert run1.status == "completed"
-        assert run1.T_completed == run1.T_requested == 60
+        assert run1.T_completed == 60
         assert run1.rounds[-1].train_error == 0.0
         assert run1.rounds[-1].min_margin > 0.0
         assert abs(float(run1.classifier.weights.sum()) - 1.0) <= 1e-12

@@ -142,7 +142,7 @@ class TestConfigParsing:
         assert config.params["delta"] == 0.1
         assert config.params["theta"] == 0.35
         assert config.params["probes"] == 100
-        assert config.out is None
+        assert config.params["out"] is None
 
     def test_within_const_shares_schema(self):
         config = parse_config_text("[within-const]\nseed = 7\nn = 120\n")
@@ -187,7 +187,7 @@ class TestConfigParsing:
 
     def test_out_key_is_kept_as_string(self, tmp_path):
         config = parse_config_text(f"[adaboost]\nseed = 1\nout = {tmp_path}\n")
-        assert config.out == str(tmp_path)
+        assert config.params["out"] == str(tmp_path)
 
     def test_missing_seed_is_rejected(self):
         with pytest.raises(ConfigError, match="requires key 'seed'"):
@@ -673,6 +673,29 @@ class TestRunExitCodes:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert run(tmp_path / "nope.ini") == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case",
+        ["out-is-a-file", "out-below-a-file", "constants-missing",
+         "constants-is-a-directory", "grid-out-is-a-directory"],
+    )
+    def test_unusable_path_exits_two(self, tmp_path, capsys, case):
+        blocker = self.write(tmp_path, "blocker.txt", "not a directory\n")
+        if case.startswith("out-"):
+            out = blocker if case == "out-is-a-file" else blocker / "sub"
+            config = self.write(tmp_path, "v.ini", validate_text(out=out))
+            argv = ["validate", "massart", "--config", str(config)]
+        elif case.startswith("constants-"):
+            constants = tmp_path / "missing.csv" if case == "constants-missing" else tmp_path
+            config = self.write(tmp_path, "g.ini", gap_text(tmp_path, constants_csv=constants))
+            argv = ["experiment", "run", str(config)]
+        else:
+            argv = ["bounds", "grid", "--sweep", "n", "--values", "100", "--h-size", "16",
+                    "--theta", "0.3", "--delta", "0.05", "--loss", "0.1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_validate_section_is_redirected(self, tmp_path, capsys):
         path = self.write(tmp_path, "v.ini", validate_text(out=tmp_path))

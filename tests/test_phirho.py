@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from votemargin import phirho
 from votemargin.core import C_THETA, PreconditionError
 from votemargin.discretize import binom_margin_tail
 from votemargin.phirho import (
@@ -49,6 +50,22 @@ class TestPhiRhoParams:
     def test_N_is_validated(self):
         with pytest.raises(ValueError, match="N"):
             PhiRhoParams(0.5, 0)
+
+    def test_glue_tails_are_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_tail(N, lam, eta):
+            calls.append(lam)
+            return binom_margin_tail(N, lam, eta)
+
+        monkeypatch.setattr(phirho, "binom_margin_tail", counting_tail)
+        p = PhiRhoParams(0.4, 100)
+        grid = np.linspace(-C_THETA, C_THETA, 101)
+        for _ in range(3):
+            phi_many(grid, p)
+            rho_many(grid, p)
+        assert sorted(calls) == [0.0, 0.4]
+        assert (p.tail_zero, p.tail_theta_i) == (p.tail(0.0), p.tail(0.4))
 
 
 class TestPhiRhoBranches:
@@ -144,7 +161,19 @@ class TestBranchContinuity:
         for theta_i, N in ((0.5, 64), (0.3, 7), (C_THETA, 128)):
             res = branch_continuity_residuals(PhiRhoParams(theta_i, N))
             assert res.shape == (4,)
-            assert np.all(res == 0.0)
+            assert np.all(res <= 1e-15)
+
+    @pytest.mark.parametrize(
+        "glue, wrong, at", [("tail_zero", 0.3, 0), ("tail_theta_i", 0.0, 3)]
+    )
+    def test_a_wrong_glue_shows_as_a_jump(self, monkeypatch, glue, wrong, at):
+        # φ glued with T(θ_i) jumps at 0; ρ glued with T(0) jumps at θ_i
+        monkeypatch.setattr(PhiRhoParams, glue, property(lambda self: self.tail(wrong)))
+        p = PhiRhoParams(0.3, 7)
+        expected = np.zeros(4)
+        expected[at] = abs(p.tail(0.0) - p.tail(0.3))
+        assert expected[at] > 0.1
+        assert branch_continuity_residuals(p) == pytest.approx(expected, abs=1e-15)
 
 
 class TestPhiBoundCheck:
@@ -171,18 +200,15 @@ class TestPhiBoundCheck:
 
 class TestDiffReplacement:
     def test_sandwich_holds_at_zero_tolerance(self):
-        report = diff_replacement_check(PhiRhoParams(0.35, 128), 0.5)
-        assert report.ok
-        assert report.violations == (0, 0, 0, 0)
-        assert report.max_violation == 0.0  # φ equals its floor for λ ≤ 0
-        assert report.grid_size == 10_001
-        assert report.theta == 0.5
+        violations, max_violation = diff_replacement_check(PhiRhoParams(0.35, 128), 0.5)
+        assert violations == (0, 0, 0, 0)
+        assert max_violation == 0.0  # φ equals its floor for λ ≤ 0
 
     def test_all_margin_regions_are_exercised(self):
         p = PhiRhoParams(0.35, 128)
         grid = np.array([-0.2, 0.1, 0.45, 0.65])  # λ≤0, ≤θ_i, ≤θ, >θ
-        report = diff_replacement_check(p, 0.5, lambda_grid=grid)
-        assert report.ok and report.grid_size == 4
+        violations, _ = diff_replacement_check(p, 0.5, lambda_grid=grid)
+        assert violations == (0, 0, 0, 0)
 
     def test_theta_window_is_enforced(self):
         p = PhiRhoParams(0.35, 128)
@@ -206,6 +232,18 @@ class TestLipschitz:
         max_slope, _, _ = lipschitz_slope_check(p, "middle", num_points=2000)
         expected = max(p.tail(0.0), 1.0 - p.tail(0.5)) / 0.5
         assert max_slope == pytest.approx(expected, rel=1e-9)
+
+    def test_empty_region_has_zero_slope(self):
+        # at θ_i = c_θ the region (θ_i, c_θ] holds no margin
+        p = PhiRhoParams(C_THETA, 128)
+        slope, _, holds = lipschitz_slope_check(p, "outer-rho", num_points=200)
+        assert slope == 0.0 and holds
+        max_slope, _, holds = lip_const_check(p, num_points=200)
+        assert holds
+        assert max_slope == max(
+            lipschitz_slope_check(p, region, num_points=200)[0]
+            for region in ("middle", "outer-phi")
+        )
 
     def test_requires_slope_ready(self):
         with pytest.raises(PreconditionError, match="N"):

@@ -11,7 +11,6 @@ from votemargin.core import HypothesisClass, LabeledSample, PreconditionError
 from votemargin.harness.checks import random_hypothesis_class
 from votemargin.rademacher import (
     EXHAUSTIVE_LIMIT,
-    RademacherEstimate,
     convexity_collapse_check,
     empirical_rademacher,
     exhaustive_rademacher,
@@ -76,23 +75,13 @@ def massart_draws(seed: int, count: int):
         yield H, S
 
 
-class TestRademacherEstimate:
-    def test_mode_is_validated(self):
-        with pytest.raises(ValueError, match="mode"):
-            RademacherEstimate(value=0.1, std_error=0.0, trials=4, mode="guess")
-
-    def test_exhaustive_estimates_must_be_exact(self):
-        with pytest.raises(ValueError, match="std_error"):
-            RademacherEstimate(value=0.1, std_error=0.01, trials=4, mode="exhaustive")
-
-
 class TestExhaustive:
     def test_single_hypothesis_has_zero_complexity(self):
         H = HypothesisClass(np.array([[1, -1, 1]], dtype=np.int8))
         S = sample(3, [(0, 1), (1, 1), (2, 1)])
         est = exhaustive_rademacher(H, S)
         assert est.value == 0.0
-        assert est.mode == "exhaustive" and est.std_error == 0.0
+        assert est.std_error == 0.0
         assert est.trials == 8
 
     def test_opposite_constants_give_mean_absolute_sign_sum(self):
@@ -167,7 +156,7 @@ class TestEmpiricalRademacher:
         a = empirical_rademacher(H, S, trials=500, rng_seed=stream(22, 0))
         b = empirical_rademacher(H, S, trials=500, rng_seed=stream(22, 0))
         assert a == b
-        assert a.mode == "monte-carlo" and a.trials == 500
+        assert a.trials == 500
         assert a.std_error > 0.0
 
     def test_matches_the_exhaustive_value(self):
