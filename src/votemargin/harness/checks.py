@@ -152,15 +152,10 @@ def _binomial_quantile(q: float, n: int, p: float) -> int:
     return lo
 
 
-def _out_paths(lemma_id: str, out):
-    out_dir = resolve_out_dir(out)
+def _finish(lemma_id, out_dir, header, rows, summary, max_violation, tolerance,
+             calibrated=None) -> LemmaCheckReport:
     slug = lemma_id.replace("-", "_")
-    return out_dir / f"validate_{slug}.csv", out_dir / f"validate_{slug}.txt"
-
-
-def _finish(lemma_id, out, header, rows, summary, max_violation, tolerance,
-            calibrated=None) -> LemmaCheckReport:
-    csv_path, txt_path = _out_paths(lemma_id, out)
+    csv_path, txt_path = out_dir / f"validate_{slug}.csv", out_dir / f"validate_{slug}.txt"
     write_csv(csv_path, header, rows)
     report = LemmaCheckReport(
         lemma=lemma_id,
@@ -531,7 +526,8 @@ def validate(lemma_id: str, config=None) -> LemmaCheckReport:
     """Run one named check suite, persist its CSV, return the report.
 
     ``config`` is an optional parsed [validate] section providing seed,
-    trial count, grid density, and the output directory.
+    trial count, grid density, and the output directory.  The directory is
+    resolved (created) before the suite runs, so an unusable one fails first.
     """
     if lemma_id not in _SUITES:
         raise ValueError(
@@ -541,7 +537,7 @@ def validate(lemma_id: str, config=None) -> LemmaCheckReport:
     params = config.params if config is not None else {}
     return _SUITES[lemma_id](
         seed,
-        params.get("out"),
+        resolve_out_dir(params.get("out")),
         params.get("trials"),
         params.get("grid_points"),
     )

@@ -276,8 +276,8 @@ def _calibrate(c_trials: np.ndarray, trials: int, delta: float):
     return c_star, failures
 
 
-def _persist_constant(out, key: str, value: float) -> str:
-    path = resolve_out_dir(out) / CONSTANTS_FILENAME
+def _persist_constant(out_dir, key: str, value: float) -> str:
+    path = out_dir / CONSTANTS_FILENAME
     constants = read_constants_csv(path) if path.exists() else {}
     constants[key] = value
     write_constants_csv(path, constants)
@@ -291,6 +291,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             f"kind must be half-margin or within-const, got {config.kind!r}"
         )
     p = config.params
+    out_dir = resolve_out_dir(p.get("out"))
     n, trials, delta = p["n"], p["trials"], p["delta"]
     inst = _ConcentrationInstance(config)
     half_eta = inst.theta_i / 2.0
@@ -364,14 +365,13 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
     c_star, failures = _calibrate(c_trials, trials, delta)
     ci_lo, ci_hi = binomial_ci(trials, delta)
 
-    out_dir = resolve_out_dir(p.get("out"))
     csv_path = out_dir / csv_name
     write_csv(
         csv_path,
         ["trial", "sup_statistic", "smallest_c"],
         [(t, sup_devs[t], c_trials[t]) for t in range(trials)],
     )
-    constants_path = _persist_constant(p.get("out"), config.kind, c_star)
+    constants_path = _persist_constant(out_dir, config.kind, c_star)
 
     report = ConcentrationReport(
         kind=config.kind,
@@ -461,6 +461,7 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
     if config.kind != "gap-vs-bounds":
         raise ValueError(f"kind must be gap-vs-bounds, got {config.kind!r}")
     p = config.params
+    out_dir = resolve_out_dir(p.get("out"))
     delta = p["delta"]
     c_used, c_source = _resolve_gap_constant(p)
     H = build_stump_class(p["d"], p["k"])
@@ -528,7 +529,6 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
         )
     trend_ok = all(b < a for a, b in zip(ratios, ratios[1:]))
 
-    out_dir = resolve_out_dir(p.get("out"))
     csv_path = out_dir / "gap_vs_bounds.csv"
     write_csv(
         csv_path,
@@ -596,11 +596,11 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     if config.kind != "adaboost":
         raise ValueError(f"kind must be adaboost, got {config.kind!r}")
     p = config.params
+    out_dir = resolve_out_dir(p.get("out"))
     H = build_stump_class(p["d"], p["k"])
     _, S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))
     result = adaboost(S, H, p["t"])
 
-    out_dir = resolve_out_dir(p.get("out"))
     rounds_csv = out_dir / "adaboost_rounds.csv"
     write_csv(
         rounds_csv,

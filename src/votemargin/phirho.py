@@ -6,7 +6,7 @@ source classifier.  Both are continuous, [0, 1]-valued, piecewise defined
 with breakpoints at λ = 0 and λ = θ_i, and — crucially — have exponentially
 small Lipschitz constants once N ≥ 32·(2θ_i)⁻².  This module evaluates
 them, checks the sandwich inequalities that let them replace indicator
-differences, and verifies the analytic slope bounds by finite differences.
+differences, and verifies the analytic slope bounds by chord slopes on a grid.
 """
 
 from __future__ import annotations
@@ -103,32 +103,40 @@ def rho(lam: float, params: PhiRhoParams) -> float:
     return 1.0 - params.tail(lam)
 
 
+def _phi_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
+    """φ over checked margins; tail_at(mask) gives the tail at lams[mask]."""
+    out = np.zeros(lams.shape, dtype=np.float64)
+    left = lams <= 0.0
+    if left.any():
+        out[left] = tail_at(left)
+    mid = (lams > 0.0) & (lams <= params.theta_i)
+    if mid.any():
+        out[mid] = (params.theta_i - lams[mid]) / params.theta_i * params.tail_zero
+    return out
+
+
+def _rho_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
+    """ρ over checked margins; tail_at(mask) gives the tail at lams[mask]."""
+    out = np.zeros(lams.shape, dtype=np.float64)
+    mid = (lams > 0.0) & (lams <= params.theta_i)
+    if mid.any():
+        out[mid] = lams[mid] / params.theta_i * (1.0 - params.tail_theta_i)
+    right = lams > params.theta_i
+    if right.any():
+        out[right] = 1.0 - tail_at(right)
+    return out
+
+
 def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized φ over an array of margins."""
     lams = _check_reals(lams, "lambda", -C_THETA, C_THETA)
-    flat = lams.ravel()
-    out = np.zeros(flat.shape, dtype=np.float64)
-    left = flat <= 0.0
-    if left.any():
-        out[left] = params.tail_many(flat[left])
-    mid = (flat > 0.0) & (flat <= params.theta_i)
-    if mid.any():
-        out[mid] = (params.theta_i - flat[mid]) / params.theta_i * params.tail_zero
-    return out.reshape(lams.shape)
+    return _phi_on(lams, params, lambda mask: params.tail_many(lams[mask]))
 
 
 def rho_many(lams, params: PhiRhoParams) -> np.ndarray:
     """Vectorized ρ over an array of margins."""
     lams = _check_reals(lams, "lambda", -C_THETA, C_THETA)
-    flat = lams.ravel()
-    out = np.zeros(flat.shape, dtype=np.float64)
-    mid = (flat > 0.0) & (flat <= params.theta_i)
-    if mid.any():
-        out[mid] = flat[mid] / params.theta_i * (1.0 - params.tail_theta_i)
-    right = flat > params.theta_i
-    if right.any():
-        out[right] = 1.0 - params.tail_many(flat[right])
-    return out.reshape(lams.shape)
+    return _rho_on(lams, params, lambda mask: params.tail_many(lams[mask]))
 
 
 def branch_continuity_residuals(params: PhiRhoParams) -> np.ndarray:
@@ -174,10 +182,10 @@ def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid=None)
     theta = _check_real(theta, "theta", params.theta_i, 2.0 * params.theta_i, lo_open=True)
     if lambda_grid is None:
         lambda_grid = np.linspace(-C_THETA, C_THETA, 10_001)
-    lams = np.asarray(lambda_grid)
-    tails = params.tail_many(lams)  # checks the grid
-    phis = phi_many(lams, params)
-    rhos = rho_many(lams, params)
+    lams = _check_reals(lambda_grid, "lambda", -C_THETA, C_THETA)
+    tails = params.tail_many(lams)  # one tail per grid point serves both sides
+    phis = _phi_on(lams, params, lambda mask: tails[mask])
+    rhos = _rho_on(lams, params, lambda mask: tails[mask])
     below_zero = lams <= 0.0
     below_theta = lams <= theta
 
@@ -193,30 +201,30 @@ def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid=None)
 
 
 def _region_interval(params: PhiRhoParams, region: str):
+    eps = params.theta_i * 1e-9  # moves the grid inside an open left end
     if region == "middle":
-        return 0.0, params.theta_i
+        return eps, params.theta_i
     if region == "outer-phi":
         return -C_THETA, 0.0
     if region == "outer-rho":
-        return params.theta_i, C_THETA
+        return params.theta_i + eps, C_THETA
     raise ValueError(f"region must be one of {LIPSCHITZ_REGIONS}, got {region!r}")
 
 
-def _max_abs_slope(fn, lo: float, hi: float, num_points: int, step: float) -> float:
-    """Max |finite-difference slope| of fn on [lo, hi].
+def _max_abs_slope(fn, params: PhiRhoParams, lo: float, hi: float, num_points: int) -> float:
+    """Max |chord slope| of fn(·, params) between neighbours of a grid on [lo, hi].
 
-    Central differences with the stencil clipped to the interval, so no
-    stencil ever straddles a branch point (breakpoints coincide with region
-    endpoints); points within one step of an endpoint fall back to one-sided
-    differences automatically.  An empty interval has max slope 0.
+    One evaluation per grid point.  No chord straddles a breakpoint (a region
+    end), so each chord slope is a derivative value (mean value theorem): the
+    max is a lower estimate of the Lipschitz constant.  Repeated grid points
+    are dropped; an empty interval has max slope 0.
     """
+    if hi <= lo:
+        return 0.0
     grid = np.linspace(lo, hi, num_points)
-    left = np.maximum(grid - step, lo)
-    right = np.minimum(grid + step, hi)
-    width = right - left
-    usable = width > 0
-    slopes = (fn(right[usable]) - fn(left[usable])) / width[usable]
-    return float(np.abs(slopes).max(initial=0.0))
+    if not np.diff(grid).all():  # an interval narrower than num_points floats
+        grid = np.unique(grid)
+    return float(np.abs(np.diff(fn(grid, params)) / np.diff(grid)).max(initial=0.0))
 
 
 def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 10_000):
@@ -225,29 +233,20 @@ def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 1
     Regions: "middle" = (0, θ_i] where both functions are linear (ceiling
     exp(−(2θ_i)²N/32)/θ_i); "outer-phi" = [−c_θ, 0] and "outer-rho" =
     (θ_i, c_θ] where the binomial tail moves (ceiling N·θ_i·exp(−Nθ_i²/8)).
-    Slopes are finite differences with step 1e-4.  Requires N ≥ 32·(2θ_i)⁻².
+    Slopes are chords of a num_points grid.  Requires N ≥ 32·(2θ_i)⁻².
     Returns (max_slope, analytic_bound, holds).
     """
-    step = 1e-4
     num_points = _check_count(num_points, "num_points")
     _require_slope_ready(params.N, params.theta_i)
     lo, hi = _region_interval(params, region)
     N, t = params.N, params.theta_i
     if region == "middle":
         bound = math.exp(-((2.0 * t) ** 2) * N / 32.0) / t
-        # keep the grid strictly inside the open left endpoint
-        eps = t * 1e-9
-        max_slope = max(
-            _max_abs_slope(lambda x: phi_many(x, params), lo + eps, hi, num_points, step),
-            _max_abs_slope(lambda x: rho_many(x, params), lo + eps, hi, num_points, step),
-        )
+        fns = (phi_many, rho_many)
     else:
         bound = N * t * math.exp(-N * t**2 / 8.0)
-        fn = phi_many if region == "outer-phi" else rho_many
-        eps = t * 1e-9 if region == "outer-rho" else 0.0
-        max_slope = _max_abs_slope(
-            lambda x: fn(x, params), lo + eps, hi, num_points, step
-        )
+        fns = (phi_many if region == "outer-phi" else rho_many,)
+    max_slope = max(_max_abs_slope(fn, params, lo, hi, num_points) for fn in fns)
     return max_slope, bound, max_slope <= bound
 
 

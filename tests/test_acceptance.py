@@ -296,8 +296,9 @@ def test_criterion_configs_run_the_same_through_the_cli(tmp_path, capsys, criter
 
 
 def test_criterion_6_lipschitz_slopes(capsys):
-    """Measured central-difference slopes (step 1e-4) stay under the
-    analytic per-region ceilings whenever N >= 32/(2 theta_i)^2."""
+    """Measured chord slopes between neighbouring points of a 10 000-point
+    grid per region stay under the analytic per-region ceilings whenever
+    N >= 32/(2 theta_i)^2."""
     t0 = time.perf_counter()
     rng = stream(7, 0)
     bad = []

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from votemargin import discretize
+from votemargin import discretize, phirho
 from votemargin.bounds import BoundInputs, theorem1_report
 from votemargin.cli import main
 from votemargin.core import PreconditionError
 from votemargin.discretize import binom_margin_tail, binom_margin_tail_batch
-from votemargin.harness import checks
+from votemargin.harness import checks, experiments
 from votemargin.harness.checks import (
     VALID_LEMMA_IDS,
     binomial_ci,
@@ -461,6 +461,33 @@ class TestValidateDispatch:
         report = validate("margin-law", config)
         assert not report.passed and report.max_violation > 0
 
+    def test_phi_rho_ineq_evaluates_one_tail_per_grid_point(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counting_batch(N, lams, eta):
+            sizes.append(np.size(lams))
+            return binom_margin_tail_batch(N, lams, eta)
+
+        monkeypatch.setattr(phirho, "binom_margin_tail_batch", counting_batch)
+        config = parse_config_text(f"[validate]\nseed = 1\ntrials = 5\nout = {tmp_path}\n")
+        assert validate("phi-rho-ineq", config).passed
+        assert sizes == [2001] * 5
+
+    @pytest.mark.parametrize("region, at", [("outer-phi", -0.35), ("outer-rho", 0.705)])
+    def test_lipschitz_fails_on_a_jump_in_the_tail(self, tmp_path, monkeypatch, region, at):
+        config = parse_config_text(f"[validate]\nout = {tmp_path}\n")
+        assert validate("lipschitz", config).passed
+        # a defect: the batch tail steps up by 1e-3 past λ = at, inside the region
+        tail_many = phirho.PhiRhoParams.tail_many
+        monkeypatch.setattr(
+            phirho.PhiRhoParams, "tail_many",
+            lambda params, lams: tail_many(params, lams) + 1e-3 * (np.asarray(lams) > at),
+        )
+        report = validate("lipschitz", config)
+        assert not report.passed and report.max_violation > 0
+        rows = (tmp_path / "validate_lipschitz.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows if row.endswith(",false")} == {region}
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = parse_config_text(validate_text(out=tmp_path))
         validate("decomposition", config)
@@ -695,6 +722,26 @@ class TestRunExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["validate", "half-margin", "gap-vs-bounds", "adaboost"])
+    def test_unusable_out_fails_before_the_work(self, tmp_path, monkeypatch, capsys, kind):
+        def never(*args, **kwargs):
+            raise AssertionError("the work ran before the output directory was resolved")
+
+        blocker = self.write(tmp_path, "blocker.txt", "not a directory\n")
+        if kind == "validate":
+            monkeypatch.setitem(checks._SUITES, "lipschitz", never)
+            config = self.write(tmp_path, "v.ini", validate_text(out=blocker))
+            argv = ["validate", "lipschitz", "--config", str(config)]
+        else:
+            monkeypatch.setattr(experiments, "_ConcentrationInstance", never)
+            monkeypatch.setattr(experiments, "build_stump_class", never)
+            text = {"half-margin": half_margin_text, "gap-vs-bounds": gap_text,
+                    "adaboost": adaboost_text}[kind](blocker)
+            argv = ["experiment", "run", str(self.write(tmp_path, "e.ini", text))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_validate_section_is_redirected(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from votemargin import phirho
 from votemargin.core import C_THETA, PreconditionError
-from votemargin.discretize import binom_margin_tail
+from votemargin.discretize import binom_margin_tail, binom_margin_tail_batch
 from votemargin.phirho import (
     LIPSCHITZ_REGIONS,
     PhiRhoParams,
@@ -244,6 +244,24 @@ class TestLipschitz:
             lipschitz_slope_check(p, region, num_points=200)[0]
             for region in ("middle", "outer-phi")
         )
+
+    def test_region_narrower_than_its_grid_drops_repeated_points(self):
+        # (θ_i + θ_i·1e-9, c_θ] is 7e-15 wide: 65 floats for 10 000 grid points
+        theta_i = C_THETA / (1 + 1e-9) * (1 - 1e-14)
+        slope, _, holds = lipschitz_slope_check(PhiRhoParams(theta_i, 200), "outer-rho")
+        assert math.isfinite(slope) and holds
+
+    @pytest.mark.parametrize("region", ["outer-phi", "outer-rho"])
+    def test_outer_region_evaluates_each_grid_point_once(self, monkeypatch, region):
+        sizes = []
+
+        def counting_batch(N, lams, eta):
+            sizes.append(np.size(lams))
+            return binom_margin_tail_batch(N, lams, eta)
+
+        monkeypatch.setattr(phirho, "binom_margin_tail_batch", counting_batch)
+        lipschitz_slope_check(params64(), region, num_points=500)
+        assert sizes == [500]
 
     def test_requires_slope_ready(self):
         with pytest.raises(PreconditionError, match="N"):
