@@ -36,7 +36,9 @@ __all__ = [
     "EPSILON_CLAMP",
 ]
 
-#: Weighted-error clamp keeping α_t finite on perfect or hopeless stumps.
+#: Weighted-error clamp keeping α_t finite on perfect or hopeless stumps,
+#: and the slack within which an error counts as ½: a sum of weights that is
+#: ½ exactly may round to either side of it, by the order of its terms.
 EPSILON_CLAMP = 1e-12
 
 
@@ -191,8 +193,9 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     Each round selects the hypothesis with the smallest weighted error
     (ties broken by lowest index) and sets α_t = ½·ln((1−ε_t)/ε_t) with ε_t
     clamped away from {0, 1}.  A perfect hypothesis ends the run with all
-    weight on it; if no hypothesis beats error ½ the run stops early.  The
-    algorithm is deterministic.
+    weight on it; if no hypothesis beats error ½ by more than
+    ``EPSILON_CLAMP`` the run stops early, so an error of exactly ½ stops it
+    whichever way its sum rounds.  The algorithm is deterministic.
 
     Every weighted error is a sum in one fixed order, with no BLAS call, so
     the bits depend neither on the BLAS library nor on its thread count.  On
@@ -235,7 +238,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
             _stump_errors(keys, w, k, eps_all)
         best = int(np.argmin(eps_all))
         eps = float(eps_all[best])
-        if eps >= 0.5:
+        if eps >= 0.5 - EPSILON_CLAMP:
             status = "early-stop"
             break
         eps_c = min(max(eps, EPSILON_CLAMP), 1.0 - EPSILON_CLAMP)

@@ -296,6 +296,18 @@ class TestAdaboost:
         assert run.T_completed == 0
         assert np.allclose(run.classifier.weights, 1.0 / len(H))
 
+    def test_an_error_of_one_half_stops_both_error_paths(self):
+        # Every error here is 6/12.  The stump path's sums give 0.5; the
+        # generic path adds 1/12 six times and gives 0.49999999999999994.
+        H = build_stump_class(3, 1)
+        _, S = generate_synthetic(H, 12, 0.3, stream(40622624, 0))
+        stump = adaboost(S, H, 1)
+        with mock.patch.object(boosting, "_stump_shape", lambda H: None):
+            generic = adaboost(S, H, 1)
+        for run in (stump, generic):
+            assert (run.status, run.T_completed) == ("early-stop", 0)
+            assert np.array_equal(run.classifier.weights, np.full(len(H), 1.0 / len(H)))
+
     def test_round_and_weight_bits_are_frozen(self):
         H, S = frozen_task()
         run = adaboost(S, H, 6)
