@@ -54,7 +54,7 @@ for h_size, n in ((4, 8), (16, 10), (32, 12)):
 # convex hull of H is attained at a vertex, so random mixtures never
 # beat the best single hypothesis.
 # ------------------------------------------------------------------
-collapsed = convexity_collapse_check(H, S, rng_seed=stream(404, 2))
+collapsed = convexity_collapse_check(H, S, trials=200, rng_seed=stream(404, 2))
 print(f"\nconvex mixtures never exceed the vertex supremum: {collapsed}")
 
 # Two extreme classes with known values: a single hypothesis has

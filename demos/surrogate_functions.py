@@ -46,7 +46,8 @@ print(f"\nbranch continuity residuals at the two breakpoints: {residuals}")
 # The ceiling: sup phi is attained at lambda -> 0+ and sits under
 # exp(-N theta_i^2 / 16) with room to spare.
 # ------------------------------------------------------------------
-sup_phi, ceiling, holds = phi_bound_check(params)
+grid = np.linspace(-C_THETA, C_THETA, 10_001)
+sup_phi, ceiling, holds = phi_bound_check(params, grid)
 print(f"sup phi = {sup_phi:.6g} <= exp(-N theta_i^2/16) = {ceiling:.6g}: {holds}")
 
 # ------------------------------------------------------------------
@@ -55,7 +56,6 @@ print(f"sup phi = {sup_phi:.6g} <= exp(-N theta_i^2/16) = {ceiling:.6g}: {holds}
 # between the complementary ones.  Violation counts must be zero.
 # ------------------------------------------------------------------
 theta = 0.6
-grid = np.linspace(-C_THETA, C_THETA, 10_001)
 violations, max_violation = diff_replacement_check(params, theta, grid)
 print(f"\nsandwich check at theta = {theta} on {grid.size} points:")
 print(f"  violations per inequality: {violations}")

@@ -22,6 +22,7 @@ from .core import (
     VotingClassifier,
     _check_count,
     _check_real,
+    _generator,
     margins_on_sample,
 )
 
@@ -143,7 +144,7 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     num_stumps = len(H) - 2
     if num_stumps < 1 or (H.plus_index, H.minus_index) != (num_stumps, num_stumps + 1):
         raise ValueError("H must be a stump class: stumps, then the +1 and -1 constants")
-    rng = np.random.default_rng(rng_seed)
+    rng = _generator(rng_seed)
     count = min(5, num_stumps)
     if count % 2 == 0:
         count -= 1

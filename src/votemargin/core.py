@@ -99,6 +99,13 @@ def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
     return int(value)
 
 
+def _generator(rng_seed) -> np.random.Generator:
+    """The generator of an integer seed or a Generator; None draws unseeded, so it is refused."""
+    if rng_seed is None:
+        raise ValueError("rng_seed is required: None would draw from an unseeded generator")
+    return np.random.default_rng(rng_seed)
+
+
 #: Python and numpy scalar types a real argument may have (bool aside).
 _REAL_TYPES = (int, float, np.integer, np.floating)
 

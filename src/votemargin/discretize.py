@@ -9,11 +9,12 @@ that law exactly.
 
 The scalar tail is correctly rounded.  The success probability
 p = 1/2 + λ/2 is a dyadic rational because λ is a double, so the tail is an
-exact rational over a power of two; a fixed-precision integer front brackets
-it and returns as soon as both ends of the bracket round to the same double
-(Ziv's strategy), and the exact integer sum remains as the oracle behind it
-for the rare tail that sits on a rounding boundary.  The vectorized batch
-calls ``scipy.special.bdtrc`` (the regularized incomplete beta function):
+exact rational over a power of two.  It runs one 64-bit front, then the
+exact loop: the front brackets the rational in integer arithmetic and
+answers when both ends of the bracket round to the same double (Ziv's
+strategy), and the exact integer sum answers the rare tail that sits on a
+rounding boundary.  The vectorized batch calls ``scipy.special.bdtrc``
+(the regularized incomplete beta function):
 its measured error against the exact tail is at most 1.7e-12 absolute for
 N ≤ 2048 and about 1e-11 near the median at N = 12800.  The threshold
 k*(η) = floor((η/2 + 1/2)·N) + 1 is computed in exact rational arithmetic,
@@ -40,6 +41,7 @@ from .core import (
     _check_count,
     _check_real,
     _check_reals,
+    _generator,
     _integer_array,
     _margins_at,
     margins_on_sample,
@@ -89,9 +91,9 @@ def k_star(N: int, eta: float) -> int:
     return int((Fraction(eta) + 1) * N // 2) + 1
 
 
-#: Working precisions P, in bits, that the scalar front tries in turn before
-#: it falls back to the exact integer loop.
-_FRONT_PRECISIONS = (64, 128, 256)
+#: Working precision P, in bits, of the scalar front.  A bracket that
+#: straddles a rounding boundary goes to the exact integer loop.
+_PRECISION = 64
 #: Bits the leading term carries beyond P, absorbing the front's floor errors.
 _GUARD_BITS = 64
 #: Early stop: the geometric remainder bound must sit P plus this many bits
@@ -166,7 +168,7 @@ def _pow_lower(base: int, e: int, bits: int):
     return m, s
 
 
-def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int, precision: int):
+def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int):
     """The correctly rounded tail from fixed-precision integers, or None.
 
     Sums the side of k* away from the mode, chosen by k* against N·p: the
@@ -175,7 +177,7 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int, precision: int):
     monotonically, and the complement is only taken when the upper tail is
     at least 1/2 (k* ≤ floor(N·p) ≤ the median), so 1 − L never cancels.
 
-    Error bound, with B = precision + 64 bits and τ_j the exact j-th atom on
+    Error bound, with B = P + 64 bits and τ_j the exact j-th atom on
     the summed side in units of the leading term's scale:
 
     * the leading term T_0 is a lower bound of C(N,k₀)·pn^k₀·qn^(N−k₀) from
@@ -192,7 +194,7 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int, precision: int):
     returned when both ends round, by int/int true division, to the same
     double; otherwise None.
     """
-    bits = precision + _GUARD_BITS
+    bits = _PRECISION + _GUARD_BITS
     upper = ks << sh > N * pn  # k* > N·p
     k, end, step = (ks, N, 1) if upper else (ks - 1, 0, -1)
     term, s = _truncate(math.comb(N, k), bits)
@@ -204,7 +206,7 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int, precision: int):
     term <<= lift
     s -= lift
     total = term
-    tiny = term >> (precision + _STOP_BITS)
+    tiny = term >> (_PRECISION + _STOP_BITS)
     steps = rest = 0
     while k != end:
         if upper:
@@ -235,22 +237,18 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
 
     Equals Pr[Binom(N, 1/2 + λ/2) ≥ k*(η)], correctly rounded.  The success
     probability p = (1 + λ)/2 is a dyadic rational because λ is a double,
-    so the tail is an exact rational over a power of two.  Ziv's strategy
-    evaluates it: a fixed-precision front (``_front_tail``) brackets the
-    rational and returns when both ends round to the same double, at
-    working precision 64, then 128, then 256 bits.  Only when all three
-    brackets straddle a rounding boundary (in practice, a tail that is
-    exactly the midpoint between two doubles) does the exact integer loop
-    answer.
+    so the tail is an exact rational over a power of two.  It runs one
+    64-bit front, then the exact loop: the front (``_front_tail``) brackets
+    the rational and returns when both ends round to the same double (Ziv's
+    strategy).  Only when the bracket straddles a rounding boundary (in
+    practice, a tail that is exactly the midpoint between two doubles) does
+    the exact integer loop answer.
     """
     problem = _tail_problem(N, lam, eta)
     if isinstance(problem, float):
         return problem
-    for precision in _FRONT_PRECISIONS:
-        value = _front_tail(*problem, precision)
-        if value is not None:
-            return value
-    return _exact_tail(*problem)
+    value = _front_tail(*problem)
+    return _exact_tail(*problem) if value is None else value
 
 
 def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
@@ -318,14 +316,14 @@ class DiscretizedClassifier:
 def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) -> DiscretizedClassifier:
     """Draw g ~ Q_f: N i.i.d. hypothesis indices with probabilities a_h.
 
-    ``rng_seed`` may be an integer seed or a numpy Generator.
+    ``rng_seed`` is required, an integer seed or a numpy Generator.
     """
     N = _check_N(N)
     if len(f) != len(H):
         raise ValueError(
             f"classifier has {len(f)} weights but class has {len(H)} hypotheses"
         )
-    return DiscretizedClassifier(H, _draw_indices(f, N, np.random.default_rng(rng_seed)))
+    return DiscretizedClassifier(H, _draw_indices(f, N, _generator(rng_seed)))
 
 
 def _draw_indices(f: VotingClassifier, shape, rng: np.random.Generator) -> np.ndarray:

@@ -39,10 +39,12 @@ from ..core import (
     HypothesisClass,
     LabeledSample,
     PreconditionError,
+    _check_count,
+    _check_real,
     empirical_margin_loss,
     true_margin_loss,
 )
-from ..discretize import binom_margin_tail_batch
+from ..discretize import _check_N, binom_margin_tail_batch
 from ..rng import stream
 from .checks import binomial_ci, repair_duplicate_constants, smallest_c_monotone
 from .config import ExperimentConfig
@@ -84,6 +86,12 @@ def half_margin_rhs(
     c·(√((l_next + exp(−N·θ_next²/c))·ln(|H|^N/δ)/n) + ln(|H|^N/δ)/n),
     strictly increasing in c.
     """
+    n = _check_count(n, "n")
+    H_size = _check_count(H_size, "H_size", 2)
+    delta = _check_real(delta, "delta", 0, 1, lo_open=True, hi_open=True)
+    theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
+    loss_next = _check_real(loss_next, "loss_next", 0, 2, lo_open=True)
+    N = _check_N(N)
     log_term = (N * math.log(H_size) + math.log(1.0 / delta)) / n
 
     def rhs(c: float) -> float:
@@ -100,8 +108,15 @@ def within_const_rhs(
 ) -> float:
     """RHS of the uniform half-loss comparison: c·(A + B) with
     A = ln(θ_next²·n/ln|H|)·ln|H|/(θ_next²·n) and B = ln(e/δ)/n."""
+    n = _check_count(n, "n")
+    H_size = _check_count(H_size, "H_size", 2)
+    theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
+    delta = _check_real(delta, "delta", 0, 1, lo_open=True, hi_open=True)
+    c = _check_real(c, "c", 0, math.inf, hi_open=True)
     log_H = math.log(H_size)
     arg = theta_next**2 * n / log_H
+    if not math.isfinite(arg):
+        raise ValueError("theta_next^2*n/ln|H| is too large for a float")
     if arg <= 1.0:
         raise PreconditionError(
             f"theta cell upper endpoint {theta_next} is too small: "

@@ -4,7 +4,11 @@ Every artifact the harness writes is either a CSV (17-significant-digit
 numerics, LF line endings, mandatory header) or a plain-text summary, so
 studies replay byte-for-byte from (config, master seed) at a fixed BLAS
 thread count: a matrix product's last bits depend on how BLAS splits it
-between threads.
+between threads.  The float products that still go through BLAS are
+``margins_of`` and the concentration-trial products in ``experiments``,
+``corr @ combos.T`` in ``rademacher.convexity_collapse_check``, and
+``probs @ (1 − tails)`` in ``discretize``; AdaBoost's errors and a voter's
+values are fixed-order sums with no BLAS call.
 """
 
 from __future__ import annotations

@@ -83,28 +83,9 @@ class PhiRhoParams:
         return binom_margin_tail_batch(self.N, lams, self.eta)
 
 
-def phi(lam: float, params: PhiRhoParams) -> float:
-    """Upper comparison function: tail(λ) for λ ≤ 0, linear taper to 0 at θ_i."""
-    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
-    if lam <= 0.0:
-        return params.tail(lam)
-    if lam <= params.theta_i:
-        return (params.theta_i - lam) / params.theta_i * params.tail_zero
-    return 0.0
-
-
-def rho(lam: float, params: PhiRhoParams) -> float:
-    """Lower comparison function: 0 for λ ≤ 0, linear rise, then 1 − tail(λ)."""
-    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
-    if lam <= 0.0:
-        return 0.0
-    if lam <= params.theta_i:
-        return lam / params.theta_i * (1.0 - params.tail_theta_i)
-    return 1.0 - params.tail(lam)
-
-
 def _phi_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
-    """φ over checked margins; tail_at(mask) gives the tail at lams[mask]."""
+    """φ's branches, stated once: tail(λ) for λ ≤ 0, a linear taper from T(0)
+    to 0 on (0, θ_i], 0 beyond; tail_at(mask) gives the tail at lams[mask]."""
     out = np.zeros(lams.shape, dtype=np.float64)
     left = lams <= 0.0
     if left.any():
@@ -116,7 +97,8 @@ def _phi_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
 
 
 def _rho_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
-    """ρ over checked margins; tail_at(mask) gives the tail at lams[mask]."""
+    """ρ's branches, stated once: 0 for λ ≤ 0, a linear rise from 0 to
+    1 − T(θ_i) on (0, θ_i], 1 − tail(λ) beyond; tail_at(mask) as in _phi_on."""
     out = np.zeros(lams.shape, dtype=np.float64)
     mid = (lams > 0.0) & (lams <= params.theta_i)
     if mid.any():
@@ -125,6 +107,18 @@ def _rho_on(lams: np.ndarray, params: PhiRhoParams, tail_at) -> np.ndarray:
     if right.any():
         out[right] = 1.0 - tail_at(right)
     return out
+
+
+def phi(lam: float, params: PhiRhoParams) -> float:
+    """Upper comparison function φ at one margin, with the exact scalar tail."""
+    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
+    return float(_phi_on(np.array([lam]), params, lambda mask: params.tail(lam))[0])
+
+
+def rho(lam: float, params: PhiRhoParams) -> float:
+    """Lower comparison function ρ at one margin, with the exact scalar tail."""
+    lam = _check_real(lam, "lambda", -C_THETA, C_THETA)
+    return float(_rho_on(np.array([lam]), params, lambda mask: params.tail(lam))[0])
 
 
 def phi_many(lams, params: PhiRhoParams) -> np.ndarray:
@@ -156,33 +150,34 @@ def branch_continuity_residuals(params: PhiRhoParams) -> np.ndarray:
     return np.array(jumps)
 
 
-def phi_bound_check(params: PhiRhoParams, lambda_grid=None):
-    """sup φ over a dense grid vs. the Hoeffding ceiling exp(−Nθ_i²/16).
+def phi_bound_check(params: PhiRhoParams, lambda_grid):
+    """sup φ over a non-empty λ grid vs. the Hoeffding ceiling exp(−Nθ_i²/16).
 
     Returns (sup_phi, bound, holds).  Meaningful when N ≥ 32·(2θ_i)⁻²; below
     that the ceiling may genuinely fail and holds is reported honestly.
     """
-    if lambda_grid is None:
-        lambda_grid = np.linspace(-C_THETA, C_THETA, 10_001)
     values = phi_many(lambda_grid, params)
-    sup_phi = float(values.max()) if values.size else 0.0
+    if not values.size:
+        raise ValueError("lambda grid must be non-empty")
+    sup_phi = float(values.max())
     bound = math.exp(-params.N * params.theta_i**2 / 16.0)
     return sup_phi, bound, sup_phi <= bound
 
 
-def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid=None):
+def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid):
     """Verify the sandwich 1{λ≤0}·tail ≤ φ ≤ 1{λ≤θ}·tail and its ρ mirror.
 
     The ρ mirror is 1{λ>θ}·(1−tail) ≤ ρ ≤ 1{λ>0}·(1−tail).  All four hold
     pointwise for any θ in (θ_i, 2θ_i]; both sides are evaluated through the
     same exact binomial tail, so violations are counted at tolerance 0.
-    Returns (violations, max_violation): the count of grid points where each
-    inequality fails, in the order above, and the largest signed gap.
+    Returns (violations, max_violation): the count of points of the
+    non-empty λ grid where each inequality fails, in the order above, and
+    the largest signed gap.
     """
     theta = _check_real(theta, "theta", params.theta_i, 2.0 * params.theta_i, lo_open=True)
-    if lambda_grid is None:
-        lambda_grid = np.linspace(-C_THETA, C_THETA, 10_001)
     lams = _check_reals(lambda_grid, "lambda", -C_THETA, C_THETA)
+    if not lams.size:
+        raise ValueError("lambda grid must be non-empty")
     tails = params.tail_many(lams)  # one tail per grid point serves both sides
     phis = _phi_on(lams, params, lambda mask: tails[mask])
     rhos = _rho_on(lams, params, lambda mask: tails[mask])
@@ -196,7 +191,7 @@ def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid=None)
         rhos - np.where(~below_zero, 1.0 - tails, 0.0),   # ≤ 0 required
     )
     violations = tuple(int(np.count_nonzero(g > 0.0)) for g in gaps)
-    max_violation = float(max(g.max() if g.size else 0.0 for g in gaps))
+    max_violation = float(max(g.max() for g in gaps))
     return violations, max_violation
 
 
@@ -227,7 +222,7 @@ def _max_abs_slope(fn, params: PhiRhoParams, lo: float, hi: float, num_points: i
     return float(np.abs(np.diff(fn(grid, params)) / np.diff(grid)).max(initial=0.0))
 
 
-def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 10_000):
+def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int):
     """Measured max slope of φ/ρ in a region vs. the analytic ceiling.
 
     Regions: "middle" = (0, θ_i] where both functions are linear (ceiling
@@ -250,16 +245,15 @@ def lipschitz_slope_check(params: PhiRhoParams, region: str, num_points: int = 1
     return max_slope, bound, max_slope <= bound
 
 
-def lip_const_bound(params: PhiRhoParams, c: float = 32.0) -> float:
+def lip_const_bound(params: PhiRhoParams, c: float) -> float:
     """Single-constant Lipschitz ceiling c·exp(−Nθ'²/c)·(θ'N + 1/θ'), θ' = 2θ_i."""
     c = _check_real(c, "c", 0, math.inf, lo_open=True, hi_open=True)
     tp = 2.0 * params.theta_i
     return c * math.exp(-params.N * tp**2 / c) * (tp * params.N + 1.0 / tp)
 
 
-def lip_const_check(params: PhiRhoParams, num_points: int = 10_000):
+def lip_const_check(params: PhiRhoParams, num_points: int):
     """Max measured slope over all three regions vs. the c = 32 ceiling."""
-    _require_slope_ready(params.N, params.theta_i)
     max_slope = max(
         lipschitz_slope_check(params, region, num_points=num_points)[0]
         for region in LIPSCHITZ_REGIONS

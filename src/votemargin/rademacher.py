@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisClass, LabeledSample, PreconditionError, _check_count
+from .core import HypothesisClass, LabeledSample, PreconditionError, _check_count, _generator
 
 __all__ = [
     "RademacherEstimate",
@@ -46,16 +46,16 @@ class RademacherEstimate:
 
 
 def empirical_rademacher(
-    H: HypothesisClass, S: LabeledSample, trials: int = 10_000, rng_seed=None
+    H: HypothesisClass, S: LabeledSample, trials: int, rng_seed
 ) -> RademacherEstimate:
     """Monte Carlo estimate: average of sup_h Σ σ_i h(x_i) over sign draws.
 
     The supremum over the finite class is computed exactly for every draw;
-    only the expectation over σ is sampled.  ``rng_seed`` may be an integer
-    or a numpy Generator.
+    only the expectation over σ is sampled, from the required ``rng_seed``
+    (an integer or a numpy Generator).
     """
     trials = _check_count(trials, "trials")
-    rng = np.random.default_rng(rng_seed)
+    rng = _generator(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
     sups = np.empty(trials, dtype=np.float64)
@@ -128,20 +128,17 @@ def massart_bound(H_size: int, n: int) -> float:
     return float(np.sqrt(2.0 * np.log(float(H_size)) / n))
 
 
-def convexity_collapse_check(
-    H: HypothesisClass,
-    S: LabeledSample,
-    trials: int = 200,
-    rng_seed=None,
-) -> bool:
+def convexity_collapse_check(H: HypothesisClass, S: LabeledSample, trials: int, rng_seed) -> bool:
     """Per sign draw, sup over random convex combinations never beats sup over H.
 
-    Draws 50 Dirichlet weight vectors over H and checks, for every σ, that
+    Draws 50 Dirichlet weight vectors over H and ``trials`` sign vectors σ
+    from the required ``rng_seed`` (an integer or a numpy Generator) and
+    checks, for every σ, that
     max_w Σ_i σ_i·(Σ_h w_h·h(x_i)) ≤ max_h Σ_i σ_i·h(x_i) + 1e-9.  Returns
     True iff no violation occurs.
     """
     trials = _check_count(trials, "trials")
-    rng = np.random.default_rng(rng_seed)
+    rng = _generator(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
     combos = rng.dirichlet(np.ones(len(H)), size=50)

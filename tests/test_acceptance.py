@@ -308,7 +308,7 @@ def test_criterion_6_lipschitz_slopes(capsys):
         N = int(math.ceil(threshold)) + int(rng.integers(0, 200))
         params = PhiRhoParams(theta_i, N)
         for region in LIPSCHITZ_REGIONS:
-            slope, bound, holds = lipschitz_slope_check(params, region)
+            slope, bound, holds = lipschitz_slope_check(params, region, num_points=10_000)
             if not holds:
                 bad.append((theta_i, N, region, slope, bound))
     elapsed = time.perf_counter() - t0
@@ -354,7 +354,7 @@ def test_criterion_8_rademacher_estimates(capsys):
         if estimate.std_error > 0:
             worst_sigma = max(worst_sigma, gap / estimate.std_error)
         assert exact.value <= massart_bound(h_size, n) + 1e-15, (i, exact.value)
-        assert convexity_collapse_check(H, S, rng_seed=stream(12, 2, i)), i
+        assert convexity_collapse_check(H, S, trials=200, rng_seed=stream(12, 2, i)), i
     announce(capsys, 8, True, f"50 instances; worst MC deviation {worst_sigma:.2f} sigma "
                       f"<= 4; ceiling and collapse hold on all")
 

@@ -158,17 +158,19 @@ class TestBinomMarginTail:
 
     def test_rounding_midpoint_falls_back_to_exact_loop(self, monkeypatch):
         # p = 0.35 needs 54 significant bits: the tail at N = 1 is a midpoint
-        # between two doubles, which no finite bracket can round
+        # between two doubles, which no finite bracket can round, so the one
+        # 64-bit front gives up and the exact loop answers
         calls = []
-        original = discretize._exact_tail
+        for name in ("_front_tail", "_exact_tail"):
+            original = getattr(discretize, name)
 
-        def spy(*problem):
-            calls.append(problem)
-            return original(*problem)
+            def spy(*problem, name=name, original=original):
+                calls.append(name)
+                return original(*problem)
 
-        monkeypatch.setattr(discretize, "_exact_tail", spy)
+            monkeypatch.setattr(discretize, name, spy)
         value = binom_margin_tail(1, -0.3, 0.0)
-        assert len(calls) == 1
+        assert calls == ["_front_tail", "_exact_tail"]
         assert value == float(exact_tail(1, -0.3, 0.0))
 
     def test_rejects_bad_inputs(self):

@@ -411,6 +411,11 @@ class TestRhsHelpers:
         with pytest.raises(PreconditionError, match="must exceed"):
             within_const_rhs(10, 16, 0.35, 0.1, 1.0)
 
+    def test_within_const_rhs_refuses_a_size_term_no_float_holds(self):
+        # θ_next²·n/ln|H| overflows to inf, and the value would be NaN
+        with pytest.raises(ValueError, match="too large for a float"):
+            within_const_rhs(10**308, 2, 2.0, 0.5, 1.0)
+
 
 class TestValidateDispatch:
     def test_valid_ids_catalogue(self):

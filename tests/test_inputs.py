@@ -7,14 +7,15 @@ an array of reals (margins, weights, probabilities), one such float among
 valid entries, or a bool, str or complex array; for a count (a size, a
 number of trials, rounds, bins or points) any float or bool, any integer
 outside its range, and one no float can hold; for a sample position or a
-hypothesis index a float, bool or string or an integer out of range; and
-for a hypothesis value or a label anything but +1 and -1.  Hypothesis swaps one argument of the
-valid call for such a value.  Every entry point that takes a discretization
-size N refuses one above 2**53.  The CLI cases do the same to ``bounds
-eval`` and ``bounds grid``, which must exit 2 with one ``error:`` line, and
-a config with a negative seed fails to parse.  A last test checks that every
-``__all__`` entry of every module resolves, so a deletion cannot leave a
-stale export behind.
+hypothesis index a float, bool or string or an integer out of range; for
+a hypothesis value or a label anything but +1 and -1; for a λ grid no
+points at all; and for a random seed None, which would draw unseeded.
+Hypothesis swaps one argument of the valid call for such a value.  Every
+entry point that takes a discretization size N refuses one above 2**53.
+The CLI cases do the same to ``bounds eval`` and ``bounds grid``, which
+must exit 2 with one ``error:`` line, and a config with a negative seed
+fails to parse.  A last test checks that every ``__all__`` entry of every
+module resolves, so a deletion cannot leave a stale export behind.
 """
 
 import contextlib
@@ -70,12 +71,14 @@ from votemargin.harness.checks import (
     smallest_c_monotone,
 )
 from votemargin.harness.config import EXPERIMENT_KINDS, ConfigError, parse_config_text
+from votemargin.harness.experiments import half_margin_rhs, within_const_rhs
 from votemargin.phirho import (
     PhiRhoParams,
     diff_replacement_check,
     lip_const_bound,
     lipschitz_slope_check,
     phi,
+    phi_bound_check,
     phi_many,
     rho,
     rho_many,
@@ -123,6 +126,11 @@ def real(bad_floats):
 def reals(bad_floats):
     """Two-entry arrays whose second entry is a bad float, or arrays not of reals."""
     return bad_floats.map(lambda x: [0.1, x]) | NOT_REAL_ARRAYS
+
+
+def grid(bad_floats):
+    """A grid with one bad float, an array not of reals, or an empty grid."""
+    return reals(bad_floats) | st.just([])
 
 
 def not_a_count(lo, hi=None):
@@ -246,12 +254,17 @@ CASES = {
         dict(lams=[0.1, 0.1], params=PARAMS),
         {"lams": reals(outside(-C_THETA, C_THETA))},
     ),
+    "phi_bound_check": (
+        phi_bound_check,
+        dict(params=PARAMS, lambda_grid=[0.1, 0.1]),
+        {"lambda_grid": grid(outside(-C_THETA, C_THETA))},
+    ),
     "diff_replacement_check": (
         diff_replacement_check,
         dict(params=PARAMS, theta=0.4, lambda_grid=[0.1, 0.1]),
         {
             "theta": real(outside(0.25, 0.5, lo_in=False)),
-            "lambda_grid": reals(outside(-C_THETA, C_THETA)),
+            "lambda_grid": grid(outside(-C_THETA, C_THETA)),
         },
     ),
     "margin_law_monotone_check": (
@@ -272,6 +285,29 @@ CASES = {
         lip_const_bound,
         dict(params=PARAMS, c=32.0),
         {"c": real(below(0.0, lo_in=False))},
+    ),
+    "half_margin_rhs": (
+        half_margin_rhs,
+        dict(n=200, H_size=8, delta=0.1, theta_next=0.5, loss_next=0.25, N=64),
+        {
+            "n": not_a_count(1),
+            "H_size": not_a_count(2),
+            "delta": real(outside(0.0, 1.0, lo_in=False, hi_in=False)),
+            "theta_next": real(outside(0.0, 2.0, lo_in=False)),
+            "loss_next": real(outside(0.0, 2.0, lo_in=False)),
+            "N": not_a_count(1, 2**53),
+        },
+    ),
+    "within_const_rhs": (
+        within_const_rhs,
+        dict(n=5000, H_size=16, theta_next=0.5, delta=0.05, c=1.0),
+        {
+            "n": not_a_count(1),
+            "H_size": not_a_count(2),
+            "theta_next": real(outside(0.0, 2.0, lo_in=False)),
+            "delta": real(outside(0.0, 1.0, lo_in=False, hi_in=False)),
+            "c": real(below(0.0)),
+        },
     ),
     "binomial_ci": (
         binomial_ci,
@@ -360,9 +396,18 @@ CASES = {
     ),
     "build_stump_class": (build_stump_class, dict(d=1, k=2), {"d": not_a_count(1), "k": not_a_count(1)}),
     "generate_synthetic": (
-        lambda n, noise: generate_synthetic(STUMPS, n, noise, 0),
-        dict(n=5, noise=0.1),
-        {"n": not_a_count(1), "noise": real(outside(0.0, 0.5, hi_in=False))},
+        lambda n, noise, rng_seed: generate_synthetic(STUMPS, n, noise, rng_seed),
+        dict(n=5, noise=0.1, rng_seed=0),
+        {
+            "n": not_a_count(1),
+            "noise": real(outside(0.0, 0.5, hi_in=False)),
+            "rng_seed": st.none(),
+        },
+    ),
+    "sample_discretization": (
+        lambda N, rng_seed: sample_discretization(VOTE, STUMPS, N, rng_seed),
+        dict(N=4, rng_seed=0),
+        {"N": not_a_count(1, 2**53), "rng_seed": st.none()},
     ),
     "adaboost": (
         lambda T: adaboost(TASK_SAMPLE, STUMPS, T),
@@ -377,14 +422,16 @@ CASES = {
         {"bin_count": not_a_count(2)},
     ),
     "empirical_rademacher": (
-        lambda trials: empirical_rademacher(STUMPS, TASK_SAMPLE, trials, 0),
-        dict(trials=10),
-        {"trials": not_a_count(1)},
+        lambda trials, rng_seed: empirical_rademacher(STUMPS, TASK_SAMPLE, trials, rng_seed),
+        dict(trials=10, rng_seed=0),
+        {"trials": not_a_count(1), "rng_seed": st.none()},
     ),
     "convexity_collapse_check": (
-        lambda trials: convexity_collapse_check(STUMPS, TASK_SAMPLE, trials, 0),
-        dict(trials=10),
-        {"trials": not_a_count(1)},
+        lambda trials, rng_seed: convexity_collapse_check(
+            STUMPS, TASK_SAMPLE, trials, rng_seed
+        ),
+        dict(trials=10, rng_seed=0),
+        {"trials": not_a_count(1), "rng_seed": st.none()},
     ),
     "lipschitz_slope_check": (
         lambda num_points: lipschitz_slope_check(SLOPE_READY, "middle", num_points),

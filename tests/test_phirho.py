@@ -24,6 +24,10 @@ from votemargin.phirho import (
 )
 
 
+#: The dense λ grid the φ-ceiling and sandwich checks run on.
+DENSE_GRID = np.linspace(-C_THETA, C_THETA, 10_001)
+
+
 def params64():
     return PhiRhoParams(0.5, 64)
 
@@ -179,7 +183,7 @@ class TestBranchContinuity:
 class TestPhiBoundCheck:
     def test_ceiling_holds_and_sup_sits_at_zero(self):
         p = params64()
-        sup_phi, bound, holds = phi_bound_check(p)
+        sup_phi, bound, holds = phi_bound_check(p, DENSE_GRID)
         assert holds
         # φ is maximized at λ = 0 (batch evaluation, hence approximate)
         assert sup_phi == pytest.approx(p.tail(0.0), rel=1e-12)
@@ -194,13 +198,15 @@ class TestPhiBoundCheck:
     def test_holds_even_for_small_N(self):
         # the ceiling exp(−Nθ_i²/16) is looser than the λ=0 tail for every N
         for N in (1, 2, 5):
-            _, _, holds = phi_bound_check(PhiRhoParams(0.5, N))
+            _, _, holds = phi_bound_check(PhiRhoParams(0.5, N), DENSE_GRID)
             assert holds
 
 
 class TestDiffReplacement:
     def test_sandwich_holds_at_zero_tolerance(self):
-        violations, max_violation = diff_replacement_check(PhiRhoParams(0.35, 128), 0.5)
+        violations, max_violation = diff_replacement_check(
+            PhiRhoParams(0.35, 128), 0.5, DENSE_GRID
+        )
         assert violations == (0, 0, 0, 0)
         assert max_violation == 0.0  # φ equals its floor for λ ≤ 0
 
@@ -212,11 +218,11 @@ class TestDiffReplacement:
 
     def test_theta_window_is_enforced(self):
         p = PhiRhoParams(0.35, 128)
-        diff_replacement_check(p, 2 * 0.35)  # upper endpoint is admissible
+        diff_replacement_check(p, 2 * 0.35, DENSE_GRID)  # upper endpoint is admissible
         with pytest.raises(ValueError, match="theta"):
-            diff_replacement_check(p, 0.35)
+            diff_replacement_check(p, 0.35, DENSE_GRID)
         with pytest.raises(ValueError, match="theta"):
-            diff_replacement_check(p, 0.71)
+            diff_replacement_check(p, 0.71, DENSE_GRID)
 
 
 class TestLipschitz:
@@ -248,7 +254,9 @@ class TestLipschitz:
     def test_region_narrower_than_its_grid_drops_repeated_points(self):
         # (θ_i + θ_i·1e-9, c_θ] is 7e-15 wide: 65 floats for 10 000 grid points
         theta_i = C_THETA / (1 + 1e-9) * (1 - 1e-14)
-        slope, _, holds = lipschitz_slope_check(PhiRhoParams(theta_i, 200), "outer-rho")
+        slope, _, holds = lipschitz_slope_check(
+            PhiRhoParams(theta_i, 200), "outer-rho", num_points=10_000
+        )
         assert math.isfinite(slope) and holds
 
     @pytest.mark.parametrize("region", ["outer-phi", "outer-rho"])
@@ -265,15 +273,15 @@ class TestLipschitz:
 
     def test_requires_slope_ready(self):
         with pytest.raises(PreconditionError, match="N"):
-            lipschitz_slope_check(PhiRhoParams(0.5, 16), "middle")
+            lipschitz_slope_check(PhiRhoParams(0.5, 16), "middle", num_points=10_000)
 
     def test_rejects_unknown_region(self):
         with pytest.raises(ValueError, match="region"):
-            lipschitz_slope_check(params64(), "sideways")
+            lipschitz_slope_check(params64(), "sideways", num_points=10_000)
 
     def test_single_constant_ceiling(self):
         p = params64()
-        assert lip_const_bound(p) == pytest.approx(
+        assert lip_const_bound(p, 32.0) == pytest.approx(
             32.0 * math.exp(-64 * 1.0 / 32.0) * (1.0 * 64 + 1.0), rel=1e-15
         )
         for c in (0.0, math.nan, math.inf):

@@ -179,7 +179,7 @@ class TestEmpiricalRademacher:
     def test_trials_are_validated(self):
         H, S = random_class(28, 3, 6)
         with pytest.raises(ValueError, match="trials"):
-            empirical_rademacher(H, S, trials=0)
+            empirical_rademacher(H, S, trials=0, rng_seed=stream(28, 0))
 
 
 class TestMassartBound:
@@ -221,4 +221,4 @@ class TestConvexityCollapse:
     def test_validation(self):
         H, S = random_class(43, 3, 6)
         with pytest.raises(ValueError, match="trials"):
-            convexity_collapse_check(H, S, trials=0)
+            convexity_collapse_check(H, S, trials=0, rng_seed=stream(43, 0))
