@@ -63,8 +63,8 @@ true = true_margin_loss(f, H, D, 0.0)
 print(f"\nempirical margin loss at theta={theta}: {loss:.4f}")
 print(f"true error of the vote: {true:.4f}")
 
-inputs = BoundInputs(n=len(S), H_size=len(H), theta=theta, delta=0.05, loss=loss)
-reports = all_reports(inputs)
+inputs = BoundInputs(n=len(S), H_size=len(H), theta=theta, delta=0.05, loss=loss, c=1.0)
+reports = all_reports(inputs, tau=None)
 print(f"{'bound':<12} {'value':>10}")
 for name in ("sfbl98", "gz13", "theorem1"):
     report = reports[name]

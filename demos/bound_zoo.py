@@ -26,7 +26,7 @@ from votemargin.bounds import (
 # One instance, all bounds.  The report splits each bound into its loss
 # offset, sqrt deviation, log complexity, and confidence terms.
 # ------------------------------------------------------------------
-inputs = BoundInputs(n=5000, H_size=16, theta=0.3, delta=0.05, loss=0.12)
+inputs = BoundInputs(n=5000, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
 reports = all_reports(inputs, tau=0.12)
 
 print(f"n={inputs.n}, |H|={inputs.H_size}, theta={inputs.theta}, "
@@ -47,8 +47,8 @@ for name in BOUND_NAMES:
 # ------------------------------------------------------------------
 print("\ndeviation ratio (sharper / log-n) as n grows, at loss 0.2:")
 for n in (500, 2000, 8000, 32000):
-    scaled = BoundInputs(n=n, H_size=16, theta=0.6, delta=0.05, loss=0.2)
-    r = all_reports(scaled)
+    scaled = BoundInputs(n=n, H_size=16, theta=0.6, delta=0.05, loss=0.2, c=1.0)
+    r = all_reports(scaled, tau=None)
     ratio = r["theorem1"].deviation / r["gz13"].deviation
     print(f"  n = {n:>6}: {ratio:.4f}")
 

@@ -49,12 +49,29 @@ def admissible_theta_floor(n, H_size) -> float:
     return math.sqrt(math.e * math.log(H_size) / n)
 
 
+def _log_size_ratio(theta: float, n: int, H_size: int, *, cell: bool) -> float:
+    """ln(θ²·n/ln|H|), the size term of theorem1, gkl20-lower and the per-cell rules.
+
+    The ratio must be a finite float.  With ``cell``, θ is a margin cell's upper
+    endpoint θ_{i+1}, and a ratio not above 1 is a cell too narrow for the rules.
+    """
+    ratio = theta**2 * n / math.log(H_size)
+    if not math.isfinite(ratio):
+        raise ValueError("theta^2*n/ln|H| is too large for a float")
+    if cell and ratio <= 1.0:
+        raise PreconditionError(
+            f"theta cell upper endpoint {theta} is too small: "
+            f"theta^2*n/ln|H| = {ratio:.6g} must exceed 1"
+        )
+    return math.log(ratio)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Shared arguments of every bound evaluator.
 
-    ``c`` is the universal-constant knob; comparisons across bounds are only
-    meaningful at matched ``c``.
+    ``c``, required, is the universal-constant knob; comparisons across
+    bounds are only meaningful at matched ``c``.
     """
 
     n: int
@@ -62,7 +79,7 @@ class BoundInputs:
     theta: float
     delta: float
     loss: float
-    c: float = 1.0
+    c: float
 
     def __post_init__(self):
         _check_count(self.n, "n")
@@ -88,10 +105,7 @@ class BoundInputs:
     @property
     def log_inverse_rate(self) -> float:
         """ln(θ²·n/ln|H|), the log factor of theorem1's and gkl20-lower's log terms."""
-        ratio = self.theta**2 * self.n / self.log_H
-        if not math.isfinite(ratio):
-            raise ValueError("theta^2*n/ln|H| is too large for a float")
-        return math.log(ratio)
+        return _log_size_ratio(self.theta, self.n, self.H_size, cell=False)
 
     @property
     def delta_term(self) -> float:
@@ -250,8 +264,9 @@ def gkl20_lower_report(inputs: BoundInputs, tau: float) -> BoundReport:
     )
 
 
-def all_reports(inputs: BoundInputs, tau=None) -> dict:
-    """Every applicable bound, keyed by name; inapplicable ones map to a reason."""
+def all_reports(inputs: BoundInputs, tau) -> dict:
+    """Every applicable bound, keyed by name; inapplicable ones map to a reason.
+    gkl20-lower is evaluated at ``tau``, or left out when ``tau`` is None."""
     out = {"sfbl98": sfbl98_report(inputs), "gz13": gz13_report(inputs)}
     try:
         out["breiman"] = breiman_report(inputs)
@@ -407,7 +422,7 @@ def delta_allocation(delta: float, scheme: PartitionScheme) -> DeltaAllocation:
     return DeltaAllocation(delta=delta, pair_deltas=pair_deltas, cell_deltas=cell_deltas)
 
 
-def choose_N_main(theta_next: float, loss_next: float, c: float = 32.0) -> int:
+def choose_N_main(theta_next: float, loss_next: float, c: float) -> int:
     """Discretization size for the per-cell deviation statement.
 
     N = ceil(c·θ_{i+1}⁻²·ln(e/l_{j+1})), clamped up to the precondition
@@ -431,13 +446,6 @@ def choose_N_within_const(theta_next: float, n: int, H_size: int) -> int:
     theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
     _check_count(n, "n")
     _check_count(H_size, "H_size", 2)
-    arg = theta_next**2 * n / math.log(H_size)
-    if not math.isfinite(arg):
-        raise ValueError("theta_next^2*n/ln|H| is too large for a float")
-    if arg <= 1.0:
-        raise ValueError(
-            f"theta_next^2*n/ln|H| = {arg:.6g} must exceed 1 for the size rule"
-        )
-    raw = 2.0**11 * theta_next**-2 * math.log(arg)
+    raw = 2.0**11 * theta_next**-2 * _log_size_ratio(theta_next, n, H_size, cell=True)
     floor = 64.0 * theta_next**-2
     return max(math.ceil(raw), math.ceil(floor))

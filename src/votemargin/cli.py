@@ -18,18 +18,17 @@ environment variable, then the working directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .bounds import BOUND_NAMES, BoundInputs, BoundReport, all_reports
 from .harness.checks import VALID_LEMMA_IDS, validate
-from .harness.config import ConfigError, ExperimentConfig, parse_config
+from .harness.config import ConfigError, ExperimentConfig, parse_config, parse_config_text
 from .harness.experiments import (
     adaboost_experiment,
     concentration_experiment,
     gap_vs_bounds_experiment,
 )
-from .harness.reporting import OUTPUT_DIR_ENV, format_value
+from .harness.reporting import OUTPUT_DIR_ENV, write_csv, write_rows
 
 __all__ = ["main"]
 
@@ -204,13 +203,8 @@ def _bounds_grid(args) -> int:
         rows.append(row)
 
     if args.out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        write_rows(sys.stdout, header, rows)
     else:
-        from .harness.reporting import write_csv
-
         write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -234,8 +228,9 @@ def _print_report(report) -> int:
 
 
 def _validate(args) -> int:
-    config = None
-    if args.config is not None:
+    if args.config is None:
+        config = parse_config_text("[validate]\n")
+    else:
         config = _read_config(
             args.config,
             ("validate",),

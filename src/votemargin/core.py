@@ -359,10 +359,10 @@ class DataDistribution:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def sample(self, n: int, rng: np.random.Generator) -> LabeledSample:
-        """Draw n i.i.d. atoms."""
+    def sample(self, n: int, rng_seed) -> LabeledSample:
+        """Draw n i.i.d. atoms with the generator of the required ``rng_seed``."""
         n = _check_count(n, "n")
-        idx = rng.choice(len(self), size=n, p=self.probabilities)
+        idx = _generator(rng_seed).choice(len(self), size=n, p=self.probabilities)
         atoms = self.atoms
         return LabeledSample(atoms.domain_size, atoms.positions[idx], atoms.labels[idx])
 

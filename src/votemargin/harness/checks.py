@@ -26,6 +26,7 @@ from ..core import (
     VotingClassifier,
     _check_count,
     _check_real,
+    _generator,
 )
 from ..discretize import (
     _draw_indices,
@@ -51,7 +52,6 @@ from ..rademacher import (
     massart_bound,
 )
 from ..rng import stream
-from .config import DEFAULT_SEED
 from .reporting import LemmaCheckReport, resolve_out_dir, write_csv, write_summary
 
 __all__ = [
@@ -83,24 +83,28 @@ def repair_duplicate_constants(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def random_hypothesis_class(rng, X_size: int, H_size: int) -> HypothesisClass:
+def random_hypothesis_class(rng_seed, X_size: int, H_size: int) -> HypothesisClass:
     """A seeded random ±1 class of H_size hypotheses over {0..X_size−1}."""
     X_size = _check_count(X_size, "X_size", 2)
     H_size = _check_count(H_size, "H_size")
+    rng = _generator(rng_seed)
     matrix = (rng.integers(0, 2, size=(H_size, X_size)) * 2 - 1).astype(np.int8)
     return HypothesisClass(repair_duplicate_constants(matrix))
 
 
-def random_distribution(rng, domain_size: int) -> DataDistribution:
+def random_distribution(rng_seed, domain_size: int) -> DataDistribution:
     """Random labels and Dirichlet atom masses over every point of the domain."""
     domain_size = _check_count(domain_size, "domain_size")
+    rng = _generator(rng_seed)
     labels = rng.integers(0, 2, size=domain_size) * 2 - 1
     probs = rng.dirichlet(np.ones(domain_size))
     return DataDistribution(LabeledSample(domain_size, np.arange(domain_size), labels), probs)
 
 
-def random_voting(rng, size: int) -> VotingClassifier:
-    return VotingClassifier(rng.dirichlet(np.ones(size)))
+def random_voting(rng_seed, size: int) -> VotingClassifier:
+    """Dirichlet(1, …, 1) weights over a class of ``size`` hypotheses."""
+    size = _check_count(size, "size")
+    return VotingClassifier(_generator(rng_seed).dirichlet(np.ones(size)))
 
 
 def smallest_c_monotone(fn, target: float) -> float:
@@ -129,7 +133,7 @@ def smallest_c_monotone(fn, target: float) -> float:
     return hi
 
 
-def binomial_ci(trials: int, p: float, level: float = 0.95):
+def binomial_ci(trials: int, p: float, level: float):
     """Central exact binomial interval of counts at the given level."""
     trials = _check_count(trials, "trials", 0)
     p = _check_real(p, "p", 0, 1)
@@ -522,22 +526,21 @@ _SUITES = {
 VALID_LEMMA_IDS = tuple(_SUITES)
 
 
-def validate(lemma_id: str, config=None) -> LemmaCheckReport:
+def validate(lemma_id: str, config) -> LemmaCheckReport:
     """Run one named check suite, persist its CSV, return the report.
 
-    ``config`` is an optional parsed [validate] section providing seed,
-    trial count, grid density, and the output directory.  The directory is
-    resolved (created) before the suite runs, so an unusable one fails first.
+    ``config`` is a parsed [validate] section providing seed, trial count,
+    grid density, and the output directory.  The directory is resolved
+    (created) before the suite runs, so an unusable one fails first.
     """
     if lemma_id not in _SUITES:
         raise ValueError(
             f"unknown lemma id {lemma_id!r}; valid ids: {', '.join(VALID_LEMMA_IDS)}"
         )
-    seed = config.seed if config is not None else DEFAULT_SEED
-    params = config.params if config is not None else {}
+    params = config.params
     return _SUITES[lemma_id](
-        seed,
-        resolve_out_dir(params.get("out")),
-        params.get("trials"),
-        params.get("grid_points"),
+        config.seed,
+        resolve_out_dir(params["out"]),
+        params["trials"],
+        params["grid_points"],
     )

@@ -22,7 +22,7 @@ __all__ = [
     "DEFAULT_SEED",
 ]
 
-#: Master seed used by `validate` when no config is supplied.
+#: Seed of a [validate] section that sets none, as `votemargin validate` parses without --config.
 DEFAULT_SEED = 1729
 
 

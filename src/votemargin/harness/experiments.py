@@ -24,14 +24,13 @@ import numpy as np
 from ..boosting import adaboost, build_stump_class, generate_synthetic, margin_histogram
 from ..bounds import (
     BoundInputs,
+    _log_size_ratio,
     admissible_theta_floor,
-    breiman_report,
+    all_reports,
     build_partition,
     choose_N_main,
     choose_N_within_const,
-    gkl20_lower_report,
     gz13_report,
-    sfbl98_report,
     theorem1_report,
 )
 from ..core import (
@@ -114,16 +113,7 @@ def within_const_rhs(
     delta = _check_real(delta, "delta", 0, 1, lo_open=True, hi_open=True)
     c = _check_real(c, "c", 0, math.inf, hi_open=True)
     log_H = math.log(H_size)
-    arg = theta_next**2 * n / log_H
-    if not math.isfinite(arg):
-        raise ValueError("theta_next^2*n/ln|H| is too large for a float")
-    if arg <= 1.0:
-        raise PreconditionError(
-            f"theta cell upper endpoint {theta_next} is too small: "
-            f"theta_next^2*n = {theta_next**2 * n:.6g} must exceed "
-            f"ln|H| = {log_H:.6g}"
-        )
-    a = math.log(arg) * log_H / (theta_next**2 * n)
+    a = _log_size_ratio(theta_next, n, H_size, cell=True) * log_H / (theta_next**2 * n)
     b = math.log(math.e / delta) / n
     return c * (a + b)
 
@@ -306,7 +296,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             f"kind must be half-margin or within-const, got {config.kind!r}"
         )
     p = config.params
-    out_dir = resolve_out_dir(p.get("out"))
+    out_dir = resolve_out_dir(p["out"])
     n, trials, delta = p["n"], p["trials"], p["delta"]
     inst = _ConcentrationInstance(config)
     half_eta = inst.theta_i / 2.0
@@ -329,7 +319,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         modal = int(np.bincount(cell_indices).argmax())
         members = np.flatnonzero(cell_indices == modal)
         loss_next = inst.scheme.loss_cells[modal].hi_dyadic
-        N = choose_N_main(inst.theta_next, loss_next)
+        N = choose_N_main(inst.theta_next, loss_next, 32.0)
         tails = binom_margin_tail_batch(
             N, inst.probe_margins[members].ravel(), half_eta
         )
@@ -378,7 +368,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
 
     quantile = float(np.quantile(sup_devs, 1.0 - delta, method="higher"))
     c_star, failures = _calibrate(c_trials, trials, delta)
-    ci_lo, ci_hi = binomial_ci(trials, delta)
+    ci_lo, ci_hi = binomial_ci(trials, delta, 0.95)
 
     csv_path = out_dir / csv_name
     write_csv(
@@ -476,7 +466,7 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
     if config.kind != "gap-vs-bounds":
         raise ValueError(f"kind must be gap-vs-bounds, got {config.kind!r}")
     p = config.params
-    out_dir = resolve_out_dir(p.get("out"))
+    out_dir = resolve_out_dir(p["out"])
     delta = p["delta"]
     c_used, c_source = _resolve_gap_constant(p)
     H = build_stump_class(p["d"], p["k"])
@@ -506,35 +496,29 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
             inputs = BoundInputs(
                 n=n, H_size=len(H), theta=theta, delta=delta, loss=loss, c=c_used
             )
-            thm1 = theorem1_report(inputs)
-            gz13 = gz13_report(inputs)
-            sfbl = sfbl98_report(inputs)
-            brei = breiman_report(inputs).value if loss == 0.0 else ""
-            lower = gkl20_lower_report(inputs, tau=max(loss, 1.0 / n))
+            r = all_reports(inputs, tau=max(loss, 1.0 / n))
+            thm1, gz13, lower = r["theorem1"], r["gz13"], r["gkl20-lower"]
+            brei = "" if isinstance(r["breiman"], str) else r["breiman"].value
             if gap > thm1.deviation:
                 gap_ok = False
             rows.append(
-                (n, theta, gap, thm1.value, gz13.value, sfbl.value, brei,
+                (n, theta, gap, thm1.value, gz13.value, r["sfbl98"].value, brei,
                  lower.value, loss, true_loss, thm1.deviation, gz13.deviation,
                  len(lower.warnings), False)
             )
 
     trend_theta = p["trend_theta"]
-    trend_losses = [
-        empirical_margin_loss(f, H, S, trend_theta)
-        for n, _, S, f in trained
-        if trend_theta > floor_by_n[n]
-    ]
-    if len(trend_losses) < 2:
+    admissible = [(n, S, f) for n, _, S, f in trained if trend_theta > floor_by_n[n]]
+    if len(admissible) < 2:
         raise PreconditionError(
             f"trend_theta = {trend_theta} is admissible for fewer than two "
             "sample sizes; no trend can be computed"
         )
-    matched_loss = float(np.mean(trend_losses))
+    matched_loss = float(
+        np.mean([empirical_margin_loss(f, H, S, trend_theta) for _, S, f in admissible])
+    )
     ratios = []
-    for n, _, _, _ in trained:
-        if trend_theta <= floor_by_n[n]:
-            continue
+    for n, _, _ in admissible:
         inputs = BoundInputs(
             n=n, H_size=len(H), theta=trend_theta, delta=delta,
             loss=matched_loss, c=c_used,
@@ -611,7 +595,7 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     if config.kind != "adaboost":
         raise ValueError(f"kind must be adaboost, got {config.kind!r}")
     p = config.params
-    out_dir = resolve_out_dir(p.get("out"))
+    out_dir = resolve_out_dir(p["out"])
     H = build_stump_class(p["d"], p["k"])
     _, S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))
     result = adaboost(S, H, p["t"])

@@ -24,6 +24,7 @@ __all__ = [
     "OUTPUT_DIR_ENV",
     "resolve_out_dir",
     "format_value",
+    "write_rows",
     "write_csv",
     "write_summary",
     "LemmaCheckReport",
@@ -35,7 +36,7 @@ __all__ = [
 OUTPUT_DIR_ENV = "VOTEMARGIN_OUT"
 
 
-def resolve_out_dir(out_dir=None) -> Path:
+def resolve_out_dir(out_dir) -> Path:
     """Explicit argument, else $VOTEMARGIN_OUT, else the working directory."""
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_DIR_ENV) or "."
@@ -57,15 +58,20 @@ def format_value(value) -> str:
     return str(value)
 
 
+def write_rows(fh, header, rows) -> None:
+    """Write a header row and the formatted rows to an open text stream, LF-terminated."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+
+
 def write_csv(path, header, rows) -> Path:
-    """Write one CSV with a header row and LF line endings."""
+    """Write one CSV file (see ``write_rows``) and return its path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        write_rows(fh, header, rows)
     return path
 
 
@@ -87,8 +93,8 @@ class LemmaCheckReport:
     summary: str
     max_violation: float
     tolerance: float
-    calibrated_constant: float | None = None
-    csv_path: str | None = None
+    calibrated_constant: float | None
+    csv_path: str
 
     @property
     def passed(self) -> bool:
@@ -102,8 +108,7 @@ class LemmaCheckReport:
         if self.calibrated_constant is not None:
             yield f"smallest passing constant: {format_value(self.calibrated_constant)}"
         yield f"summary: {self.summary}"
-        if self.csv_path:
-            yield f"rows: {self.csv_path}"
+        yield f"rows: {self.csv_path}"
 
 
 def write_constants_csv(path, constants: dict) -> Path:

@@ -38,8 +38,9 @@ class TestBoundInputs:
         assert inp.delta_term == (1.0 - math.log(0.05)) / 5000
         assert inp.theta_floor == math.sqrt(math.e * math.log(16) / 5000)
 
-    def test_default_constant_is_one(self):
-        assert BoundInputs(n=10, H_size=2, theta=0.5, delta=0.1, loss=0.0).c == 1.0
+    def test_constant_is_required(self):
+        with pytest.raises(TypeError, match="'c'"):
+            BoundInputs(n=10, H_size=2, theta=0.5, delta=0.1, loss=0.0)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -71,7 +72,7 @@ class TestBoundInputs:
     )
     def test_a_log_term_that_overflows_is_rejected(self, make):
         # n fits a float, but theta^2*n/ln|H| overflows to inf
-        inp = BoundInputs(n=15 * 10**307, H_size=2, theta=1.0, delta=0.5, loss=0.1)
+        inp = BoundInputs(n=15 * 10**307, H_size=2, theta=1.0, delta=0.5, loss=0.1, c=1.0)
         with pytest.raises(ValueError, match="float"):
             make(inp)
 
@@ -79,11 +80,11 @@ class TestBoundInputs:
     def test_a_margin_whose_rate_is_not_finite_is_rejected(self, theta):
         # theta^2 underflows to 0 at 1e-170; ln|H|/(theta^2*n) overflows at 1e-160
         with pytest.raises(ValueError, match="theta"):
-            BoundInputs(n=1, H_size=2, theta=theta, delta=0.5, loss=0.1)
+            BoundInputs(n=1, H_size=2, theta=theta, delta=0.5, loss=0.1, c=1.0)
 
     def test_a_finite_rate_whose_log_term_overflows_is_rejected(self):
         # the rate is finite, but ln(theta^2*n/ln|H|) times it is -inf
-        inp = BoundInputs(n=1, H_size=2, theta=3e-154, delta=0.5, loss=0.1)
+        inp = BoundInputs(n=1, H_size=2, theta=3e-154, delta=0.5, loss=0.1, c=1.0)
         assert math.isfinite(inp.complexity_rate)
         with pytest.raises(ValueError, match="gkl20-lower: log_term is -inf"):
             gkl20_lower_report(inp, tau=0.5)
@@ -157,12 +158,12 @@ class TestPreconditions:
             breiman_report(inputs_A(loss=0.01))
 
     def test_theorem1_requires_theta_above_the_floor(self):
-        floor = BoundInputs(n=100, H_size=16, theta=0.5, delta=0.1, loss=0.0).theta_floor
+        floor = inputs_A(n=100, theta=0.5, delta=0.1, loss=0.0).theta_floor
         with pytest.raises(PreconditionError, match="floor"):
-            theorem1_report(BoundInputs(n=100, H_size=16, theta=0.9 * floor, delta=0.1, loss=0.0))
+            theorem1_report(inputs_A(n=100, theta=0.9 * floor, delta=0.1, loss=0.0))
         # exactly at the floor is also rejected
         with pytest.raises(PreconditionError, match="floor"):
-            theorem1_report(BoundInputs(n=100, H_size=16, theta=floor, delta=0.1, loss=0.0))
+            theorem1_report(inputs_A(n=100, theta=floor, delta=0.1, loss=0.0))
 
 
 class TestLowerBoundWarnings:
@@ -204,11 +205,11 @@ class TestAllReports:
         assert set(BOUND_NAMES) == set(out)
 
     def test_inapplicable_bounds_map_to_reasons(self):
-        out = all_reports(inputs_A(loss=0.12))
+        out = all_reports(inputs_A(loss=0.12), tau=None)
         assert isinstance(out["breiman"], str) and "loss" in out["breiman"]
         assert "gkl20-lower" not in out
-        low_theta = BoundInputs(n=100, H_size=16, theta=0.1, delta=0.1, loss=0.0)
-        out = all_reports(low_theta)
+        low_theta = inputs_A(n=100, theta=0.1, delta=0.1, loss=0.0)
+        out = all_reports(low_theta, tau=None)
         assert isinstance(out["theorem1"], str) and "floor" in out["theorem1"]
 
 
@@ -347,25 +348,25 @@ class TestDeltaAllocation:
 class TestChooseN:
     def test_main_size_rule(self):
         expected = math.ceil(32.0 * 0.5**-2 * math.log(math.e / 0.25))
-        assert choose_N_main(0.5, 0.25) == expected
+        assert choose_N_main(0.5, 0.25, 32.0) == expected
         assert expected > 32.0 * 0.5**-2  # rule beats the floor here
 
     def test_main_size_rule_clamps_to_the_floor(self):
         # at loss_next = 2 the log factor is small and the floor takes over
-        assert choose_N_main(0.5, 2.0) == math.ceil(32.0 * 0.5**-2)
+        assert choose_N_main(0.5, 2.0, 32.0) == math.ceil(32.0 * 0.5**-2)
 
     def test_main_size_grows_as_the_margin_shrinks(self):
-        assert choose_N_main(0.25, 0.5) > choose_N_main(0.5, 0.5)
+        assert choose_N_main(0.25, 0.5, 32.0) > choose_N_main(0.5, 0.5, 32.0)
 
     def test_main_size_validation(self):
         with pytest.raises(ValueError, match="theta_next"):
-            choose_N_main(0.0, 0.5)
+            choose_N_main(0.0, 0.5, 32.0)
         with pytest.raises(ValueError, match="theta_next"):
-            choose_N_main(2.0001, 0.5)
+            choose_N_main(2.0001, 0.5, 32.0)
         with pytest.raises(ValueError, match="loss_next"):
-            choose_N_main(0.5, 0.0)
+            choose_N_main(0.5, 0.0, 32.0)
         with pytest.raises(ValueError, match="loss_next"):
-            choose_N_main(0.5, 2.1)
+            choose_N_main(0.5, 2.1, 32.0)
         for c in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="c"):
                 choose_N_main(0.5, 0.5, c=c)

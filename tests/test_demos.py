@@ -33,12 +33,15 @@ def test_boosting_margins():
     lines = run_demo("boosting_margins.py")
     assert any(line.startswith("AdaBoost: ") and " rounds" in line for line in lines)
     assert any(line.startswith("final training error:") for line in lines)
+    assert "theorem1        1.01740" in lines
 
 
 def test_bound_zoo():
     lines = run_demo("bound_zoo.py")
     assert "pair-budget sum: 1.973e-06 <= 0.025" in lines
     assert "cell-budget sum: 6.514e-17 <= 0.025" in lines
+    assert "theorem1        0.20118    0.04902    0.03136    0.00080       sqrt" in lines
+    assert "chosen N for margin cell 2 x loss cell 3: 489" in lines
 
 
 def test_margin_law_tour():

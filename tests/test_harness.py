@@ -8,6 +8,7 @@ runners (concentration, gap-vs-bounds, boosting demo), exit codes of
 ``monkeypatch`` so no test touches the working directory.
 """
 
+import csv
 import math
 import os
 import subprocess
@@ -18,7 +19,14 @@ import numpy as np
 import pytest
 
 from votemargin import discretize, phirho
-from votemargin.bounds import BoundInputs, theorem1_report
+from votemargin.boosting import build_stump_class
+from votemargin.bounds import (
+    BoundInputs,
+    admissible_theta_floor,
+    breiman_report,
+    choose_N_within_const,
+    theorem1_report,
+)
 from votemargin.cli import main
 from votemargin.core import PreconditionError
 from votemargin.discretize import binom_margin_tail, binom_margin_tail_batch
@@ -324,7 +332,7 @@ class TestCheckHelpers:
             smallest_c_monotone(lambda c: c / (1.0 + c), 2.0)
 
     def test_binomial_ci_pinned_interval(self):
-        assert binomial_ci(500, 0.1) == (37, 64)
+        assert binomial_ci(500, 0.1, 0.95) == (37, 64)
 
     def test_binomial_ci_matches_scipy_stats_ppf(self):
         from scipy.stats import binom  # test-only oracle
@@ -340,10 +348,10 @@ class TestCheckHelpers:
         hi_ref = binom.ppf(0.975, n_grid, p_grid)
         for i, n in enumerate(ns):
             for j, p in enumerate(ps):
-                assert binomial_ci(n, p) == (lo_ref[i, j], hi_ref[i, j]), (n, p)
+                assert binomial_ci(n, p, 0.95) == (lo_ref[i, j], hi_ref[i, j]), (n, p)
 
     def test_binomial_ci_brackets_the_mean(self):
-        lo, hi = binomial_ci(500, 0.1)
+        lo, hi = binomial_ci(500, 0.1, 0.95)
         assert lo <= 50 <= hi
         lo50, hi50 = binomial_ci(500, 0.1, level=0.5)
         assert lo <= lo50 and hi50 <= hi
@@ -351,13 +359,13 @@ class TestCheckHelpers:
     @pytest.mark.parametrize(
         "args, name",
         [
-            ((100, math.nan), "p"),
-            ((100, 1.5), "p"),
-            ((100, -0.1), "p"),
+            ((100, math.nan, 0.95), "p"),
+            ((100, 1.5, 0.95), "p"),
+            ((100, -0.1, 0.95), "p"),
             ((100, 0.1, math.nan), "level"),
             ((100, 0.1, 1.5), "level"),
-            ((math.nan, 0.1), "trials"),
-            ((-1, 0.1), "trials"),
+            ((math.nan, 0.1, 0.95), "trials"),
+            ((-1, 0.1, 0.95), "trials"),
         ],
         ids=["p-nan", "p-1.5", "p--0.1", "level-nan", "level-1.5", "trials-nan", "trials--1"],
     )
@@ -411,6 +419,14 @@ class TestRhsHelpers:
         with pytest.raises(PreconditionError, match="must exceed"):
             within_const_rhs(10, 16, 0.35, 0.1, 1.0)
 
+    def test_a_narrow_cell_fails_alike_in_both_size_rules(self):
+        # θ_next²·n/ln|H| = 0.01·10/ln 8 ≈ 0.048 is not above 1
+        with pytest.raises(PreconditionError, match="must exceed 1") as rule:
+            choose_N_within_const(0.1, 10, 8)
+        with pytest.raises(PreconditionError) as rhs:
+            within_const_rhs(10, 8, 0.1, 0.1, 1.0)
+        assert str(rhs.value) == str(rule.value)
+
     def test_within_const_rhs_refuses_a_size_term_no_float_holds(self):
         # θ_next²·n/ln|H| overflows to inf, and the value would be NaN
         with pytest.raises(ValueError, match="too large for a float"):
@@ -425,7 +441,7 @@ class TestValidateDispatch:
 
     def test_unknown_lemma_id_rejected(self):
         with pytest.raises(ValueError, match="unknown lemma id"):
-            validate("nope")
+            validate("nope", parse_config_text("[validate]\n"))
 
     @pytest.mark.parametrize(
         "lemma_id", ["decomposition", "massart", "monotonicity", "phi-rho-ineq"]
@@ -626,6 +642,40 @@ class TestGapVsBoundsExperiment:
         assert not report.trend_ok
         assert report.gap_ok
         assert not report.passed
+
+    def test_bound_cells_follow_the_applicable_bounds(self, tmp_path):
+        """A skipped row (θ at or below the admissible floor) has empty bound
+        cells; the breiman cell holds breiman_report's value at zero loss and
+        is empty otherwise."""
+        H_size = len(build_stump_class(1, 3))
+        bound_cells = ("thm1", "gz13", "sfbl98", "breiman", "lower_bound",
+                       "thm1_deviation", "gz13_deviation", "lower_warnings")
+        seen = set()
+        for noise in (0.0, 0.1):  # separable rows have zero loss, noisy ones not
+            out = tmp_path / f"noise-{noise}"
+            gap_vs_bounds_experiment(
+                parse_config_text(gap_text(out, noise=noise, theta_grid="0.2, 0.5, 0.9"))
+            )
+            with open(out / "gap_vs_bounds.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                n, theta, loss = int(row["n"]), float(row["theta"]), float(row["loss"])
+                if row["skipped"] == "true":
+                    seen.add("skipped")
+                    assert theta <= admissible_theta_floor(n, H_size)
+                    assert [row[k] for k in bound_cells] == [""] * len(bound_cells)
+                    continue
+                assert row["skipped"] == "false" and row["thm1"] != ""
+                if loss == 0.0:
+                    seen.add("zero loss")
+                    inputs = BoundInputs(
+                        n=n, H_size=H_size, theta=theta, delta=0.1, loss=0.0, c=1.0
+                    )
+                    assert row["breiman"] == format_value(breiman_report(inputs).value)
+                else:
+                    seen.add("positive loss")
+                    assert row["breiman"] == ""
+        assert seen == {"skipped", "zero loss", "positive loss"}
 
     def test_wrong_kind_rejected(self, tmp_path):
         config = parse_config_text(adaboost_text(tmp_path))
@@ -891,6 +941,19 @@ class TestCommandLine:
         assert len(lines) == 3
         assert lines[0].startswith("theta,")
 
+    def test_bounds_grid_stdout_and_file_hold_the_same_bytes(self, tmp_path, capsys):
+        # θ = 0.03 is below the floor, so theorem1's cells are empty; so are
+        # breiman's at loss 0.12
+        argv = ["bounds", "grid", "--sweep", "theta", "--values", "0.03,0.3,0.5",
+                "--n", "5000", "--h-size", "16", "--delta", "0.05", "--loss", "0.12",
+                "--tau", "0.2"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "grid.csv"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert target.read_bytes() == stdout.encode()
+        assert stdout.splitlines()[1].startswith("0.029999999999999999,")
+
     def test_bounds_grid_requires_fixed_parameters(self, capsys):
         code = main(
             ["bounds", "grid", "--sweep", "n", "--values", "100,200", "--theta",
@@ -922,6 +985,17 @@ class TestCommandLine:
         code = main(["validate", "massart", "--config", str(config)])
         assert code == 2
         assert "[validate] config section" in capsys.readouterr().err
+
+    def test_validate_without_config_runs_the_validate_defaults(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "cli"))
+        assert main(["validate", "decomposition"]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+        config = parse_config_text(f"[validate]\nseed = 1729\nout = {tmp_path / 'api'}\n")
+        validate("decomposition", config)
+        rows = [tmp_path / d / "validate_decomposition.csv" for d in ("cli", "api")]
+        assert rows[0].read_bytes() == rows[1].read_bytes()
 
     def test_validate_env_output_dir(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "cli-env"

@@ -68,6 +68,7 @@ from votemargin.harness.checks import (
     binomial_ci,
     random_distribution,
     random_hypothesis_class,
+    random_voting,
     smallest_c_monotone,
 )
 from votemargin.harness.config import EXPERIMENT_KINDS, ConfigError, parse_config_text
@@ -390,9 +391,9 @@ CASES = {
         },
     ),
     "DataDistribution.sample": (
-        lambda n: TASK.sample(n, np.random.default_rng(0)),
-        dict(n=5),
-        {"n": not_a_count(1)},
+        TASK.sample,
+        dict(n=5, rng_seed=0),
+        {"n": not_a_count(1), "rng_seed": st.none()},
     ),
     "build_stump_class": (build_stump_class, dict(d=1, k=2), {"d": not_a_count(1), "k": not_a_count(1)}),
     "generate_synthetic": (
@@ -439,14 +440,19 @@ CASES = {
         {"num_points": not_a_count(1)},
     ),
     "random_hypothesis_class": (
-        lambda X_size, H_size: random_hypothesis_class(np.random.default_rng(0), X_size, H_size),
-        dict(X_size=3, H_size=4),
-        {"X_size": not_a_count(2), "H_size": not_a_count(1)},
+        random_hypothesis_class,
+        dict(rng_seed=0, X_size=3, H_size=4),
+        {"rng_seed": st.none(), "X_size": not_a_count(2), "H_size": not_a_count(1)},
     ),
     "random_distribution": (
-        lambda domain_size: random_distribution(np.random.default_rng(0), domain_size),
-        dict(domain_size=3),
-        {"domain_size": not_a_count(1)},
+        random_distribution,
+        dict(rng_seed=0, domain_size=3),
+        {"rng_seed": st.none(), "domain_size": not_a_count(1)},
+    ),
+    "random_voting": (
+        random_voting,
+        dict(rng_seed=0, size=3),
+        {"rng_seed": st.none(), "size": not_a_count(1)},
     ),
 }
 
