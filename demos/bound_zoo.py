@@ -16,6 +16,7 @@ import numpy as np
 from votemargin.bounds import (
     BOUND_NAMES,
     BoundInputs,
+    admissible_theta_floor,
     all_reports,
     build_partition,
     choose_N_main,
@@ -31,7 +32,7 @@ reports = all_reports(inputs, tau=0.12)
 
 print(f"n={inputs.n}, |H|={inputs.H_size}, theta={inputs.theta}, "
       f"delta={inputs.delta}, loss={inputs.loss}")
-print(f"admissible theta floor: {inputs.theta_floor:.4f}\n")
+print(f"admissible theta floor: {admissible_theta_floor(inputs.n, inputs.H_size):.4f}\n")
 print(f"{'bound':<12} {'value':>10} {'sqrt':>10} {'log':>10} {'delta':>10} {'dominates':>10}")
 for name in BOUND_NAMES:
     report = reports[name]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import PreconditionError, _check_count, _check_real
-from .discretize import _slope_threshold
+from .discretize import _inverse_square, _slope_threshold
 
 __all__ = [
     "BoundInputs",
@@ -112,11 +112,6 @@ class BoundInputs:
         """ln(e/δ)/n."""
         return (1.0 - math.log(self.delta)) / self.n
 
-    @property
-    def theta_floor(self) -> float:
-        """Smallest admissible margin for the sharp bound: √(e·ln|H|/n)."""
-        return admissible_theta_floor(self.n, self.H_size)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -208,10 +203,11 @@ def theorem1_report(inputs: BoundInputs) -> BoundReport:
 
     with 0·ln(e/0) = 0 at zero loss.  Requires θ > √(e·ln|H|/n).
     """
-    if inputs.theta <= inputs.theta_floor:
+    floor = admissible_theta_floor(inputs.n, inputs.H_size)
+    if inputs.theta <= floor:
         raise PreconditionError(
             f"theta = {inputs.theta} is at or below the admissible floor "
-            f"sqrt(e*ln|H|/n) = {inputs.theta_floor:.6g}"
+            f"sqrt(e*ln|H|/n) = {floor:.6g}"
         )
     b = inputs.delta_term
     if inputs.loss > 0.0:
@@ -316,11 +312,6 @@ class PartitionScheme:
     theta_cells: tuple
     loss_cells: tuple
 
-    @property
-    def theta_floor(self) -> float:
-        """Lower edge of the admissible margin range, √(e·ln|H|/n)."""
-        return admissible_theta_floor(self.n, self.H_size)
-
     def locate_theta(self, theta: float) -> PartitionCell:
         theta = _check_real(theta, "theta", self.theta_cells[0].lo, 1, lo_open=True)
         return next(cell for cell in self.theta_cells if cell.contains(theta))
@@ -330,53 +321,43 @@ class PartitionScheme:
         return next(cell for cell in self.loss_cells if cell.contains(loss))
 
 
+def _dyadic_cells(cells: list, edge) -> tuple:
+    """``cells`` extended with (edge(i−1), edge(i)], i = len(cells), len(cells) + 1, …
+    until an upper end reaches 1; that last cell is clipped at 1."""
+    while not cells or cells[-1].hi_dyadic < 1.0:
+        i = len(cells)
+        hi_dyadic = edge(i)
+        cells.append(PartitionCell(index=i, lo=edge(i - 1), hi=min(hi_dyadic, 1.0), hi_dyadic=hi_dyadic))
+    return tuple(cells)
+
+
 def build_partition(n: int, H_size: int) -> PartitionScheme:
     """Cover (√(e·ln|H|/n), 1] with margin cells and [0, 1] with loss cells.
 
-    Margin cells follow Θ_i = (e·2^{i−1}·s, e·2^i·s], s = √(ln|H|/n), with an
-    index-0 cell included so coverage reaches down past the admissible floor
-    √e·s (the i ≥ 1 family alone starts at e·s and would leave a gap), and
-    the last cell clipped at 1.  Loss cells are L_0 = [0, 1/n] and
-    L_j = (2^{j−1}/n, 2^j/n], clipped at 1.
+    Both families are dyadic, each cell's upper end twice its lower end, and
+    their last cell is clipped at 1.  Margin cells are
+    Θ_i = (e·2^{i−1}·s, e·2^i·s], s = √(ln|H|/n), from i = 0, so coverage
+    reaches down past the admissible floor √e·s (the i ≥ 1 family alone
+    starts at e·s and would leave a gap).  Loss cells are L_0 = [0, 1/n] and
+    L_j = (2^{j−1}/n, 2^j/n].  n is at most 2^1023, so that every 2^j/n up
+    to the last is a float.
     """
     _check_count(n, "n")
     _check_count(H_size, "H_size", 2)
+    if n > 2**1023:
+        raise ValueError(f"n = {n} is above 2**1023: the last loss cell's end 2^j/n overflows")
     log_H = math.log(H_size)
     if n < math.e * log_H:
         raise ValueError(
             f"empty margin range: n = {n} is below e*ln|H| = {math.e * log_H:.6g}"
         )
     s = math.sqrt(log_H / n)
-
-    theta_cells = []
-    i = 0
-    while True:
-        lo = math.e * 2.0 ** (i - 1) * s
-        hi_dyadic = math.e * 2.0**i * s
-        theta_cells.append(
-            PartitionCell(index=i, lo=lo, hi=min(hi_dyadic, 1.0), hi_dyadic=hi_dyadic)
-        )
-        if hi_dyadic >= 1.0:
-            break
-        i += 1
-
-    loss_cells = [
-        PartitionCell(index=0, lo=0.0, hi=1.0 / n, hi_dyadic=1.0 / n, closed_left=True)
-    ]
-    j = 1
-    while loss_cells[-1].hi_dyadic < 1.0:
-        lo = 2.0 ** (j - 1) / n
-        hi_dyadic = 2.0**j / n
-        loss_cells.append(
-            PartitionCell(index=j, lo=lo, hi=min(hi_dyadic, 1.0), hi_dyadic=hi_dyadic)
-        )
-        j += 1
-
+    first_loss = PartitionCell(index=0, lo=0.0, hi=1.0 / n, hi_dyadic=1.0 / n, closed_left=True)
     return PartitionScheme(
         n=int(n),
         H_size=int(H_size),
-        theta_cells=tuple(theta_cells),
-        loss_cells=tuple(loss_cells),
+        theta_cells=_dyadic_cells([], lambda i: math.e * 2.0**i * s),
+        loss_cells=_dyadic_cells([first_loss], lambda j: 2.0**j / n),
     )
 
 
@@ -422,30 +403,39 @@ def delta_allocation(delta: float, scheme: PartitionScheme) -> DeltaAllocation:
     return DeltaAllocation(delta=delta, pair_deltas=pair_deltas, cell_deltas=cell_deltas)
 
 
+def _chosen_N(raw: float, floor: float) -> int:
+    """⌈max(raw, floor)⌉, refused unless the tails accept it (N ≤ 2^53)."""
+    size = max(raw, floor)
+    if not size <= 2**53:
+        raise ValueError(f"chosen N = {size:.6g} is above 2**53, the largest N the tails accept")
+    return math.ceil(size)
+
+
 def choose_N_main(theta_next: float, loss_next: float, c: float) -> int:
     """Discretization size for the per-cell deviation statement.
 
     N = ceil(c·θ_{i+1}⁻²·ln(e/l_{j+1})), clamped up to the precondition
     floor 32·θ_{i+1}⁻².  Both arguments are dyadic upper endpoints and may
-    exceed 1 (never 2).
+    exceed 1 (never 2).  An N above 2^53, which no tail accepts, is refused.
     """
     theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
     loss_next = _check_real(loss_next, "loss_next", 0, 2, lo_open=True)
     c = _check_real(c, "c", 0, math.inf, lo_open=True, hi_open=True)
-    raw = c * theta_next**-2 * math.log(math.e / loss_next)
+    raw = c * _inverse_square(theta_next) * math.log(math.e / loss_next)
     floor = _slope_threshold(theta_next / 2.0)  # θ_{i+1} = 2θ_i
-    return max(math.ceil(raw), math.ceil(floor))
+    return _chosen_N(raw, floor)
 
 
 def choose_N_within_const(theta_next: float, n: int, H_size: int) -> int:
     """Discretization size for the uniform half-loss comparison statement.
 
     N = ceil(2¹¹·θ_{i+1}⁻²·ln(θ_{i+1}²·n/ln|H|)), clamped up to the
-    precondition floor 64·θ_{i+1}⁻².  Requires θ_{i+1}²·n > ln|H|.
+    precondition floor 64·θ_{i+1}⁻².  Requires θ_{i+1}²·n > ln|H|.  An N
+    above 2^53, which no tail accepts, is refused.
     """
     theta_next = _check_real(theta_next, "theta_next", 0, 2, lo_open=True)
     _check_count(n, "n")
     _check_count(H_size, "H_size", 2)
-    raw = 2.0**11 * theta_next**-2 * _log_size_ratio(theta_next, n, H_size, cell=True)
-    floor = 64.0 * theta_next**-2
-    return max(math.ceil(raw), math.ceil(floor))
+    raw = 2.0**11 * _inverse_square(theta_next) * _log_size_ratio(theta_next, n, H_size, cell=True)
+    floor = 64.0 * _inverse_square(theta_next)
+    return _chosen_N(raw, floor)

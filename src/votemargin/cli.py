@@ -22,7 +22,13 @@ import sys
 
 from .bounds import BOUND_NAMES, BoundInputs, BoundReport, all_reports
 from .harness.checks import VALID_LEMMA_IDS, validate
-from .harness.config import ConfigError, ExperimentConfig, parse_config, parse_config_text
+from .harness.config import (
+    ConfigError,
+    ExperimentConfig,
+    _list_field,
+    parse_config,
+    parse_config_text,
+)
 from .harness.experiments import (
     adaboost_experiment,
     concentration_experiment,
@@ -146,22 +152,6 @@ def _bounds_eval(args) -> int:
     return 0
 
 
-def _parse_sweep_values(sweep: str, text: str):
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if sweep in ("n", "h-size"):
-            value = int(chunk)
-        else:
-            value = float(chunk)
-        values.append(value)
-    if not values:
-        raise ValueError("--values must list at least one number")
-    return values
-
-
 def _bounds_grid(args) -> int:
     required = {"n", "h-size", "theta", "delta", "loss"}
     missing = [
@@ -171,7 +161,8 @@ def _bounds_grid(args) -> int:
     ]
     if missing:
         raise ValueError(f"missing fixed parameters: {', '.join(missing)}")
-    values = _parse_sweep_values(args.sweep, args.values)
+    item = int if args.sweep in ("n", "h-size") else float
+    values = _list_field("--values", item)(args.values)
 
     header = [args.sweep]
     for name in BOUND_NAMES:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..bounds import build_partition, delta_allocation
+from ..bounds import admissible_theta_floor, build_partition, delta_allocation
 from ..core import (
     C_THETA,
     DataDistribution,
@@ -420,8 +420,9 @@ def _check_partition_coverage(seed, out, trials, grid_points):
     for n in _DELTA_GRID_N:
         for H_size in _DELTA_GRID_H:
             scheme = build_partition(n, H_size)
-            eps = (1.0 - scheme.theta_floor) * 1e-9
-            thetas = np.linspace(scheme.theta_floor + eps, 1.0, pts)
+            floor = admissible_theta_floor(n, H_size)
+            eps = (1.0 - floor) * 1e-9
+            thetas = np.linspace(floor + eps, 1.0, pts)
             t_unc, t_dbl = _coverage(scheme.theta_cells, thetas)
             l_unc, l_dbl = _coverage(scheme.loss_cells, np.linspace(0.0, 1.0, pts))
             bad += t_unc + t_dbl + l_unc + l_dbl

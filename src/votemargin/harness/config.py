@@ -52,20 +52,8 @@ def _float_field(name, lo, hi, lo_open=False, hi_open=False):
     return parse
 
 
-def _int_list_field(name, lo):
-    item = _int_field(name, lo)
-
-    def parse(text: str) -> tuple:
-        values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
-        if not values:
-            raise ValueError(f"{name} must list at least one integer")
-        return values
-
-    return parse
-
-
-def _float_list_field(name, lo, hi, lo_open=False, hi_open=False):
-    item = _float_field(name, lo, hi, lo_open, hi_open)
+def _list_field(name, item):
+    """Parser of a comma-separated list, each non-blank entry read by ``item``."""
 
     def parse(text: str) -> tuple:
         values = tuple(item(part.strip()) for part in text.split(",") if part.strip())
@@ -108,9 +96,9 @@ _SCHEMAS = {
         "k": (_int_field("k", lo=1), False, 7),
         "noise": (_float_field("noise", 0.0, 0.5, hi_open=True), False, 0.0),
         "t": (_int_field("t", lo=1), False, 400),
-        "n_grid": (_int_list_field("n_grid", lo=1), False, (200, 800, 3200)),
+        "n_grid": (_list_field("n_grid", _int_field("n_grid", lo=1)), False, (200, 800, 3200)),
         "theta_grid": (
-            _float_list_field("theta_grid", 0.0, 1.0, lo_open=True),
+            _list_field("theta_grid", _float_field("theta_grid", 0.0, 1.0, lo_open=True)),
             False,
             (0.3, 0.45, 0.6, 0.75, 0.9),
         ),

@@ -141,7 +141,7 @@ class ConcentrationReport:
     probe_protocol: str
     loss_cell: int
     cell_members: int
-    N_values: tuple
+    N: int
     quantile_dev: float
     calibrated_c: float
     failure_count: int
@@ -180,7 +180,7 @@ class ConcentrationReport:
                 f"loss cell: index {self.loss_cell} "
                 f"({self.cell_members}/{self.probe_count} probes inside)"
             )
-        yield f"discretization sizes N: {', '.join(str(v) for v in self.N_values)}"
+        yield f"discretization sizes N: {self.N}"
         yield f"empirical (1-{self.delta})-quantile of the statistic: {self.quantile_dev:.17g}"
         yield f"calibrated constant c*: {self.calibrated_c:.17g}"
         yield (
@@ -335,11 +335,8 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             dev = np.abs(true_exp - exp_rows @ freq)
             sup_devs[t] = dev.max()
             c_trials[t] = smallest_c_monotone(rhs, float(sup_devs[t]))
-        N_values = (N,)
         loss_cell, cell_members = modal, len(members)
         protocol = "fixed probe family"
-        csv_name = "half_margin_trials.csv"
-        summary_name = "half_margin_summary.txt"
     else:
         # The statement quantifies over all of C(H), so no cell filtering.
         # The empirical loss is count-valued, so with a fixed probe family
@@ -360,17 +357,16 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
             lhs = target - sample_loss
             sup_devs[t] = lhs.max()
             c_trials[t] = max(0.0, sup_devs[t]) / unit
-        N_values = (choose_N_within_const(inst.theta_next, n, p["h_size"]),)
+        N = choose_N_within_const(inst.theta_next, n, p["h_size"])
         loss_cell, cell_members = -1, -1
         protocol = "random combinations redrawn each trial"
-        csv_name = "within_const_trials.csv"
-        summary_name = "within_const_summary.txt"
 
     quantile = float(np.quantile(sup_devs, 1.0 - delta, method="higher"))
     c_star, failures = _calibrate(c_trials, trials, delta)
     ci_lo, ci_hi = binomial_ci(trials, delta, 0.95)
 
-    csv_path = out_dir / csv_name
+    slug = config.kind.replace("-", "_")
+    csv_path = out_dir / f"{slug}_trials.csv"
     write_csv(
         csv_path,
         ["trial", "sup_statistic", "smallest_c"],
@@ -393,7 +389,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         probe_protocol=protocol,
         loss_cell=loss_cell,
         cell_members=cell_members,
-        N_values=N_values,
+        N=N,
         quantile_dev=quantile,
         calibrated_c=c_star,
         failure_count=failures,
@@ -402,7 +398,7 @@ def concentration_experiment(config: ExperimentConfig) -> ConcentrationReport:
         csv_path=str(csv_path),
         constants_path=constants_path,
     )
-    write_summary(out_dir / summary_name, report.lines())
+    write_summary(out_dir / f"{slug}_summary.txt", report.lines())
     return report
 
 

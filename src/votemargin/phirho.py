@@ -37,7 +37,6 @@ __all__ = [
     "diff_replacement_check",
     "lipschitz_slope_check",
     "lip_const_bound",
-    "lip_const_check",
     "LIPSCHITZ_REGIONS",
 ]
 
@@ -250,13 +249,3 @@ def lip_const_bound(params: PhiRhoParams, c: float) -> float:
     c = _check_real(c, "c", 0, math.inf, lo_open=True, hi_open=True)
     tp = 2.0 * params.theta_i
     return c * math.exp(-params.N * tp**2 / c) * (tp * params.N + 1.0 / tp)
-
-
-def lip_const_check(params: PhiRhoParams, num_points: int):
-    """Max measured slope over all three regions vs. the c = 32 ceiling."""
-    max_slope = max(
-        lipschitz_slope_check(params, region, num_points=num_points)[0]
-        for region in LIPSCHITZ_REGIONS
-    )
-    bound = lip_const_bound(params, 32.0)
-    return max_slope, bound, max_slope <= bound

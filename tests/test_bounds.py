@@ -9,6 +9,7 @@ from votemargin.bounds import (
     BOUND_NAMES,
     BoundInputs,
     BoundReport,
+    admissible_theta_floor,
     all_reports,
     breiman_report,
     build_partition,
@@ -21,6 +22,7 @@ from votemargin.bounds import (
     theorem1_report,
 )
 from votemargin.core import PreconditionError
+from votemargin.harness.checks import _DELTA_GRID_H, _DELTA_GRID_N
 
 
 def inputs_A(**overrides) -> BoundInputs:
@@ -36,7 +38,9 @@ class TestBoundInputs:
         assert inp.log_H == math.log(16)
         assert inp.complexity_rate == math.log(16) / (0.3**2 * 5000)
         assert inp.delta_term == (1.0 - math.log(0.05)) / 5000
-        assert inp.theta_floor == math.sqrt(math.e * math.log(16) / 5000)
+        assert admissible_theta_floor(inp.n, inp.H_size) == math.sqrt(
+            math.e * math.log(16) / 5000
+        )
 
     def test_constant_is_required(self):
         with pytest.raises(TypeError, match="'c'"):
@@ -158,7 +162,7 @@ class TestPreconditions:
             breiman_report(inputs_A(loss=0.01))
 
     def test_theorem1_requires_theta_above_the_floor(self):
-        floor = inputs_A(n=100, theta=0.5, delta=0.1, loss=0.0).theta_floor
+        floor = admissible_theta_floor(100, 16)
         with pytest.raises(PreconditionError, match="floor"):
             theorem1_report(inputs_A(n=100, theta=0.9 * floor, delta=0.1, loss=0.0))
         # exactly at the floor is also rejected
@@ -244,11 +248,26 @@ class TestPartition:
         assert [c.index for c in cells] == list(range(len(cells)))
         s = math.sqrt(math.log(16) / 5000)
         assert cells[0].lo == math.e * 0.5 * s
-        assert cells[0].lo < scheme.theta_floor  # coverage reaches the floor
+        assert cells[0].lo < admissible_theta_floor(5000, 16)  # coverage reaches the floor
         for a, b in zip(cells, cells[1:]):
             assert b.lo == a.hi_dyadic
             assert a.hi_dyadic == 2.0 * a.lo
         assert cells[-1].hi == 1.0 and cells[-1].hi_dyadic >= 1.0
+        # Every endpoint of both families, bit for bit, over the delta-allocation grid.
+        for n in _DELTA_GRID_N:
+            for H_size in _DELTA_GRID_H:
+                scheme = build_partition(n, H_size)
+                s = math.sqrt(math.log(H_size) / n)
+                margin = [(math.e * 2.0 ** (i - 1) * s, math.e * 2.0**i * s)
+                          for i in range(len(scheme.theta_cells))]
+                loss = [(0.0, 1.0 / n)] + [(2.0 ** (j - 1) / n, 2.0**j / n)
+                                           for j in range(1, len(scheme.loss_cells))]
+                for cells, ends in ((scheme.theta_cells, margin), (scheme.loss_cells, loss)):
+                    got = [(c.index, c.lo.hex(), c.hi.hex(), c.hi_dyadic.hex()) for c in cells]
+                    assert got == [(i, lo.hex(), min(hi, 1.0).hex(), hi.hex())
+                                   for i, (lo, hi) in enumerate(ends)], (n, H_size)
+                    # the last cell is the first to reach 1
+                    assert ends[-1][1] >= 1.0 and (len(ends) == 1 or ends[-2][1] < 1.0)
 
     def test_loss_cells_cover_the_unit_interval(self):
         scheme = build_partition(100, 4)
@@ -298,6 +317,16 @@ class TestPartition:
             build_partition(100, 1)
         with pytest.raises(ValueError, match="empty margin range"):
             build_partition(2, 16)  # n below e·ln|H|
+
+    def test_n_up_to_2_1023_and_no_further(self):
+        # 2^j/n for the last loss cell is 2^1023/n at n = 2^1023 and would be
+        # 2^1024/n, which overflows, at any larger n
+        scheme = build_partition(2**1023, 2)
+        assert len(scheme.loss_cells) == 1024
+        assert scheme.loss_cells[-1].hi_dyadic == 1.0
+        for n in (2**1023 + 1, 10**308):
+            with pytest.raises(ValueError, match="2\\*\\*1023"):
+                build_partition(n, 2)
 
 
 class TestDeltaAllocation:
@@ -389,3 +418,15 @@ class TestChooseN:
             choose_N_within_const(0.5, 100, 1)
         with pytest.raises(ValueError, match="float"):
             choose_N_within_const(1.0, 15 * 10**307, 2)
+
+    @pytest.mark.parametrize(
+        "choose, args",
+        [
+            (choose_N_main, (1e-200, 0.5, 32.0)),  # θ⁻² overflows
+            (choose_N_main, (0.5, 0.5, 1e308)),  # c·θ⁻²·ln(e/l) overflows
+            (choose_N_within_const, (1e-150, 10**300, 2)),  # a 303-digit N
+        ],
+    )
+    def test_an_N_no_tail_accepts_is_refused(self, choose, args):
+        with pytest.raises(ValueError, match="above 2\\*\\*53"):
+            choose(*args)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votemargin import discretize
@@ -86,6 +86,14 @@ class TestKStar:
                 if k > N or Fraction(2 * k - N, N) > Fraction(eta)
             )
             assert k_star(N, eta) == expected, (N, eta)
+
+    @given(N=st.integers(1, 2**53), eta=st.floats(-1.0, 1.0, allow_subnormal=True))
+    @example(N=2**53, eta=0.0)
+    @example(N=2**53, eta=-0.0)
+    @example(N=2**53 - 1, eta=5e-324)
+    @example(N=2**53 - 1, eta=-5e-324)
+    def test_matches_the_rational_formula(self, N, eta):
+        assert k_star(N, eta) == int((Fraction(eta) + 1) * N // 2) + 1
 
     def test_lattice_tie_is_excluded_from_the_tail(self):
         # margin exactly η must not count: (2k − 8)/8 > 1/4 first holds at k = 6
@@ -206,6 +214,18 @@ class TestBinomMarginTailBatch:
 
     def test_empty_input(self):
         assert binom_margin_tail_batch(8, np.array([]), 0.0).shape == (0,)
+
+    def test_pinned_at_the_largest_N(self):
+        # Pr[Binom(2^20, 5/8) >= k*(1/4)], summed term by term in mpmath at 50
+        # digits; bdtrc is off by 4.3e-9 here, the most measured at N = 2^20
+        tail = binom_margin_tail_batch(2**20, [0.25], 0.25)[0]
+        assert tail == pytest.approx(0.4996311618549192698, abs=5e-9)
+
+    def test_N_above_2_20_is_refused(self):
+        # past 2^20 bdtrc leaves the exact tail fast (1.2e-6 at N = 2^21)
+        with pytest.raises(ValueError, match="N must be an integer in \\[1, 1048576\\]"):
+            binom_margin_tail_batch(2**20 + 1, [0.25], 0.25)
+        assert binom_margin_tail(2**20 + 1, 1.0, 0.25) == 1.0  # the scalar tail goes on
 
     def test_threshold_beyond_range_is_zero(self):
         assert np.all(binom_margin_tail_batch(8, np.linspace(-1, 1, 5), 1.0) == 0.0)
@@ -434,6 +454,11 @@ class TestExpectedHalfMarginLossBound:
         f, H, D, _ = random_instance(94)
         with pytest.raises(PreconditionError, match="N"):
             expected_half_margin_loss_bound_check(f, H, D, 0.5, 16)
+
+    def test_a_threshold_past_the_float_range_is_refused(self):
+        f, H, D, _ = random_instance(94)
+        with pytest.raises(PreconditionError, match="inf"):
+            expected_half_margin_loss_bound_check(f, H, D, 1e-300, 5)
 
     def test_rejects_bad_theta_i(self):
         f, H, D, _ = random_instance(93)

@@ -541,7 +541,9 @@ class TestConcentrationExperiment:
         assert report.kind == "half-margin"
         assert report.trials == 200
         assert report.theta_next == pytest.approx(2.0 * report.theta_lo, rel=1e-12)
-        assert len(report.N_values) >= 1
+        assert report.N >= 1
+        summary = (tmp_path / "half_margin_summary.txt").read_text().splitlines()
+        assert f"discretization sizes N: {report.N}" in summary
         assert report.calibrated_c > 0.0
         assert 0 <= report.failure_count <= report.trials
         assert report.passed == (report.ci_lo <= report.failure_count <= report.ci_hi)
@@ -848,12 +850,13 @@ class TestCommandLine:
     def test_bounds_eval_does_not_import_scipy(self):
         # The closed-form bounds need no binomial tail, so a cold CLI run
         # must not pay for scipy; the first tail then imports it on demand.
+        # k* is integer arithmetic, so neither fractions nor decimal loads.
         script = (
             "import sys\n"
             "import votemargin.cli\n"
             "code = votemargin.cli.main(['bounds', 'eval', '--n', '1000', '--h-size', '100',"
             " '--theta', '0.2', '--delta', '0.05', '--loss', '0.1'])\n"
-            "print('exit', code, 'scipy' in sys.modules)\n"
+            "print('exit', code, *(m in sys.modules for m in ('scipy', 'fractions', 'decimal')))\n"
             "from votemargin.discretize import binom_margin_tail_batch\n"
             "print('tail', repr(float(binom_margin_tail_batch(8, [0.0], 0.0)[0])),"
             " 'scipy.special' in sys.modules)\n"
@@ -867,7 +870,7 @@ class TestCommandLine:
         )
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
-        assert "exit 0 False" in lines
+        assert "exit 0 False False False" in lines
         usual = float(binom_margin_tail_batch(8, [0.0], 0.0)[0])
         assert f"tail {usual!r} True" in lines
 
