@@ -46,7 +46,7 @@ rng = stream(2024, 0)
 hits = 0
 for _ in range(M):
     g = sample_discretization(f, H2, N, rng)
-    if g.values_on_domain()[0] > eta:  # the point is labeled +1, so margin = g(0)
+    if g.values_on(H2)[0] > eta:  # the point is labeled +1, so margin = g(0)
         hits += 1
 mc = hits / M
 exact = binom_margin_tail(N, lam, eta)

@@ -83,6 +83,12 @@ def build_stump_class(d: int, k: int) -> HypothesisClass:
     return HypothesisClass(matrix)
 
 
+def _constants_last(H: HypothesisClass) -> bool:
+    """Whether H is at least one row followed by the constant +1 and −1 rows."""
+    m = H.matrix
+    return len(m) > 2 and m[-2].min() == 1 and m[-1].max() == -1
+
+
 def _stump_shape(H: HypothesisClass):
     """(d, k) if H is exactly ``build_stump_class(d, k)``, else None.
 
@@ -91,7 +97,7 @@ def _stump_shape(H: HypothesisClass):
     compared with the lattice, one feature block at a time.
     """
     rows, size = H.matrix.shape
-    if rows < 4 or rows % 2 or (H.plus_index, H.minus_index) != (rows - 2, rows - 1):
+    if rows % 2 or not _constants_last(H):
         return None
     dk = (rows - 2) // 2
     d = next((d for d in range(1, dk + 1) if dk % d == 0 and (dk // d + 1) ** d == size), None)
@@ -142,7 +148,7 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     noise = _check_real(noise, "noise", 0, 0.5, hi_open=True)
     n = _check_count(n, "n")
     num_stumps = len(H) - 2
-    if num_stumps < 1 or (H.plus_index, H.minus_index) != (num_stumps, num_stumps + 1):
+    if not _constants_last(H):
         raise ValueError("H must be a stump class: stumps, then the +1 and -1 constants")
     rng = _generator(rng_seed)
     count = min(5, num_stumps)

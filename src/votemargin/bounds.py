@@ -52,15 +52,15 @@ def admissible_theta_floor(n, H_size) -> float:
 def _log_size_ratio(theta: float, n: int, H_size: int, *, cell: bool) -> float:
     """ln(θ²·n/ln|H|), the size term of theorem1, gkl20-lower and the per-cell rules.
 
-    The ratio must be a finite float.  With ``cell``, θ is a margin cell's upper
-    endpoint θ_{i+1}, and a ratio not above 1 is a cell too narrow for the rules.
+    The ratio must be a finite float above 1: at or below 1 the term is not
+    positive.  With ``cell``, θ is a margin cell's upper endpoint θ_{i+1}.
     """
     ratio = theta**2 * n / math.log(H_size)
     if not math.isfinite(ratio):
         raise ValueError("theta^2*n/ln|H| is too large for a float")
-    if cell and ratio <= 1.0:
+    if ratio <= 1.0:
         raise PreconditionError(
-            f"theta cell upper endpoint {theta} is too small: "
+            f"{'theta cell upper endpoint' if cell else 'theta ='} {theta} is too small: "
             f"theta^2*n/ln|H| = {ratio:.6g} must exceed 1"
         )
     return math.log(ratio)
@@ -229,9 +229,10 @@ def theorem1_report(inputs: BoundInputs) -> BoundReport:
 def gkl20_lower_report(inputs: BoundInputs, tau: float) -> BoundReport:
     """Matching lower bound τ + c·(√(τ·ln(e/τ)·ln|H|/(θ²n)) + ln(θ²n/ln|H|)·ln|H|/(θ²n)).
 
-    Outside its parameter regime (τ > 1/|H|, θ < c, ln|H|/(c·θ²) ≤ n) the
-    value is still computed and the violated conditions are reported as
-    warnings on the report.
+    Requires θ²n/ln|H| > 1, as the per-cell rules do: at or below 1 the log
+    term is not positive.  Outside its parameter regime (τ > 1/|H|, θ < c,
+    ln|H|/(c·θ²) ≤ n) the value is still computed and the violated
+    conditions are reported as warnings on the report.
     """
     tau = _check_real(tau, "tau", 0, 1, lo_open=True)
     warnings = []
@@ -264,16 +265,14 @@ def all_reports(inputs: BoundInputs, tau) -> dict:
     """Every applicable bound, keyed by name; inapplicable ones map to a reason.
     gkl20-lower is evaluated at ``tau``, or left out when ``tau`` is None."""
     out = {"sfbl98": sfbl98_report(inputs), "gz13": gz13_report(inputs)}
-    try:
-        out["breiman"] = breiman_report(inputs)
-    except PreconditionError as exc:
-        out["breiman"] = str(exc)
-    try:
-        out["theorem1"] = theorem1_report(inputs)
-    except PreconditionError as exc:
-        out["theorem1"] = str(exc)
+    guarded = {"breiman": breiman_report, "theorem1": theorem1_report}
     if tau is not None:
-        out["gkl20-lower"] = gkl20_lower_report(inputs, tau)
+        guarded["gkl20-lower"] = lambda inputs: gkl20_lower_report(inputs, tau)
+    for name, report in guarded.items():
+        try:
+            out[name] = report(inputs)
+        except PreconditionError as exc:
+            out[name] = str(exc)
     return out
 
 

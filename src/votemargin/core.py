@@ -6,6 +6,8 @@ every quantity downstream (losses, discretization laws, bound experiments)
 exactly computable by enumeration.  A labeled sample is held as its domain
 size plus two arrays, the positions of its points and their int8 ±1 labels;
 a distribution is a sample of distinct atoms plus a probability vector.
+The margin and loss functions take either voter, a VotingClassifier or a
+``discretize.DiscretizedClassifier``: both answer ``values_on(H)``.
 Margin-loss comparisons are non-strict: a point whose margin ties the
 threshold counts as a loss.
 """
@@ -212,14 +214,11 @@ def _unit_sum(values: np.ndarray, name: str) -> np.ndarray:
 class HypothesisClass:
     """An ordered finite class of ±1 hypotheses: row h, column x holds h(x).
 
-    The domain is the column range {0, …, |X|−1}.  ``plus_index`` and
-    ``minus_index`` are the rows of the all-(+1) and all-(−1) hypotheses, or
-    None when the class lacks one.  Duplicate constant hypotheses are
-    rejected; duplicates among non-constant hypotheses are permitted (|H|
-    counts them).
+    The domain is the column range {0, …, |X|−1}.  Rows may repeat, constant
+    ones included, and |H| counts every row.
     """
 
-    __slots__ = ("matrix", "domain_size", "plus_index", "minus_index")
+    __slots__ = ("matrix", "domain_size")
 
     def __init__(self, matrix):
         raw = np.asarray(matrix)
@@ -229,15 +228,9 @@ class HypothesisClass:
                 "hypothesis row and one domain column"
             )
         matrix = _check_signs(raw)
-        plus_rows = np.flatnonzero(matrix.min(axis=1) == 1)
-        minus_rows = np.flatnonzero(matrix.max(axis=1) == -1)
-        if len(plus_rows) > 1 or len(minus_rows) > 1:
-            raise ValueError("a constant hypothesis occurs more than once")
         matrix.setflags(write=False)
         self.matrix = matrix
         self.domain_size = int(matrix.shape[1])
-        self.plus_index = int(plus_rows[0]) if len(plus_rows) == 1 else None
-        self.minus_index = int(minus_rows[0]) if len(minus_rows) == 1 else None
 
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
@@ -246,6 +239,14 @@ class HypothesisClass:
         """Matrix of h(x_i) with shape (|H|, n), columns in sample order."""
         _check_domain(sample, self.domain_size)
         return self.matrix[:, sample.positions]
+
+
+def _check_size(voter, H: HypothesisClass) -> None:
+    """Refuse a voter whose hypothesis count differs from |H|."""
+    if len(voter) != len(H):
+        raise ValueError(
+            f"classifier has {len(voter)} weights but class has {len(H)} hypotheses"
+        )
 
 
 class VotingClassifier:
@@ -285,10 +286,7 @@ class VotingClassifier:
         hands the product to BLAS, so the bits do not depend on the BLAS
         library or its thread count, and no float copy of the matrix is made.
         """
-        if len(self) != len(H):
-            raise ValueError(
-                f"classifier has {len(self)} weights but class has {len(H)} hypotheses"
-            )
+        _check_size(self, H)
         values = np.einsum("i,ij->j", self.weights, H.matrix)
         # A convex combination of ±1 values lies in [-1, 1]; the float sum
         # can overshoot by one ulp, so clamp back to the exact range.
@@ -367,23 +365,19 @@ class DataDistribution:
         return LabeledSample(atoms.domain_size, atoms.positions[idx], atoms.labels[idx])
 
 
-def _margins_at(values: np.ndarray, S: LabeledSample) -> np.ndarray:
-    """y_i·values[x_i] for every point of S, ``values`` given in domain order."""
-    _check_domain(S, values.size)
+def margins_on_sample(f, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
+    """Margins y_i·f(x_i) for every sample point, in sample order."""
+    values = f.values_on(H)
+    _check_domain(S, H.domain_size)
     return S.labels * values[S.positions]
 
 
-def margins_on_sample(f: VotingClassifier, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
-    """Margins y_i·f(x_i) for every sample point, in sample order."""
-    return _margins_at(f.values_on(H), S)
-
-
-def margins_on_support(f: VotingClassifier, H: HypothesisClass, D: DataDistribution):
+def margins_on_support(f, H: HypothesisClass, D: DataDistribution):
     """(margins, probabilities) over the atoms of D, in atom order."""
     return margins_on_sample(f, H, D.atoms), D.probabilities
 
 
-def empirical_margin_loss(f: VotingClassifier, H: HypothesisClass, S: LabeledSample, theta: float) -> float:
+def empirical_margin_loss(f, H: HypothesisClass, S: LabeledSample, theta: float) -> float:
     """Fraction of sample points with margin ≤ θ (ties count as losses).
 
     θ = 0 gives the empirical 0-1 loss.
@@ -393,7 +387,7 @@ def empirical_margin_loss(f: VotingClassifier, H: HypothesisClass, S: LabeledSam
     return float(np.count_nonzero(m <= theta)) / m.size
 
 
-def true_margin_loss(f: VotingClassifier, H: HypothesisClass, D: DataDistribution, theta: float) -> float:
+def true_margin_loss(f, H: HypothesisClass, D: DataDistribution, theta: float) -> float:
     """Pr over D of margin ≤ θ, computed exactly over the atoms of D."""
     theta = _check_real(theta, "margin threshold", 0, 1)
     m, p = margins_on_support(f, H, D)

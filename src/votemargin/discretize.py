@@ -13,12 +13,13 @@ exact rational over a power of two.  It runs one 64-bit front, then the
 exact loop: the front brackets the rational in integer arithmetic and
 answers when both ends of the bracket round to the same double (Ziv's
 strategy), and the exact integer sum answers the rare tail that sits on a
-rounding boundary; it takes N up to 2^53.  The vectorized batch calls
-``scipy.special.bdtrc`` (the regularized incomplete beta function) and takes
-N up to 2^20: its measured error against the exact tail is 9.1e-12 absolute
-at N = 8192 and 4.3e-9 at N = 2^20, and past 2^20 it grows fast.  The
-threshold k*(η) = floor((η/2 + 1/2)·N) + 1 is computed exactly in integers,
-so integer boundary cases are decided exactly.
+rounding boundary; it takes N up to 2^53, though from N ≈ 2^20 a call
+takes seconds to minutes (see ``binom_margin_tail``).  The vectorized batch
+calls ``scipy.special.bdtrc`` (the regularized incomplete beta function) and
+takes N up to 2^20: its measured error against the exact tail is 9.1e-12
+absolute at N = 8192 and 4.3e-9 at N = 2^20, and past 2^20 it grows fast.
+The threshold k*(η) = floor((η/2 + 1/2)·N) + 1 is computed exactly in
+integers, so integer boundary cases are decided exactly.
 
 scipy is imported inside the batch tail, not at module level: importing this
 module (and the CLI) loads numpy only, and scipy loads on the first batch
@@ -40,9 +41,9 @@ from .core import (
     _check_count,
     _check_real,
     _check_reals,
+    _check_size,
     _generator,
     _integer_array,
-    _margins_at,
     margins_on_sample,
     margins_on_support,
     true_margin_loss,
@@ -252,6 +253,14 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
     strategy).  Only when the bracket straddles a rounding boundary (in
     practice, a tail that is exactly the midpoint between two doubles) does
     the exact integer loop answer.
+
+    N up to 2^53 is accepted, but the front forms C(N, k) exactly with
+    ``math.comb``, whose cost grows fast with N.  Measured on a 2-core host:
+    ``math.comb(2**20, 2**19)`` alone takes 12–13 s, this tail takes 13.7 s
+    at (2^20, 0.001, 0.0) and 8.4–8.7 s at (2^20, 0.3, 0.25), and a call at
+    N = 2^22 did not finish in 120 s.  At the N ≤ 12 800 of the benchmark
+    workloads the 60 scalar calls of a ``surrogate-suites`` pass spend 10–20 ms
+    in ``math.comb``.
     """
     problem = _tail_problem(N, lam, eta)
     if isinstance(problem, float):
@@ -272,24 +281,29 @@ def binom_margin_tail_batch(N: int, lams, eta: float) -> np.ndarray:
     at N = 2^21, 8e-3 at N = 2^24), so a larger N is refused; the scalar
     tail takes N up to 2^53.
     """
-    N = _check_count(N, "N", 1, 2**20)
+    try:
+        N = _check_count(N, "N", 1, 2**20)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}: 2**20 is the largest N the vectorized tail is accurate for; "
+            "the scalar tail binom_margin_tail takes N up to 2**53"
+        ) from None
     lams = _check_reals(lams, "lambda", -1, 1)
-    ks = k_star(N, eta)
-    if ks > N:
-        return np.zeros(lams.shape)
+    ks = k_star(N, eta)  # at most N + 1, where bdtrc(N, N, p) is 0.0
     from scipy.special import bdtrc  # local: scipy loads on the first tail, not on import
 
     return bdtrc(ks - 1, N, 0.5 + 0.5 * lams)
 
 
 class DiscretizedClassifier:
-    """An unweighted average of N sampled hypotheses, stored by index.
+    """An unweighted average of N hypotheses drawn from a class, stored by index.
 
-    g(x) is evaluated lazily from the indices; the averaged table is cached
-    on first use.
+    g keeps the draws and the size |H| of their class, which is its length
+    as for a VotingClassifier, and answers ``values_on(H)`` under the
+    contract of ``VotingClassifier.values_on``.
     """
 
-    __slots__ = ("hypothesis_class", "indices", "_values")
+    __slots__ = ("indices", "_size")
 
     def __init__(self, H: HypothesisClass, indices):
         idx = np.asarray(indices)
@@ -299,31 +313,25 @@ class DiscretizedClassifier:
         if idx.min() < 0 or idx.max() >= len(H):
             raise ValueError("hypothesis index out of range")
         idx.setflags(write=False)
-        self.hypothesis_class = H
         self.indices = idx
-        self._values = None
+        self._size = len(H)
 
     @property
     def N(self) -> int:
         return int(self.indices.size)
 
-    def values_on_domain(self) -> np.ndarray:
-        """g(x) for every domain point, in domain order."""
-        if self._values is None:
-            H = self.hypothesis_class
-            # Σ_draws h(x) as an exact integer: draw counts times the int8
-            # rows, in hypothesis order, divided by N once.
-            counts = np.bincount(self.indices, minlength=len(H))
-            values = np.einsum("i,ij->j", counts, H.matrix) / self.N
-            values.setflags(write=False)
-            self._values = values
-        return self._values
+    def __len__(self) -> int:
+        return self._size
 
-    def margins_on_sample(self, S: LabeledSample) -> np.ndarray:
-        return _margins_at(self.values_on_domain(), S)
+    def values_on(self, H: HypothesisClass) -> np.ndarray:
+        """g(x) = (1/N)·Σ_draws h(x) for every domain point, in domain order.
 
-    def margins_on_support(self, D: DataDistribution):
-        return self.margins_on_sample(D.atoms), D.probabilities
+        Σ_draws h(x) is an exact integer: the draw counts times the int8
+        rows, in hypothesis order, divided by N once.
+        """
+        _check_size(self, H)
+        counts = np.bincount(self.indices, minlength=len(H))
+        return np.einsum("i,ij->j", counts, H.matrix) / self.N
 
 
 def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) -> DiscretizedClassifier:
@@ -332,10 +340,7 @@ def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) 
     ``rng_seed`` is required, an integer seed or a numpy Generator.
     """
     N = _check_N(N)
-    if len(f) != len(H):
-        raise ValueError(
-            f"classifier has {len(f)} weights but class has {len(H)} hypotheses"
-        )
+    _check_size(f, H)
     return DiscretizedClassifier(H, _draw_indices(f, N, _generator(rng_seed)))
 
 
@@ -392,14 +397,12 @@ def decomposition_residual(
     """
     theta = _check_real(theta, "theta", 0, 1, lo_open=True)
     theta_i = _check_real(theta_i, "theta_i", 0, 1, lo_open=True)
-    if g.hypothesis_class.domain_size != H.domain_size:
-        raise ValueError("discretized classifier domain mismatch")
     half = theta_i / 2.0
 
     fm_D, probs = margins_on_support(f, H, D)
-    gm_D, _ = g.margins_on_support(D)
+    gm_D, _ = margins_on_support(g, H, D)
     fm_S = margins_on_sample(f, H, S)
-    gm_S = g.margins_on_sample(S)
+    gm_S = margins_on_sample(g, H, S)
     n = fm_S.size
 
     lhs = float(probs[fm_D <= 0.0].sum()) - float(np.count_nonzero(fm_S <= theta)) / n

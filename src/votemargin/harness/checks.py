@@ -1,10 +1,11 @@
 """Per-lemma numerical check suites behind `validate <lemma-id>`.
 
-Each suite sweeps a grid or Monte Carlo trial set, persists one CSV of raw
-rows plus a plain-text summary, and returns a LemmaCheckReport whose verdict
-is pass iff the max violation is within the stated tolerance.  Where a
-statement carries an unpinned universal constant, the suite reports the
-smallest constant that makes every check pass instead of asserting one.
+Each suite sweeps a grid or Monte Carlo trial set and returns its raw rows
+and worst violation; ``validate`` persists them as one CSV plus a plain-text
+summary and returns a LemmaCheckReport whose verdict is pass iff the max
+violation is within the stated tolerance.  Where a statement carries an
+unpinned universal constant, the suite reports the smallest constant that
+makes every check pass instead of asserting one.
 
 The ``margin-law`` suite draws its Monte Carlo margins through the same draw
 as ``sample_discretization``, at N up to 1024, so it tests the library's
@@ -73,8 +74,9 @@ __all__ = [
 def repair_duplicate_constants(matrix: np.ndarray) -> np.ndarray:
     """Flip the first entry of surplus constant rows, in place.
 
-    Classes reject a twice-occurring constant hypothesis; random or planted
-    row constructions use this so a draw never has to be rejected.
+    A class accepts a repeated constant row, but the seeded recipes keep this
+    step so every seeded class keeps its bits: ``massart``, for one, draws
+    classes over 2 points, where a constant row often repeats.
     """
     for label in (1, -1):
         rows = np.flatnonzero((matrix == label).all(axis=1))
@@ -156,23 +158,6 @@ def _binomial_quantile(q: float, n: int, p: float) -> int:
     return lo
 
 
-def _finish(lemma_id, out_dir, header, rows, summary, max_violation, tolerance,
-             calibrated=None) -> LemmaCheckReport:
-    slug = lemma_id.replace("-", "_")
-    csv_path, txt_path = out_dir / f"validate_{slug}.csv", out_dir / f"validate_{slug}.txt"
-    write_csv(csv_path, header, rows)
-    report = LemmaCheckReport(
-        lemma=lemma_id,
-        summary=summary,
-        max_violation=float(max_violation),
-        tolerance=float(tolerance),
-        calibrated_constant=calibrated,
-        csv_path=str(csv_path),
-    )
-    write_summary(txt_path, report.lines())
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -190,7 +175,7 @@ _FIVE_SIGMA_LEVEL = 1.0 - math.erfc(5.0 / math.sqrt(2.0))
 _MC_BLOCK_ROWS = 1024
 
 
-def _check_margin_law(seed, out, trials, grid_points):
+def _check_margin_law(seed, trials, grid_points):
     """Hit counts of sampled discretizations against the exact margin tail.
 
     H = {+1, −1} on one point labeled +1, and f puts weight (1 + λ)/2 on the
@@ -220,8 +205,7 @@ def _check_margin_law(seed, out, trials, grid_points):
                 excess = max(ci_lo - count, count - ci_hi, 0)
                 worst = max(worst, excess)
                 rows.append((N, lam, eta, exact, count / M, count, ci_lo, ci_hi, excess == 0))
-    return _finish(
-        "margin-law", out,
+    return (
         ["N", "lambda", "eta", "exact_tail", "mc_tail", "hits", "ci_lo", "ci_hi", "ok"],
         rows,
         f"Monte Carlo margins of sampled discretizations vs the exact binomial margin "
@@ -231,7 +215,7 @@ def _check_margin_law(seed, out, trials, grid_points):
     )
 
 
-def _check_monotonicity(seed, out, trials, grid_points):
+def _check_monotonicity(seed, trials, grid_points):
     del seed, trials
     pts = grid_points or 1000
     rows = []
@@ -242,8 +226,7 @@ def _check_monotonicity(seed, out, trials, grid_points):
             ok, first = margin_law_monotone_check(N, eta, grid)
             violations += 0 if ok else 1
             rows.append((N, eta, pts, ok, "" if first is None else first))
-    return _finish(
-        "monotonicity", out,
+    return (
         ["N", "eta", "grid_points", "ok", "first_violation"],
         rows,
         f"margin tail non-decreasing in lambda over {pts}-point grids",
@@ -251,7 +234,7 @@ def _check_monotonicity(seed, out, trials, grid_points):
     )
 
 
-def _check_decomposition(seed, out, trials, grid_points):
+def _check_decomposition(seed, trials, grid_points):
     del grid_points
     count = trials or 100
     rows = []
@@ -271,8 +254,7 @@ def _check_decomposition(seed, out, trials, grid_points):
         residual = decomposition_residual(f, g, H, D, S, theta, theta_i)
         worst = max(worst, residual)
         rows.append((t, X_size, H_size, N, theta, theta_i, residual))
-    return _finish(
-        "decomposition", out,
+    return (
         ["trial", "X_size", "H_size", "N", "theta", "theta_i", "residual"],
         rows,
         f"loss-splitting identity residual on {count} random instances",
@@ -288,7 +270,7 @@ def _draw_pair(rng):
     return theta_i, N
 
 
-def _check_phi_rho_ineq(seed, out, trials, grid_points):
+def _check_phi_rho_ineq(seed, trials, grid_points):
     count = trials or 50
     pts = grid_points or 2001
     rows = []
@@ -306,8 +288,7 @@ def _check_phi_rho_ineq(seed, out, trials, grid_points):
         total += sum(violations)
         worst = max(worst, max_violation)
         rows.append((t, theta_i, N, theta, *violations, max_violation))
-    return _finish(
-        "phi-rho-ineq", out,
+    return (
         ["trial", "theta_i", "N", "theta",
          "viol_lower_phi", "viol_upper_phi", "viol_lower_rho", "viol_upper_rho",
          "max_violation"],
@@ -317,7 +298,7 @@ def _check_phi_rho_ineq(seed, out, trials, grid_points):
     )
 
 
-def _check_phi_bound(seed, out, trials, grid_points):
+def _check_phi_bound(seed, trials, grid_points):
     count = trials or 50
     pts = grid_points or 10_001
     rows = []
@@ -331,8 +312,7 @@ def _check_phi_bound(seed, out, trials, grid_points):
         sup_phi, bound, holds = phi_bound_check(params, grid)
         worst = max(worst, sup_phi - bound, jump - 1e-12)
         rows.append((t, theta_i, N, jump, sup_phi, bound, holds and jump <= 1e-12))
-    return _finish(
-        "phi-bound", out,
+    return (
         ["trial", "theta_i", "N", "max_continuity_residual",
          "sup_phi", "bound", "ok"],
         rows,
@@ -341,7 +321,7 @@ def _check_phi_bound(seed, out, trials, grid_points):
     )
 
 
-def _check_lipschitz(seed, out, trials, grid_points):
+def _check_lipschitz(seed, trials, grid_points):
     del seed, trials
     pts = grid_points or 10_000
     thetas = (0.1, 0.2, 0.35, 0.5, 0.7)
@@ -365,13 +345,12 @@ def _check_lipschitz(seed, out, trials, grid_points):
                 calibrated,
                 smallest_c_monotone(lambda c: lip_const_bound(params, c), pair_slope),
             )
-    return _finish(
-        "lipschitz", out,
+    return (
         ["theta_i", "N", "region", "max_slope", "bound", "ok"],
         rows,
         f"finite-difference slopes vs analytic ceilings, {len(thetas) * len(mults)} "
         f"(theta_i, N) pairs x {len(LIPSCHITZ_REGIONS)} regions",
-        worst, 0.0, calibrated=calibrated,
+        worst, 0.0, calibrated,
     )
 
 
@@ -380,7 +359,7 @@ _DELTA_GRID_H = (2**4, 2**10, 2**20)
 _DELTA_GRID_DELTA = (0.5, 0.05, 0.001)
 
 
-def _check_delta_allocation(seed, out, trials, grid_points):
+def _check_delta_allocation(seed, trials, grid_points):
     del seed, trials, grid_points
     rows = []
     worst = -math.inf
@@ -396,8 +375,7 @@ def _check_delta_allocation(seed, out, trials, grid_points):
                     (n, H_size, delta, alloc.pair_sum, alloc.cell_sum, budget,
                      gap <= 0.0)
                 )
-    return _finish(
-        "delta-allocation", out,
+    return (
         ["n", "H_size", "delta", "pair_sum", "cell_sum", "budget", "ok"],
         rows,
         "per-cell failure budgets sum within delta/2 per family over the "
@@ -412,7 +390,7 @@ def _coverage(cells, xs):
     return int(np.count_nonzero(cover == 0)), int(np.count_nonzero(cover > 1))
 
 
-def _check_partition_coverage(seed, out, trials, grid_points):
+def _check_partition_coverage(seed, trials, grid_points):
     del seed, trials
     pts = grid_points or 10_000
     rows = []
@@ -427,8 +405,7 @@ def _check_partition_coverage(seed, out, trials, grid_points):
             l_unc, l_dbl = _coverage(scheme.loss_cells, np.linspace(0.0, 1.0, pts))
             bad += t_unc + t_dbl + l_unc + l_dbl
             rows.append((n, H_size, t_unc, t_dbl, l_unc, l_dbl))
-    return _finish(
-        "partition-coverage", out,
+    return (
         ["n", "H_size", "theta_uncovered", "theta_doubly_covered",
          "loss_uncovered", "loss_doubly_covered"],
         rows,
@@ -437,7 +414,7 @@ def _check_partition_coverage(seed, out, trials, grid_points):
     )
 
 
-def _check_massart(seed, out, trials, grid_points):
+def _check_massart(seed, trials, grid_points):
     del grid_points
     count = trials or 200
     rows = []
@@ -452,8 +429,7 @@ def _check_massart(seed, out, trials, grid_points):
         bound = massart_bound(H_size, n)
         worst = max(worst, exact - bound)
         rows.append((t, n, H_size, exact, bound, exact <= bound))
-    return _finish(
-        "massart", out,
+    return (
         ["trial", "n", "H_size", "exhaustive", "bound", "ok"],
         rows,
         f"exhaustive Rademacher value vs sqrt(2 ln|H|/n) on {count} instances",
@@ -461,7 +437,7 @@ def _check_massart(seed, out, trials, grid_points):
     )
 
 
-def _check_convexity_collapse(seed, out, trials, grid_points):
+def _check_convexity_collapse(seed, trials, grid_points):
     del grid_points
     count = trials or 50
     rows = []
@@ -475,8 +451,7 @@ def _check_convexity_collapse(seed, out, trials, grid_points):
         ok = convexity_collapse_check(H, S, trials=200, rng_seed=rng)
         failures += 0 if ok else 1
         rows.append((t, n, H_size, ok))
-    return _finish(
-        "convexity-collapse", out,
+    return (
         ["trial", "n", "H_size", "ok"],
         rows,
         f"hull supremum never exceeds class supremum, {count} instances x 200 draws",
@@ -484,7 +459,7 @@ def _check_convexity_collapse(seed, out, trials, grid_points):
     )
 
 
-def _check_half_margin_expectation(seed, out, trials, grid_points):
+def _check_half_margin_expectation(seed, trials, grid_points):
     del grid_points
     count = trials or 50
     rows = []
@@ -500,8 +475,7 @@ def _check_half_margin_expectation(seed, out, trials, grid_points):
         lhs, rhs, holds = expected_half_margin_loss_bound_check(f, H, D, theta_i, N)
         worst = max(worst, lhs - rhs)
         rows.append((t, theta_i, N, lhs, rhs, holds))
-    return _finish(
-        "half-margin-expectation", out,
+    return (
         ["trial", "theta_i", "N", "lhs", "rhs", "ok"],
         rows,
         "expected half-threshold loss of the discretization vs the 3/4-threshold "
@@ -528,20 +502,32 @@ VALID_LEMMA_IDS = tuple(_SUITES)
 
 
 def validate(lemma_id: str, config) -> LemmaCheckReport:
-    """Run one named check suite, persist its CSV, return the report.
+    """Run one named check suite, persist its CSV and summary, return the report.
 
     ``config`` is a parsed [validate] section providing seed, trial count,
     grid density, and the output directory.  The directory is resolved
-    (created) before the suite runs, so an unusable one fails first.
+    (created) before the suite runs, so an unusable one fails first.  A
+    suite only computes: it returns (header, rows, summary, max_violation,
+    tolerance), plus the calibrated constant where it has one.
     """
     if lemma_id not in _SUITES:
         raise ValueError(
             f"unknown lemma id {lemma_id!r}; valid ids: {', '.join(VALID_LEMMA_IDS)}"
         )
     params = config.params
-    return _SUITES[lemma_id](
-        config.seed,
-        resolve_out_dir(params["out"]),
-        params["trials"],
-        params["grid_points"],
+    out_dir = resolve_out_dir(params["out"])
+    header, rows, summary, max_violation, tolerance, *calibrated = _SUITES[lemma_id](
+        config.seed, params["trials"], params["grid_points"]
     )
+    slug = lemma_id.replace("-", "_")
+    csv_path = write_csv(out_dir / f"validate_{slug}.csv", header, rows)
+    report = LemmaCheckReport(
+        lemma=lemma_id,
+        summary=summary,
+        max_violation=float(max_violation),
+        tolerance=float(tolerance),
+        calibrated_constant=calibrated[0] if calibrated else None,
+        csv_path=str(csv_path),
+    )
+    write_summary(out_dir / f"validate_{slug}.txt", report.lines())
+    return report

@@ -151,10 +151,6 @@ class ConcentrationReport:
     constants_path: str
 
     @property
-    def failure_freq(self) -> float:
-        return self.failure_count / self.trials
-
-    @property
     def passed(self) -> bool:
         return self.ci_lo <= self.failure_count <= self.ci_hi
 
@@ -185,7 +181,7 @@ class ConcentrationReport:
         yield f"calibrated constant c*: {self.calibrated_c:.17g}"
         yield (
             f"failures at c*: {self.failure_count}/{self.trials} "
-            f"(frequency {self.failure_freq:.6g}); exact binomial 95% "
+            f"(frequency {self.failure_count / self.trials:.6g}); exact binomial 95% "
             f"interval for rate {self.delta}: [{self.ci_lo}, {self.ci_hi}]"
         )
         yield f"verdict: {'pass' if self.passed else 'FAIL'}"

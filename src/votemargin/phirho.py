@@ -167,9 +167,11 @@ def diff_replacement_check(params: PhiRhoParams, theta: float, lambda_grid):
     """Verify the sandwich 1{λ≤0}·tail ≤ φ ≤ 1{λ≤θ}·tail and its ρ mirror.
 
     The ρ mirror is 1{λ>θ}·(1−tail) ≤ ρ ≤ 1{λ>0}·(1−tail).  All four hold
-    pointwise for any θ in (θ_i, 2θ_i]; both sides are evaluated through the
-    same exact binomial tail, so violations are counted at tolerance 0.
-    Returns (violations, max_violation): the count of points of the
+    pointwise for any θ in (θ_i, 2θ_i].  Both sides read one shared tail
+    value per grid point from ``tail_many`` (the vectorized ``bdtrc`` tail),
+    and the tapers read the exact T(0) and T(θ_i), so the check tests φ's and
+    ρ's branch algebra against the indicators, not the accuracy of the tail;
+    violations are counted at tolerance 0.  Returns (violations, max_violation): the count of points of the
     non-empty λ grid where each inequality fails, in the order above, and
     the largest signed gap.
     """

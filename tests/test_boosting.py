@@ -120,8 +120,10 @@ class TestBuildStumpClass:
 
     def test_shapes_and_constant_rows(self):
         H = build_stump_class(2, 7)
-        assert H.plus_index == 2 * 2 * 7  # constants follow both stump blocks
-        assert H.minus_index == 2 * 2 * 7 + 1
+        # constants follow both stump blocks, and no stump row is constant
+        constant = (H.matrix == H.matrix[:, :1]).all(axis=1)
+        np.testing.assert_array_equal(np.flatnonzero(constant), [2 * 2 * 7, 2 * 2 * 7 + 1])
+        assert (H.matrix[-2] == 1).all() and (H.matrix[-1] == -1).all()
 
     def test_stump_semantics_on_a_line(self):
         H = build_stump_class(1, 3)
@@ -174,6 +176,14 @@ class TestStumpShape:
         assert _stump_shape(HypothesisClass(np.vstack([H.matrix[:6], H.matrix[:6], H.matrix[-2:]]))) is None
         assert _stump_shape(HypothesisClass(H.matrix[:-2])) is None
         assert _stump_shape(HypothesisClass(H.matrix[:, :-1])) is None
+
+    def test_refuses_a_class_whose_last_two_rows_are_not_the_constants(self):
+        H = build_stump_class(2, 3)
+        for last_two in ([-1, -2], [-2, -2], [-1, -1], [0, -1], [-2, 0]):
+            matrix = np.vstack([H.matrix[:-2], H.matrix[last_two]])
+            assert _stump_shape(HypothesisClass(matrix)) is None
+            with pytest.raises(ValueError, match="stump class"):
+                generate_synthetic(HypothesisClass(matrix), 10, 0.1, stream(10, 0))
 
 
 class TestGenerateSynthetic:
@@ -374,7 +384,7 @@ class TestAdaboost:
         matrix = H.matrix.copy()
         matrix[[0, 1]] = matrix[[1, 0]]
         swapped = HypothesisClass(matrix)
-        assert (swapped.plus_index, swapped.minus_index) == (len(H) - 2, len(H) - 1)
+        np.testing.assert_array_equal(swapped.matrix[-2:], H.matrix[-2:])
         assert _stump_shape(swapped) is None
         _, S = generate_synthetic(H, 200, 0.1, stream(13, 0))
         with mock.patch.object(boosting, "_stump_errors", side_effect=AssertionError):

@@ -87,10 +87,11 @@ class TestBoundInputs:
             BoundInputs(n=1, H_size=2, theta=theta, delta=0.5, loss=0.1, c=1.0)
 
     def test_a_finite_rate_whose_log_term_overflows_is_rejected(self):
-        # the rate is finite, but ln(theta^2*n/ln|H|) times it is -inf
+        # the rate is finite, but ln(theta^2*n/ln|H|) times it is -inf; the
+        # ratio is far below 1, so it is refused before the term is formed
         inp = BoundInputs(n=1, H_size=2, theta=3e-154, delta=0.5, loss=0.1, c=1.0)
         assert math.isfinite(inp.complexity_rate)
-        with pytest.raises(ValueError, match="gkl20-lower: log_term is -inf"):
+        with pytest.raises(PreconditionError, match="theta = 3e-154 is too small"):
             gkl20_lower_report(inp, tau=0.5)
 
 
@@ -184,7 +185,8 @@ class TestLowerBoundWarnings:
         assert any("not below c" in w for w in report.warnings)
 
     def test_small_n_warns(self):
-        inp = BoundInputs(n=10, H_size=16, theta=0.3, delta=0.1, loss=0.0, c=0.5)
+        # theta^2*n/ln|H| = 1.3 lies above 1 and below 1/c = 2
+        inp = BoundInputs(n=40, H_size=16, theta=0.3, delta=0.1, loss=0.0, c=0.5)
         report = gkl20_lower_report(inp, tau=0.2)
         assert any("below ln|H|" in w for w in report.warnings)
 
@@ -199,6 +201,21 @@ class TestLowerBoundWarnings:
             gkl20_lower_report(inputs_A(), tau=0.0)
         with pytest.raises(ValueError, match="tau"):
             gkl20_lower_report(inputs_A(), tau=1.0001)
+
+
+class TestLowerBoundRegime:
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_a_size_ratio_not_above_one_is_refused(self, n):
+        # theta^2*n/ln|H| = 0.32 and 0.97: the log term would be negative
+        inp = BoundInputs(n=n, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
+        with pytest.raises(PreconditionError, match="theta = 0.3 is too small.*must exceed 1"):
+            gkl20_lower_report(inp, tau=0.01)
+        reason = all_reports(inp, tau=0.01)["gkl20-lower"]
+        assert isinstance(reason, str) and "must exceed 1" in reason
+
+    def test_just_above_one_the_log_term_is_positive(self):
+        inp = BoundInputs(n=31, H_size=16, theta=0.3, delta=0.05, loss=0.12, c=1.0)
+        assert gkl20_lower_report(inp, tau=0.01).log_term > 0.0
 
 
 class TestAllReports:

@@ -85,7 +85,6 @@ class TestHypothesisClass:
         H = HypothesisClass(source)
         assert H.matrix.dtype == np.int8
         np.testing.assert_array_equal(H.matrix, source)
-        assert H.minus_index == 1
 
     def test_domain_size_is_the_column_count(self):
         H = small_class()
@@ -102,17 +101,20 @@ class TestHypothesisClass:
             HypothesisClass(matrix)
 
     def test_constant_detection(self):
+        # constant rows are ordinary rows: kept in place, none singled out
         H = HypothesisClass([[1, 1], [1, -1], [-1, -1]])
-        assert H.plus_index == 0 and H.minus_index == 2
-        assert len(H) == 3
+        np.testing.assert_array_equal(H.matrix, [[1, 1], [1, -1], [-1, -1]])
+        assert len(H) == 3 and HypothesisClass.__slots__ == ("matrix", "domain_size")
 
-    def test_duplicate_constants_rejected(self):
-        with pytest.raises(ValueError, match="constant hypothesis"):
-            HypothesisClass(np.array([[1, 1], [1, 1]], dtype=np.int8))
+    def test_duplicate_constants_accepted(self):
+        H = HypothesisClass(np.array([[1, 1], [-1, -1], [1, 1]], dtype=np.int8))
+        assert len(H) == 3
+        f = VotingClassifier([0.25, 0.25, 0.5])
+        np.testing.assert_array_equal(f.values_on(H), [0.5, 0.5])
 
     def test_duplicate_nonconstants_allowed(self):
         H = HypothesisClass(np.array([[1, -1], [1, -1]], dtype=np.int8))
-        assert len(H) == 2 and H.plus_index is None and H.minus_index is None
+        assert len(H) == 2
 
     def test_sample_values_selects_columns(self):
         H = small_class()

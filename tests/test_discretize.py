@@ -16,6 +16,8 @@ from votemargin.core import (
     HypothesisClass,
     PreconditionError,
     VotingClassifier,
+    empirical_margin_loss,
+    margins_on_sample,
     margins_on_support,
     true_margin_loss,
 )
@@ -37,6 +39,7 @@ from votemargin.harness.checks import (
     random_hypothesis_class,
     random_voting,
 )
+from votemargin.phirho import PhiRhoParams, phi_many
 from votemargin.rng import stream
 
 from labeled import distribution, sample
@@ -227,6 +230,23 @@ class TestBinomMarginTailBatch:
             binom_margin_tail_batch(2**20 + 1, [0.25], 0.25)
         assert binom_margin_tail(2**20 + 1, 1.0, 0.25) == 1.0  # the scalar tail goes on
 
+    def test_every_vectorized_path_names_the_batch_limit(self):
+        f, H, D, _ = random_instance(93)
+        calls = [
+            lambda N: binom_margin_tail_batch(N, [0.25], 0.25),
+            lambda N: phi_many([-0.1], PhiRhoParams(0.5, N)),
+            lambda N: expected_half_margin_loss_bound_check(f, H, D, 0.5, N),
+            lambda N: margin_law_monotone_check(N, 0.0, [0.0, 0.5]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(2**21)
+            assert str(info.value) == (
+                "N must be an integer in [1, 1048576], got 2097152: 2**20 is the largest N "
+                "the vectorized tail is accurate for; the scalar tail binom_margin_tail "
+                "takes N up to 2**53"
+            )
+
     def test_threshold_beyond_range_is_zero(self):
         assert np.all(binom_margin_tail_batch(8, np.linspace(-1, 1, 5), 1.0) == 0.0)
 
@@ -250,14 +270,14 @@ class TestDiscretizedClassifier:
         H = self.small()
         g = DiscretizedClassifier(H, [0, 0, 1, 2])
         expected = (2 * H.matrix[0] + H.matrix[1] + H.matrix[2]) / 4.0
-        assert np.array_equal(g.values_on_domain(), expected)
+        assert np.array_equal(g.values_on(H), expected)
         assert g.N == 4
         for t in range(20):  # bit for bit the float mean of the drawn rows
             rng = stream(8, t)
             H = random_hypothesis_class(rng, int(rng.integers(2, 200)), int(rng.integers(1, 40)))
             idx = rng.integers(0, len(H), size=int(rng.integers(1, 600)))
             reference = H.matrix[idx].astype(np.float64).mean(axis=0)
-            assert DiscretizedClassifier(H, idx).values_on_domain().tobytes() == reference.tobytes()
+            assert DiscretizedClassifier(H, idx).values_on(H).tobytes() == reference.tobytes()
 
     def test_values_make_no_float_copy_of_the_drawn_rows(self):
         # N = 256 draws over 122 x 65 536 stumps, where an N x |X| float64
@@ -266,27 +286,22 @@ class TestDiscretizedClassifier:
         g = DiscretizedClassifier(H, stream(8, 99).integers(0, len(H), size=256))
         tracemalloc.start()
         try:
-            g.values_on_domain()
+            g.values_on(H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
-    def test_values_are_cached(self):
-        H = self.small()
-        g = DiscretizedClassifier(H, [0, 1])
-        assert g.values_on_domain() is g.values_on_domain()
-
     def test_margins_on_sample_and_support(self):
         H = self.small()
         g = DiscretizedClassifier(H, [0, 2])
         S = sample(3, [(0, 1), (2, -1), (0, 1)])
-        values = g.values_on_domain()
+        values = g.values_on(H)
         assert np.array_equal(
-            g.margins_on_sample(S), np.array([values[0], -values[2], values[0]])
+            margins_on_sample(g, H, S), np.array([values[0], -values[2], values[0]])
         )
         D = distribution(3, {(0, 1): 0.5, (1, -1): 0.5})
-        margins, probs = g.margins_on_support(D)
+        margins, probs = margins_on_support(g, H, D)
         assert np.array_equal(margins, np.array([values[0], -values[1]]))
         assert np.array_equal(probs, np.array([0.5, 0.5]))
 
@@ -294,16 +309,47 @@ class TestDiscretizedClassifier:
         H = self.small()
         g = DiscretizedClassifier(H, [0, 2])
         with pytest.raises(ValueError, match="domain"):
-            g.margins_on_sample(sample(4, [(0, 1)]))
+            margins_on_sample(g, H, sample(4, [(0, 1)]))
         with pytest.raises(ValueError, match="domain"):
-            g.margins_on_support(distribution(2, {(1, 1): 1.0}))
+            margins_on_support(g, H, distribution(2, {(1, 1): 1.0}))
 
     def test_as_voting_uses_draw_frequencies(self):
         # g is the voting classifier whose weights are the draw frequencies
         H = self.small()
         g = DiscretizedClassifier(H, [0, 0, 2, 0])
         f = VotingClassifier([0.75, 0.0, 0.25])
-        assert np.array_equal(g.values_on_domain(), f.values_on(H))
+        assert np.array_equal(g.values_on(H), f.values_on(H))
+
+    def test_core_margins_and_losses_of_g_are_those_of_its_values(self):
+        for seed in range(10):
+            f, H, D, S = random_instance(seed, n_points=12, n_hyps=5)
+            g = sample_discretization(f, H, 7, stream(seed, 1))
+            values = g.values_on(H)
+            margins = S.labels * values[S.positions]
+            atom_margins = D.atoms.labels * values[D.atoms.positions]
+            assert margins_on_sample(g, H, S).tobytes() == margins.tobytes()
+            m, p = margins_on_support(g, H, D)
+            assert m.tobytes() == atom_margins.tobytes() and p is D.probabilities
+            for theta in (0.0, 3 / 7, 1.0):
+                loss = float(np.count_nonzero(margins <= theta)) / len(S)
+                assert empirical_margin_loss(g, H, S, theta) == loss
+                assert true_margin_loss(g, H, D, theta) == float(
+                    D.probabilities[atom_margins <= theta].sum()
+                )
+
+    def test_a_size_mismatch_is_refused_as_for_a_voting_classifier(self):
+        H = self.small()
+        pair = HypothesisClass([[1, 1, 1], [-1, -1, -1]])
+        f = VotingClassifier([0.5, 0.5])
+        g = DiscretizedClassifier(pair, [0, 1, 1])
+        S = sample(3, [(0, 1)])
+        messages = []
+        for voter in (f, g):
+            for call in (lambda: voter.values_on(H), lambda: margins_on_sample(voter, H, S)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                messages.append(str(info.value))
+        assert set(messages) == {"classifier has 2 weights but class has 3 hypotheses"}
 
     def test_rejects_bad_indices(self):
         H = self.small()
@@ -364,7 +410,7 @@ class TestSampleDiscretization:
         M, N = 2000, 8
         rng = stream(5, 4)
         hits = sum(
-            float(sample_discretization(f, H, N, rng).margins_on_sample(S)[0]) > 0.0
+            float(margins_on_sample(sample_discretization(f, H, N, rng), H, S)[0]) > 0.0
             for _ in range(M)
         )
         lo, hi = binomial_ci(M, binom_margin_tail(N, lam, 0.0), _FIVE_SIGMA_LEVEL)
@@ -417,7 +463,7 @@ class TestDecompositionResidual:
         for indices in itertools.product(range(3), repeat=N):
             weight = float(np.prod(f.weights[list(indices)]))
             g = DiscretizedClassifier(H, list(indices))
-            margins, probs = g.margins_on_support(D)
+            margins, probs = margins_on_support(g, H, D)
             expected += weight * float(probs[margins <= half].sum())
         margins_f, probs = margins_on_support(f, H, D)
         via_law = float(probs @ (1.0 - binom_margin_tail_batch(N, margins_f, half)))
@@ -430,10 +476,11 @@ class TestDecompositionResidual:
             decomposition_residual(f, g, H, D, S, 0.0, 0.5)
         with pytest.raises(ValueError, match="theta_i"):
             decomposition_residual(f, g, H, D, S, 0.5, 1.5)
-        other_H = HypothesisClass([[1, 1], [-1, -1]])
-        other_g = DiscretizedClassifier(other_H, [0, 1])
-        with pytest.raises(ValueError, match="domain"):
+        other_g = DiscretizedClassifier(HypothesisClass([[1, 1], [-1, -1]]), [0, 1])
+        with pytest.raises(ValueError, match="classifier has 2 weights but class has 4"):
             decomposition_residual(f, other_g, H, D, S, 0.5, 0.5)
+        with pytest.raises(ValueError, match="domain"):
+            decomposition_residual(f, g, H, D, sample(2, [(0, 1)]), 0.5, 0.5)
 
 
 class TestExpectedHalfMarginLossBound:

@@ -827,8 +827,8 @@ class TestCommandLine:
 
     def test_bounds_eval_warnings_are_indented(self, capsys):
         code = main(
-            ["bounds", "eval", "--n", "10", "--h-size", "16", "--theta", "0.3",
-             "--delta", "0.05", "--loss", "0.12", "--tau", "0.01"]
+            ["bounds", "eval", "--n", "40", "--h-size", "16", "--theta", "0.3",
+             "--delta", "0.05", "--loss", "0.12", "--tau", "0.01", "--c", "0.5"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -906,10 +906,9 @@ class TestCommandLine:
         assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("theta", ["1e-170", "1e-160", "3e-154"])
+    @pytest.mark.parametrize("theta", ["1e-170", "1e-160"])
     def test_bounds_eval_rejects_a_margin_too_small_for_the_formulas(self, theta, capsys):
-        # theta^2 underflows, the rate ln|H|/(theta^2*n) overflows, or only
-        # the gkl20-lower log term does
+        # theta^2 underflows, or the rate ln|H|/(theta^2*n) overflows
         code = main(
             ["bounds", "eval", "--n", "1", "--h-size", "2", "--theta", theta,
              "--delta", "0.5", "--loss", "0.1", "--tau", "0.5"]
@@ -918,6 +917,26 @@ class TestCommandLine:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n, h_size, theta, ratio",
+        [("10", "16", "0.3", "0.324606"), ("1", "2", "3e-154", "1.29843e-307")],
+        ids=["n-10", "3e-154"],
+    )
+    def test_gkl20_is_inapplicable_at_a_size_ratio_not_above_1(
+        self, n, h_size, theta, ratio, capsys
+    ):
+        # below 1 the lower bound's log term is negative (or -inf in floats)
+        fixed = ["--h-size", h_size, "--theta", theta, "--delta", "0.5", "--loss", "0.12",
+                 "--tau", "0.5"]
+        assert main(["bounds", "eval", "--n", n, *fixed]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("gkl20-lower"))
+        assert row == (f"gkl20-lower  (inapplicable: theta = {theta} is too small: "
+                       f"theta^2*n/ln|H| = {ratio} must exceed 1)")
+        assert main(["bounds", "grid", "--sweep", "n", "--values", n, *fixed]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",")[-4] == "gkl20_lower" and row.split(",")[-4:] == ["", "", "", ""]
 
     def test_bounds_grid_stdout(self, capsys):
         code = main(

@@ -8,6 +8,8 @@ Against the package in ``CHECKOUT/src`` it runs
 
 * every operation of both benchmark workloads at each seed, with the inputs
   of ``CHECKOUT/perfbench/workloads.py`` (``inputs`` and ``render``);
+* ``validate margin-law``, the one suite no workload runs, at
+  ``MARGIN_LAW_TRIALS`` trials at each seed;
 * the half-margin and within-const runs at seed 42 whose calibrated
   constants the correctness gate locks;
 * the five demos;
@@ -51,6 +53,9 @@ _EVAL = ["bounds", "eval", "--n", "5000", "--h-size", "16", "--theta", "0.3",
          "--delta", "0.05", "--loss", "0.12"]
 _GRID = ["bounds", "grid", "--n", "5000", "--h-size", "16", "--theta", "0.3",
          "--delta", "0.05", "--loss", "0.12", "--tau", "0.05"]
+
+#: Trials of the ``margin-law`` runs: 2000 draws of N hypotheses per (N, λ).
+MARGIN_LAW_TRIALS = 2000
 
 #: (name, argv) of the ``bounds`` calls; ``{out}`` is an output directory.
 BOUNDS_CALLS = (
@@ -133,6 +138,15 @@ def workload_outputs(main, workloads, digests: Digests, root: Path, seeds) -> No
                 _run_config(main, digests, name, lemma, text, out_dir)
 
 
+def margin_law_outputs(main, workloads, digests: Digests, root: Path, seeds) -> None:
+    for seed in seeds:
+        name = f"margin-law@{seed}"
+        out_dir = root / name
+        keys = {"seed": seed, "trials": MARGIN_LAW_TRIALS}
+        text = workloads.render("validate", keys, str(out_dir))
+        _run_config(main, digests, name, "margin-law", text, out_dir)
+
+
 def locked_outputs(main, digests: Digests, root: Path) -> None:
     for kind in ("half-margin", "within-const"):
         name = f"locked/{kind}"
@@ -189,6 +203,7 @@ def main(argv=None) -> int:
         root = Path(tmp)
         digests = Digests(root)
         workload_outputs(cli_main, workloads, digests, root, args.seeds)
+        margin_law_outputs(cli_main, workloads, digests, root, args.seeds)
         locked_outputs(cli_main, digests, root)
         demo_outputs(checkout, digests)
         bounds_outputs(cli_main, digests, root)
