@@ -236,9 +236,10 @@ class HypothesisClass:
         return int(self.matrix.shape[0])
 
     def sample_values(self, sample: "LabeledSample") -> np.ndarray:
-        """Matrix of h(x_i) with shape (|H|, n), columns in sample order."""
+        """A new C-contiguous (|H|, n) int8 array of h(x_i): one row per
+        hypothesis, columns in sample order."""
         _check_domain(sample, self.domain_size)
-        return self.matrix[:, sample.positions]
+        return np.take(self.matrix, sample.positions, axis=1)
 
 
 def _check_size(voter, H: HypothesisClass) -> None:

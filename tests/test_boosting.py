@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from votemargin import boosting
 from votemargin.boosting import (
     EPSILON_CLAMP,
+    STUMP_CLASS_LIMIT,
     BoostingRun,
     MarginHistogram,
     _stump_shape,
@@ -60,6 +61,26 @@ def frozen_task():
     return H, S
 
 
+def margin_statistics(agreement, picks, alphas):
+    """(train_error, min_margin, exp_loss) after each round by definition:
+    from the n-vector of margins score / Σα, which ``adaboost`` never forms."""
+    n = agreement.shape[1]
+    score = np.zeros(n)
+    stats = []
+    for r, (h, alpha) in enumerate(zip(picks, alphas)):
+        score += alpha * agreement[h]
+        margins = score / math.fsum(alphas[:r + 1])
+        stats.append(
+            (float(np.count_nonzero(margins <= 0.0)) / n, float(margins.min()),
+             float(np.exp(-score).mean()))
+        )
+    return stats
+
+
+def run_statistics(run):
+    return [(r.train_error, r.min_margin, r.exp_loss) for r in run.rounds]
+
+
 def reference_stump_adaboost(S, d, k, T):
     """AdaBoost on ``build_stump_class(d, k)``, each ε summed by hand in the
     documented order: per feature, the weights added in sample order into
@@ -67,7 +88,8 @@ def reference_stump_adaboost(S, d, k, T):
     ascending for the mass at or below a threshold and descending for the
     mass above it.  The weight update is numpy's, as in ``adaboost``.
 
-    Returns ([(hypothesis, ε, α)], final weights).
+    Returns ([(hypothesis, ε, α)], [(train_error, min_margin, exp_loss)],
+    final weights), the statistics from ``margin_statistics``.
     """
     n = len(S)
     coords = [[int(p) // (k + 1) ** (d - 1 - a) % (k + 1) for p in S.positions] for a in range(d)]
@@ -103,7 +125,8 @@ def reference_stump_adaboost(S, d, k, T):
         w = w * np.exp(-alpha * agreement[best])
         w /= w.sum()
     totals = np.array(totals)
-    return rounds, VotingClassifier(totals / totals.sum()).weights
+    stats = margin_statistics(agreement, [h for h, _, _ in rounds], [a for _, _, a in rounds])
+    return rounds, stats, VotingClassifier(totals / totals.sum()).weights
 
 
 class TestBuildStumpClass:
@@ -117,6 +140,12 @@ class TestBuildStumpClass:
             build_stump_class(0, 7)
         with pytest.raises(ValueError, match="k"):
             build_stump_class(2, 0)
+
+    @pytest.mark.parametrize("d, k", [(8, 15), (64, 1), (5, 15), (1, 2**40)])
+    def test_a_class_over_the_entry_limit_is_refused_before_allocation(self, d, k):
+        with mock.patch.object(np, "empty", side_effect=AssertionError("allocated")):
+            with pytest.raises(ValueError, match=f"STUMP_CLASS_LIMIT = {STUMP_CLASS_LIMIT}"):
+                build_stump_class(d, k)
 
     def test_shapes_and_constant_rows(self):
         H = build_stump_class(2, 7)
@@ -327,7 +356,7 @@ class TestAdaboost:
 
     def test_reference_loop_reproduces_the_frozen_bits(self):
         _, S = frozen_task()
-        rounds, weights = reference_stump_adaboost(S, 1, 3, 6)
+        rounds, _, weights = reference_stump_adaboost(S, 1, 3, 6)
         assert [(h, eps.hex(), alpha.hex()) for h, eps, alpha in rounds] == FROZEN_ROUNDS
         assert [float(w).hex() for w in weights] == FROZEN_WEIGHTS
 
@@ -335,9 +364,50 @@ class TestAdaboost:
         H = build_stump_class(2, 3)
         _, S = generate_synthetic(H, 150, 0.1, stream(12, 0))
         run = adaboost(S, H, 12)
-        rounds, weights = reference_stump_adaboost(S, 2, 3, 12)
+        rounds, _, weights = reference_stump_adaboost(S, 2, 3, 12)
         assert [(r.hypothesis, r.epsilon, r.alpha) for r in run.rounds] == rounds
         assert run.classifier.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "d, k, n, noise, seed, T",
+        [(1, 3, 60, 0.2, 11, 6), (2, 3, 150, 0.1, 12, 12), (4, 15, 2000, 0.1, 14, 10)],
+        ids=["frozen", "larger", "workload-class"],
+    )
+    def test_round_statistics_match_the_margins_bit_for_bit(self, d, k, n, noise, seed, T):
+        # train_error, min_margin and exp_loss as formed from the n-vector
+        # of margins score / Σα: on the stump path against the reference
+        # loop, and on the generic path against its own picks and α's.
+        H = build_stump_class(d, k)
+        _, S = generate_synthetic(H, n, noise, stream(seed, 0))
+        run = adaboost(S, H, T)
+        rounds, stats, _ = reference_stump_adaboost(S, d, k, T)
+        assert [(r.hypothesis, r.epsilon, r.alpha) for r in run.rounds] == rounds
+        assert run_statistics(run) == stats
+        with mock.patch.object(boosting, "_stump_shape", lambda H: None):
+            generic = adaboost(S, H, T)
+        agreement = H.sample_values(S) * S.labels
+        assert run_statistics(generic) == margin_statistics(
+            agreement, [r.hypothesis for r in generic.rounds], [r.alpha for r in generic.rounds]
+        )
+
+    def test_round_statistics_count_a_score_of_exactly_zero_as_an_error(self):
+        # Two rounds with equal α on hypotheses that disagree on 5 of the 8
+        # points: the constant −1, then 1{x_0 <= 0}.  Those 5 scores are 0.0.
+        H = build_stump_class(1, 1)
+        S = sample(2, zip([0, 1, 0, 0, 1, 0, 1, 0], [-1, -1, 1, -1, -1, -1, -1, 1]))
+        agreement = H.sample_values(S) * S.labels
+        paths = [adaboost(S, H, 2)]
+        with mock.patch.object(boosting, "_stump_shape", lambda H: None):
+            paths.append(adaboost(S, H, 2))
+        _, stats, _ = reference_stump_adaboost(S, 1, 1, 2)
+        for run in paths:
+            first, second = run.rounds
+            assert (first.hypothesis, second.hypothesis) == (3, 0)
+            assert first.alpha == second.alpha
+            score = first.alpha * agreement[3] + second.alpha * agreement[0]
+            assert np.count_nonzero(score == 0.0) == 5
+            assert (second.train_error, second.min_margin) == (5 / 8, 0.0)
+            assert run_statistics(run) == stats
 
     @settings(max_examples=60, deadline=None)
     @given(

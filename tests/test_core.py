@@ -124,6 +124,20 @@ class TestHypothesisClass:
             np.array([[-1, 1, -1], [1, 1, 1], [1, -1, 1]], dtype=np.int8),
         )
 
+    @pytest.mark.parametrize(
+        "rows, size, n", [(1, 5, 7), (4, 3, 1), (1, 1, 1), (6, 9, 30), (30, 4, 25), (17, 40, 3)]
+    )
+    def test_sample_values_are_c_contiguous_rows(self, rows, size, n):
+        # One row per hypothesis, each row one run of n bytes, with the
+        # values of the column selection.
+        rng = np.random.default_rng([rows, size, n])
+        H = HypothesisClass(rng.choice(np.array([-1, 1], dtype=np.int8), size=(rows, size)))
+        S = LabeledSample(size, rng.integers(0, size, n), rng.choice([-1, 1], n))
+        values = H.sample_values(S)
+        assert values.flags.c_contiguous and values.dtype == np.int8
+        assert values.shape == (rows, n)
+        np.testing.assert_array_equal(values, H.matrix[:, S.positions])
+
     def test_matrix_is_readonly(self):
         H = small_class()
         with pytest.raises(ValueError):

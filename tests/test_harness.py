@@ -754,6 +754,15 @@ class TestRunExitCodes:
         assert run(path) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("d, k", [(8, 15), (64, 1)])
+    def test_a_stump_class_over_the_entry_limit_exits_two(self, tmp_path, capsys, d, k):
+        path = self.write(tmp_path, "big.ini", adaboost_text(tmp_path / "out", d=d, k=k))
+        assert run(path) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: a stump class is limited to STUMP_CLASS_LIMIT")
+        assert err.count("\n") == 1
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert run(tmp_path / "nope.ini") == 2
         assert "not found" in capsys.readouterr().err
