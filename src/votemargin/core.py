@@ -44,11 +44,9 @@ class PreconditionError(ValueError):
     """A documented precondition of an operation does not hold."""
 
 
-def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndarray:
-    """``values`` cast to int8, after checking each entry is exactly +1 or -1.
+def _require_signs(values: np.ndarray, what: str) -> None:
+    """Refuse ``values`` unless each entry is exactly +1 or -1.
 
-    The check runs before the cast, so 255 cannot wrap to -1, 1.7 cannot
-    truncate to 1, and NaN, ±inf, 1j or a string fail instead of converting.
     An integer array is checked by its minimum, maximum and count of nonzero
     entries, three reductions with no temporary array; any other dtype is
     compared entry by entry.
@@ -63,6 +61,15 @@ def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndar
         signs = ((values == 1) | (values == -1)).all()
     if not signs:
         raise ValueError(f"{what} must be +1 or -1")
+
+
+def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndarray:
+    """``values`` cast to int8, after checking each entry is exactly +1 or -1.
+
+    The check runs before the cast, so 255 cannot wrap to -1, 1.7 cannot
+    truncate to 1, and NaN, ±inf, 1j or a string fail instead of converting.
+    """
+    _require_signs(values, what)
     return values.astype(np.int8)
 
 
@@ -215,7 +222,8 @@ class HypothesisClass:
     """An ordered finite class of ±1 hypotheses: row h, column x holds h(x).
 
     The domain is the column range {0, …, |X|−1}.  Rows may repeat, constant
-    ones included, and |H| counts every row.
+    ones included, and |H| counts every row.  The class holds a read-only
+    int8 copy of the matrix it is given, so the caller's array stays theirs.
     """
 
     __slots__ = ("matrix", "domain_size")
@@ -227,7 +235,21 @@ class HypothesisClass:
                 f"hypothesis matrix has shape {raw.shape}; it needs at least one "
                 "hypothesis row and one domain column"
             )
-        matrix = _check_signs(raw)
+        self._hold(_check_signs(raw))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "HypothesisClass":
+        """A class over ``matrix``, a 2-d int8 array the library has just made
+        and hands over: checked like ``HypothesisClass(matrix)``'s, then frozen
+        in place instead of copied, so the matrix exists once."""
+        if matrix.dtype != np.int8:
+            raise TypeError(f"an adopted hypothesis matrix must be int8, got {matrix.dtype}")
+        _require_signs(matrix, "hypothesis values")
+        H = cls.__new__(cls)
+        H._hold(matrix)
+        return H
+
+    def _hold(self, matrix: np.ndarray) -> None:
         matrix.setflags(write=False)
         self.matrix = matrix
         self.domain_size = int(matrix.shape[1])
@@ -330,9 +352,14 @@ def _check_domain(sample: LabeledSample, domain_size: int) -> None:
         raise ValueError("sample domain differs from the hypothesis class domain")
 
 
-def _keys(sample: LabeledSample) -> np.ndarray:
-    """One integer per (position, label) pair: 2·position + (label > 0)."""
-    return 2 * sample.positions + (sample.labels > 0)
+def _check_distinct(atoms: LabeledSample) -> None:
+    """Refuse repeated (position, label) pairs, keyed 2·position + (label > 0)
+    in one array sorted in place."""
+    keys = atoms.positions * 2
+    keys += atoms.labels > 0
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("distribution atoms must be distinct")
 
 
 class DataDistribution:
@@ -346,9 +373,7 @@ class DataDistribution:
     __slots__ = ("atoms", "probabilities")
 
     def __init__(self, atoms: LabeledSample, probabilities):
-        keys = np.sort(_keys(atoms))
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("distribution atoms must be distinct")
+        _check_distinct(atoms)
         probs = np.asarray(probabilities)
         if probs.shape != (len(atoms),):
             raise ValueError(f"probabilities have shape {probs.shape}, not ({len(atoms)},)")

@@ -91,7 +91,7 @@ def random_hypothesis_class(rng_seed, X_size: int, H_size: int) -> HypothesisCla
     H_size = _check_count(H_size, "H_size")
     rng = _generator(rng_seed)
     matrix = (rng.integers(0, 2, size=(H_size, X_size)) * 2 - 1).astype(np.int8)
-    return HypothesisClass(repair_duplicate_constants(matrix))
+    return HypothesisClass._adopt(repair_duplicate_constants(matrix))
 
 
 def random_distribution(rng_seed, domain_size: int) -> DataDistribution:
@@ -113,7 +113,9 @@ def smallest_c_monotone(fn, target: float) -> float:
     """Smallest c ≥ 0 with fn(c) ≥ target, for fn increasing in c.
 
     The bracket starts at [0, 1] and doubles its upper end until it holds
-    the answer.  The target must be a finite real number.
+    the answer, then is halved at most 80 times.  The halving stops early
+    once no double lies strictly between its ends, since from then on no
+    step would move either end.  The target must be a finite real number.
     """
     target = _check_real(target, "target", -math.inf, math.inf)
     if target <= 0.0:
@@ -128,6 +130,11 @@ def smallest_c_monotone(fn, target: float) -> float:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        # A mid equal to an evaluated end moves neither end, and every later
+        # step repeats it.  Each end has been evaluated but lo = 0, which
+        # only hi = 2^-1074 halves to: there fn(0) decides the step.
+        if mid == hi or (mid == lo and lo > 0.0):
+            break
         if fn(mid) >= target:
             hi = mid
         else:

@@ -227,7 +227,7 @@ class _ConcentrationInstance:
             row[flips] = -row[flips]
             matrix[i] = row
         matrix[n_good:] = rng.integers(0, 2, size=(h_size - n_good, x_size)) * 2 - 1
-        self.H = HypothesisClass(repair_duplicate_constants(matrix))
+        self.H = HypothesisClass._adopt(repair_duplicate_constants(matrix))
         self.D = DataDistribution(LabeledSample(x_size, np.arange(x_size), labels), masses)
         self.alpha = np.array([2.0] * n_good + [0.5] * (h_size - n_good))
         self.n_combos = p["probes"]
@@ -589,7 +589,7 @@ def adaboost_experiment(config: ExperimentConfig) -> AdaboostReport:
     p = config.params
     out_dir = resolve_out_dir(p["out"])
     H = build_stump_class(p["d"], p["k"])
-    _, S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))
+    S = generate_synthetic(H, p["n"], p["noise"], stream(config.seed, 0))[1]  # D is not kept
     result = adaboost(S, H, p["t"])
 
     rounds_csv = out_dir / "adaboost_rounds.csv"

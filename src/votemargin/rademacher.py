@@ -35,6 +35,12 @@ EXHAUSTIVE_LIMIT = 20
 #: |H|·2^16 int8 correlations (64 KiB per hypothesis).
 _TABLE_BITS = 16
 
+#: Most entries of one block of Monte Carlo sign draws, or of the products
+#: formed from it: 8 MiB as float64, whatever the number of trials.
+#: Consecutive blocks from one generator equal one unblocked draw, and each
+#: draw's correlations are exact integers, so the block size moves no value.
+_BLOCK_ENTRIES = 2**20
+
 
 @dataclass(frozen=True)
 class RademacherEstimate:
@@ -45,6 +51,21 @@ class RademacherEstimate:
     trials: int
 
 
+def _block_rows(n: int, width: int) -> int:
+    """Rows of one block of sign draws: neither the (rows, n) block nor its
+    product with ``width`` columns passes ``_BLOCK_ENTRIES`` entries."""
+    return max(1, _BLOCK_ENTRIES // max(n, width))
+
+
+def _signs(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """A (rows, n) float64 block of uniform ±1 signs: ``rng.integers(0, 2)``
+    mapped to 2·b − 1."""
+    sigma = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
+    sigma *= 2.0
+    sigma -= 1.0
+    return sigma
+
+
 def empirical_rademacher(
     H: HypothesisClass, S: LabeledSample, trials: int, rng_seed
 ) -> RademacherEstimate:
@@ -52,18 +73,19 @@ def empirical_rademacher(
 
     The supremum over the finite class is computed exactly for every draw;
     only the expectation over σ is sampled, from the required ``rng_seed``
-    (an integer or a numpy Generator).
+    (an integer or a numpy Generator).  The signs are drawn in blocks of
+    bounded size (``_BLOCK_ENTRIES``), so what grows with ``trials`` is only
+    float64 vectors of one entry per draw.
     """
     trials = _check_count(trials, "trials")
     rng = _generator(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
     sups = np.empty(trials, dtype=np.float64)
-    chunk = max(1, int(5e7) // max(1, n * len(H)))
-    for start in range(0, trials, chunk):
-        m = min(chunk, trials - start)
-        sigma = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2.0 - 1.0
-        sups[start : start + m] = (sigma @ values.T).max(axis=1)
+    rows = _block_rows(n, len(H))
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        sups[start:stop] = (_signs(rng, stop - start, n) @ values.T).max(axis=1)
     per_draw = sups / n
     value = float(per_draw.mean())
     std_error = (
@@ -98,7 +120,10 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
     min(n − 1, 16) sample points, plus one offset per sign pattern of the
     remaining points.  Correlations are integers in [−n, n], held exactly
     in int8; the grand total is an exact Python int, so the result is
-    correct to one float division.
+    correct to one float division.  The table takes |H|·2^min(n−1, 16)
+    bytes.  For n ≤ 17 the only offset is zero and the table is reduced as
+    it stands; for n ≥ 18 a second table of the same size holds each
+    offset's correlations.
     """
     n = len(S)
     if n > EXHAUSTIVE_LIMIT:
@@ -108,13 +133,16 @@ def exhaustive_rademacher(H: HypothesisClass, S: LabeledSample) -> RademacherEst
     values = H.sample_values(S)
     low = min(n - 1, _TABLE_BITS)
     table = _signed_sums(values[:, :low], values[:, n - 1])
-    offsets = _signed_sums(
-        values[:, low : n - 1], np.zeros(len(H), dtype=values.dtype)
-    )
-    corr = np.empty_like(table)
+    if low == n - 1:
+        blocks = (table,)  # the one offset is zero
+    else:
+        offsets = _signed_sums(
+            values[:, low : n - 1], np.zeros(len(H), dtype=values.dtype)
+        )
+        shifted = np.empty_like(table)
+        blocks = (np.add(table, offset[:, None], out=shifted) for offset in offsets.T)
     total = 0
-    for offset in offsets.T:
-        np.add(table, offset[:, None], out=corr)
+    for corr in blocks:
         total += int(corr.max(axis=0).sum(dtype=np.int64))
         total -= int(corr.min(axis=0).sum(dtype=np.int64))
     count = 1 << n
@@ -135,15 +163,19 @@ def convexity_collapse_check(H: HypothesisClass, S: LabeledSample, trials: int, 
     from the required ``rng_seed`` (an integer or a numpy Generator) and
     checks, for every σ, that
     max_w Σ_i σ_i·(Σ_h w_h·h(x_i)) ≤ max_h Σ_i σ_i·h(x_i) + 1e-9.  Returns
-    True iff no violation occurs.
+    True iff no violation occurs.  The signs are drawn in blocks of bounded
+    size, as in ``empirical_rademacher``, and every block is drawn.
     """
     trials = _check_count(trials, "trials")
     rng = _generator(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
     combos = rng.dirichlet(np.ones(len(H)), size=50)
-    sigma = rng.integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
-    corr = sigma @ values.T                      # (trials, |H|)
-    sup_class = corr.max(axis=1)
-    sup_hull = (corr @ combos.T).max(axis=1)
-    return bool((sup_hull <= sup_class + 1e-9).all())
+    collapsed = True
+    rows = _block_rows(n, max(len(H), len(combos)))
+    for start in range(0, trials, rows):
+        corr = _signs(rng, min(rows, trials - start), n) @ values.T  # (rows, |H|)
+        sup_class = corr.max(axis=1)
+        sup_hull = (corr @ combos.T).max(axis=1)
+        collapsed &= bool((sup_hull <= sup_class + 1e-9).all())
+    return collapsed

@@ -143,6 +143,33 @@ class TestHypothesisClass:
         with pytest.raises(ValueError):
             H.matrix[0, 0] = -1
 
+    def test_a_callers_int8_array_is_copied_and_stays_writable(self):
+        source = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+        H = HypothesisClass(source)
+        assert source.flags.writeable and not np.shares_memory(source, H.matrix)
+        source[0, 0] = -1
+        np.testing.assert_array_equal(H.matrix, [[1, -1], [-1, -1]])
+
+    def test_an_adopted_matrix_is_frozen_in_place(self):
+        matrix = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+        H = HypothesisClass._adopt(matrix)
+        assert H.matrix is matrix and not matrix.flags.writeable
+        assert H.domain_size == 2 and len(H) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([[0, 1], [1, -1]], dtype=np.int8), np.array([[1, 1], [1, -128]], dtype=np.int8)],
+        ids=["zero", "minus-128"],
+    )
+    def test_an_adopted_matrix_is_checked_with_the_public_message(self, bad):
+        with pytest.raises(ValueError, match="^hypothesis values must be \\+1 or -1$"):
+            HypothesisClass._adopt(bad)
+        assert bad.flags.writeable
+
+    def test_only_an_int8_matrix_is_adopted(self):
+        with pytest.raises(TypeError, match="int8"):
+            HypothesisClass._adopt(np.array([[1, -1]]))
+
 
 class TestVotingClassifier:
     def test_weights_are_renormalized_exactly(self):

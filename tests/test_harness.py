@@ -63,6 +63,8 @@ from votemargin.harness.reporting import (
     write_summary,
 )
 
+from traced import peak_bytes
+
 
 def half_margin_text(out, **overrides):
     """A small, fast concentration config writing into ``out``."""
@@ -330,6 +332,51 @@ class TestCheckHelpers:
     def test_smallest_c_monotone_rejects_unreachable_target(self):
         with pytest.raises(ValueError, match="no constant reaches"):
             smallest_c_monotone(lambda c: c / (1.0 + c), 2.0)
+
+    @staticmethod
+    def full_bisection(fn, target):
+        """The calibration as it ran before it stopped early: 80 halvings always."""
+        if target <= 0.0:
+            return 0.0
+        hi = 1.0
+        while fn(hi) < target:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if fn(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize(
+        "target",
+        [5e-324, 1.5e-323, 1e-310, 2.2250738585072014e-308, 1e-30, 2.0**-80, 3e-25,
+         0.3, 0.5, 1.0, 1.0 + 2.0**-52, 3.7, 1e10, 2.0**150],
+    )
+    def test_smallest_c_monotone_matches_the_full_bisection_on_identity(self, target):
+        assert smallest_c_monotone(lambda c: c, target) == self.full_bisection(lambda c: c, target)
+
+    def test_smallest_c_monotone_matches_the_full_bisection_on_the_bounds(self):
+        rng = np.random.default_rng(31)
+        rhs = half_margin_rhs(200, 8, 0.1, 0.5, 0.25, 64)
+        params = phirho.PhiRhoParams(0.125, 256)
+        for fn, scale in [(rhs, 0.05), (lambda c: phirho.lip_const_bound(params, c), 50.0)]:
+            for target in rng.uniform(0.0, scale, 40):
+                calls = []
+
+                def counted(c):
+                    calls.append(c)
+                    return fn(c)
+
+                assert smallest_c_monotone(counted, float(target)) == self.full_bisection(fn, float(target))
+                # 81 evaluations before: the bracket's ends are adjacent doubles sooner
+                assert len(calls) <= 70
+
+    def test_random_hypothesis_class_is_read_only(self):
+        H = checks.random_hypothesis_class(3, 5, 4)
+        assert not H.matrix.flags.writeable
 
     def test_binomial_ci_pinned_interval(self):
         assert binomial_ci(500, 0.1, 0.95) == (37, 64)
@@ -701,6 +748,12 @@ class TestAdaboostExperiment:
         config = parse_config_text(gap_text(tmp_path))
         with pytest.raises(ValueError, match="kind"):
             adaboost_experiment(config)
+
+    def test_the_benchmark_run_stays_within_one_class_matrix_and_its_task(self, tmp_path):
+        # the (4, 15) class matrix (8.0 MB), the task, and the agreement rows
+        # (2.4 MB at n = 20 000); the parent peaked at 17.0 MB
+        config = parse_config_text(adaboost_text(tmp_path, seed=1, d=4, k=15, n=20000, t=400, bins=20))
+        assert peak_bytes(lambda: adaboost_experiment(config)) < 13 * 10**6
 
     def test_csvs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The weighted errors and the voter values are sums in a fixed order

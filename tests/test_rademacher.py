@@ -19,6 +19,7 @@ from votemargin.rademacher import (
 from votemargin.rng import stream
 
 from labeled import sample
+from traced import peak_bytes
 
 
 def opposite_constants(n_points: int):
@@ -127,6 +128,12 @@ class TestExhaustive:
         assert est.value == matmul_reference(H, S)
         assert est.trials == 2 ** n
 
+    def test_with_one_offset_the_table_is_reduced_as_it_stands(self):
+        # n = 17 leaves no point to the offsets: one 16 MiB table of
+        # correlations, where a copy of it doubled the peak to 32.1 MiB
+        H, S = random_class(63, 256, 17)
+        assert peak_bytes(lambda: exhaustive_rademacher(H, S)) < 256 * 2**16 + 2**20
+
     def test_narrow_table_runs_many_offset_blocks(self, monkeypatch):
         monkeypatch.setattr(rademacher, "_TABLE_BITS", 2)
         for H, S in massart_draws(3, 60):
@@ -181,6 +188,18 @@ class TestEmpiricalRademacher:
         with pytest.raises(ValueError, match="trials"):
             empirical_rademacher(H, S, trials=0, rng_seed=stream(28, 0))
 
+    def test_signs_are_drawn_in_blocks_of_bounded_size(self):
+        # Two blocks of 52 428 draws here.  All 10^5 draws at once peaked at
+        # 31.3 MiB and gave these same bits: each correlation is an integer.
+        H, S = random_class(44, 2, 20)
+        estimates = []
+        peak = peak_bytes(
+            lambda: estimates.append(empirical_rademacher(H, S, trials=10**5, rng_seed=stream(45, 0)))
+        )
+        assert (estimates[0].value, estimates[0].std_error) == (0.146448, 0.0005335435124212424)
+        # one block as int64 and as float64, plus the per-draw vectors
+        assert peak < 2 * 8 * rademacher._BLOCK_ENTRIES + 2 * 8 * 10**5 + 2**20
+
 
 class TestMassartBound:
     def test_formula(self):
@@ -217,6 +236,17 @@ class TestConvexityCollapse:
         sigma = rng.integers(0, 2, size=(100, len(S))) * 2.0 - 1.0
         corr = sigma @ H.sample_values(S).T
         assert ((corr @ combos.T).max(axis=1) - corr.max(axis=1)).max() <= 1e-12
+
+    def test_every_block_of_signs_is_drawn(self):
+        # 60 000 draws of 50 signs are three blocks; the generator ends where
+        # one unblocked draw of them leaves it
+        H, S = random_class(46, 8, 50)
+        rng = np.random.default_rng(47)
+        assert convexity_collapse_check(H, S, trials=60_000, rng_seed=rng)
+        reference = np.random.default_rng(47)
+        reference.dirichlet(np.ones(len(H)), size=50)
+        reference.integers(0, 2, size=(60_000, len(S)))
+        assert rng.random() == reference.random()
 
     def test_validation(self):
         H, S = random_class(43, 3, 6)
