@@ -21,6 +21,7 @@ from .core import (
     LabeledSample,
     VotingClassifier,
     _check_count,
+    _check_domain,
     _check_real,
     _generator,
     margins_on_sample,
@@ -45,12 +46,13 @@ EPSILON_CLAMP = 1e-12
 
 #: Most entries (2·d·k + 2)·(k+1)^d of a stump class matrix, one byte each:
 #: 64 MiB.  The (4, 15) class of the default workloads has 7 995 392.  A
-#: class costs its one matrix, plus |H|·n bytes of agreement rows in
-#: ``adaboost`` and O(|X|) distribution arrays in ``generate_synthetic``.
-#: (4, 23), the largest class of d = 4 under the limit (58.8 MiB), builds
-#: at a 58.9 MiB peak, and its adaboost experiment at n = 20 000 peaks at
-#: 75.7 MiB; when the class copied its matrix, both peaked at 125.0 MiB
-#: (tracemalloc).
+#: class costs its one matrix, plus n bytes per hypothesis ``adaboost``
+#: picks (|H|·n at most) and O(|X|) distribution arrays in
+#: ``generate_synthetic``.  (4, 23), the largest class of d = 4 under the
+#: limit (58.8 MiB), builds at a 58.9 MiB peak, and its build, task and
+#: 400 rounds at n = 20 000 peak at 75.7 MiB, 77.1 MiB with an |H|×n
+#: agreement matrix; when the class copied its matrix, both peaked at
+#: 125.0 MiB (tracemalloc).
 STUMP_CLASS_LIMIT = 2**26
 
 
@@ -122,9 +124,13 @@ def _stump_shape(H: HypothesisClass):
     """(d, k) if H is exactly ``build_stump_class(d, k)``, else None.
 
     The shape fixes (d, k): |H| = 2·d·k + 2 and |X| = (k+1)^d have at most
-    one solution, since ln(k+1)/k falls as k grows.  Every row is then
-    compared with the lattice, one feature block at a time, through views of
-    its rows: no block is copied.
+    one solution, since ln(k+1)/k falls as k grows.  Every stump row is then
+    checked against the lattice through a view of its row: the class holds
+    ±1 entries only, so the part at x_a ≤ t is all +1 iff its minimum is 1,
+    and the part above all −1 iff its maximum is −1 (the negations the other
+    way).  Four reductions per row allocate no array of the row's size; at
+    (4, 15) the check takes 1.7 ms, where the bool comparison of a feature
+    block at a time took 2.0 ms and a k·(k+1)^d-byte temporary.
     """
     rows, size = H.matrix.shape
     if rows % 2 or not _constants_last(H):
@@ -134,13 +140,16 @@ def _stump_shape(H: HypothesisClass):
     if d is None:
         return None
     k = dk // d
-    table = _stump_table(k)
     for a in range(d):
-        # one block-sized bool array at a time: each is dropped by its .all()
-        if not (_feature_rows(H.matrix, a, d, k) == table).all():
-            return None
-        if not (_feature_rows(H.matrix[dk:], a, d, k) == -table).all():
-            return None
+        positive = _feature_rows(H.matrix, a, d, k)
+        negative = _feature_rows(H.matrix[dk:], a, d, k)
+        for t in range(k):
+            # ±1 entries: a min of 1 means all +1, a max of −1 all −1
+            if not (
+                positive[t, :, :t + 1].min() == 1 == negative[t, :, t + 1:].min()
+                and positive[t, :, t + 1:].max() == -1 == negative[t, :, :t + 1].max()
+            ):
+                return None
     return d, k
 
 
@@ -159,7 +168,9 @@ def _stump_errors(keys: list, w: np.ndarray, k: int, out: np.ndarray) -> None:
     is taken as 1 minus another.
     """
     dk = len(keys) * k
-    mass = np.stack([np.bincount(key, weights=w, minlength=2 * (k + 1)) for key in keys])
+    mass = np.empty((len(keys), 2 * (k + 1)))
+    for a, key in enumerate(keys):
+        mass[a] = np.bincount(key, weights=w, minlength=2 * (k + 1))
     mass = mass.reshape(-1, k + 1, 2)
     below = np.cumsum(mass, axis=1)  # [a, v]: mass at x_a <= v
     above = np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]  # [a, t]: mass at x_a > t
@@ -191,12 +202,11 @@ def generate_synthetic(H: HypothesisClass, n: int, noise: float, rng_seed):
     truth = np.sign(H.matrix[chosen].sum(axis=0, dtype=np.int8))
 
     # Atoms point-major: each point's true label, then its flip when noisy.
-    # The arrays are built inline, so the copies the constructors keep are
-    # the only ones left once they return.
+    # The atoms adopt the fresh arrays, so no copy of them is made.
     size = H.domain_size
     per_point = 2 if noise > 0.0 else 1
     D = DataDistribution(
-        LabeledSample(
+        LabeledSample._adopt(
             size,
             np.repeat(np.arange(size), per_point),
             np.stack([truth, -truth], axis=1)[:, :per_point].ravel(),
@@ -249,29 +259,34 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     per-feature label masses (see ``_stump_errors``).  On any other class,
     ε_h = Σ_i w_i·[h(x_i) ≠ y_i] is accumulated over the sample in sample
     order, i = 0 first, from an int8 mismatch matrix (a one-row class gets
-    ``np.einsum``'s own summation loop).  The only |H|×n matrices are int8:
-    y_i·h(x_i), and the mismatches for a class that is not a stump class.
+    ``np.einsum``'s own summation loop).  The only |H|×n matrix is that int8
+    mismatch matrix, for a class that is not a stump class.
 
     A round costs one ``np.bincount`` per feature (or one pass over the
     mismatch matrix) plus a fixed number of passes over contiguous float
-    n-vectors: the picked row of y_i·h(x_i), a C-contiguous int8 row, is cast
-    once into the step ±α_t that updates the scores and the weights.
-    ``adaboost(S, build_stump_class(4, 15), 400)`` takes 120 ms at n = 20 000
-    and 81 ms at n = 12 800, where strided rows and int8 operands inside
-    float ufuncs took 214 and 138 ms (least of 10 runs, a 2-core x86 host).
+    n-vectors: the picked row of y_i·h(x_i), an int8 row gathered the first
+    time its hypothesis is picked and kept, is cast once into the step ±α_t
+    that updates the scores and the weights.  The kept rows are at most
+    min(T, |H|)·n bytes, the |H|×n agreement matrix they replace at worst:
+    the (4, 15) run of the ``adaboost`` experiment at n = 20 000 and seed 2
+    picks 51 of its 122 hypotheses in 400 rounds, and its tracemalloc peak
+    above the class and sample fell from 3.84 to 2.49 MiB.  That run takes
+    119 ms, where the agreement matrix took 120 ms and strided rows with
+    int8 operands inside float ufuncs 214 ms (least of 5 runs, a 2-core x86
+    host).
 
     Final weights aggregate the α's per distinct hypothesis and normalize,
     so the product is a valid voting classifier over H.
     """
     T = _check_count(T, "T")
     n = len(S)
-    shape = _stump_shape(H)  # first, so its block-sized temporary never meets agreement
-    agreement = H.sample_values(S)  # (|H|, n) int8
-    agreement *= S.labels  # y_i·h(x_i), exactly ±1, reused every round
+    _check_domain(S, H.domain_size)
+    shape = _stump_shape(H)
+    agreement = {}  # picked hypothesis -> its row y_i·h(x_i), exactly ±1
     w = np.full(n, 1.0 / n)
     if shape is None:
         # sample-major, so einsum's loop adds the terms of each ε in sample order
-        mismatch = np.ascontiguousarray(agreement.T < 0, dtype=np.int8)
+        mismatch = np.ascontiguousarray((H.sample_values(S) != S.labels).T, dtype=np.int8)
     else:
         d, k = shape
         keys = [
@@ -299,6 +314,8 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
         alpha = 0.5 * math.log((1.0 - eps_c) / eps_c)
         picks.append(best)
         alphas.append(alpha)
+        if best not in agreement:
+            agreement[best] = H.matrix[best].take(S.positions) * S.labels
         step = agreement[best].astype(np.float64)
         step *= alpha  # exactly ±α
         score += step

@@ -73,14 +73,6 @@ def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndar
     return values.astype(np.int8)
 
 
-def _check_labels(labels) -> np.ndarray:
-    """The labels as an int8 array, each checked to equal +1 or -1."""
-    values = np.asarray(labels)
-    if values.ndim != 1:  # each label a sequence of the same length
-        raise ValueError("labels must be +1 or -1")
-    return _check_signs(values, "labels")
-
-
 def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
     """``value`` as an int, after checking it is an integer in [lo, hi].
 
@@ -113,6 +105,21 @@ def _generator(rng_seed) -> np.random.Generator:
     if rng_seed is None:
         raise ValueError("rng_seed is required: None would draw from an unseeded generator")
     return np.random.default_rng(rng_seed)
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
+    """int64 indices of the given shape, i.i.d. with the checked ``probs``.
+
+    It is ``rng.choice(len(probs), size=shape, p=probs)`` without choice's
+    validation of a vector its constructor has already checked: the same
+    cdf, ``probs.cumsum()`` divided by its last entry, the same uniforms
+    ``rng.random(shape)``, and as each index the number of cdf entries at or
+    below its uniform (``searchsorted``).  So the indices and the
+    generator's state afterwards are choice's.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shape), side="right")
 
 
 #: Python and numpy scalar types a real argument may have (bool aside).
@@ -203,14 +210,19 @@ def _unit_sum(values: np.ndarray, name: str) -> np.ndarray:
     The entries must be real, finite and nonnegative and sum to 1 within
     ``WEIGHT_TOL``.  Division by the total and ``_force_unit_sum`` then make
     the float sum exactly 1.0.
+
+    Valid weights pass on one minimum and one sum: a NaN or a negative entry
+    fails the minimum, so the sum is taken only over entries in [0, inf],
+    and an infinity fails the sum.  Only a refused vector has its rules
+    checked one by one, for the message.
     """
     w = _real_array(values, name).astype(np.float64)
-    if not np.isfinite(w).all():
-        raise ValueError(f"{name} must be finite")
-    if (w < 0).any():
-        raise ValueError(f"{name} must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_TOL:
+    total = float(w.sum()) if w.min() >= 0.0 else math.nan
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        if not np.isfinite(w).all():
+            raise ValueError(f"{name} must be finite")
+        if (w < 0).any():
+            raise ValueError(f"{name} must be nonnegative")
         raise ValueError(f"{name} must sum to 1 within {WEIGHT_TOL:g}; got sum {total!r}")
     w /= total
     _force_unit_sum(w)
@@ -320,12 +332,31 @@ class LabeledSample:
     """A finite labeled sample over the domain {0, …, domain_size−1}, in order.
 
     ``positions`` holds each point (intp) and ``labels`` its ±1 label (int8);
-    both arrays are read-only.
+    both arrays are read-only.  The sample holds copies of the arrays it is
+    given, so the caller's arrays stay theirs.
     """
 
     __slots__ = ("domain_size", "positions", "labels")
 
     def __init__(self, domain_size: int, positions, labels):
+        self._hold(domain_size, positions, labels, copy=True)
+
+    @classmethod
+    def _adopt(cls, domain_size: int, positions: np.ndarray, labels: np.ndarray) -> "LabeledSample":
+        """A sample over ``positions`` (intp) and ``labels`` (int8), arrays the
+        library has just made and hands over: checked like
+        ``LabeledSample(domain_size, positions, labels)``'s, then frozen in
+        place instead of copied."""
+        if positions.dtype != np.intp or labels.dtype != np.int8:
+            raise TypeError(
+                "adopted sample arrays must be intp positions and int8 labels, "
+                f"got {positions.dtype} and {labels.dtype}"
+            )
+        S = cls.__new__(cls)
+        S._hold(domain_size, positions, labels, copy=False)
+        return S
+
+    def _hold(self, domain_size, positions, labels, copy: bool) -> None:
         domain_size = _check_count(domain_size, "domain_size")
         pos = np.asarray(positions)
         if pos.ndim != 1 or pos.size < 1:
@@ -333,10 +364,15 @@ class LabeledSample:
         pos = _integer_array(pos, "sample positions")
         if pos.min() < 0 or pos.max() >= domain_size:
             raise ValueError(f"sample positions must lie in [0, {domain_size})")
-        labels = _check_labels(labels)
+        labels = np.asarray(labels)
+        if labels.ndim != 1:  # each label a sequence of the same length
+            raise ValueError("labels must be +1 or -1")
+        _require_signs(labels, "labels")
         if labels.size != pos.size:
             raise ValueError(f"sample has {pos.size} positions but {labels.size} labels")
-        pos = pos.astype(np.intp)
+        if copy:
+            pos = pos.astype(np.intp)
+            labels = labels.astype(np.int8)
         pos.setflags(write=False)
         labels.setflags(write=False)
         self.domain_size = domain_size
@@ -386,16 +422,22 @@ class DataDistribution:
     def sample(self, n: int, rng_seed) -> LabeledSample:
         """Draw n i.i.d. atoms with the generator of the required ``rng_seed``."""
         n = _check_count(n, "n")
-        idx = _generator(rng_seed).choice(len(self), size=n, p=self.probabilities)
+        idx = _draw(_generator(rng_seed), self.probabilities, n)
         atoms = self.atoms
-        return LabeledSample(atoms.domain_size, atoms.positions[idx], atoms.labels[idx])
+        return LabeledSample._adopt(atoms.domain_size, atoms.positions[idx], atoms.labels[idx])
+
+
+def _margins(values: np.ndarray, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
+    """Margins y_i·v(x_i) for every sample point, from a voter's values v on
+    the domain of H: a check that needs one voter's margins on two samples
+    takes them from one ``values_on``."""
+    _check_domain(S, H.domain_size)
+    return S.labels * values[S.positions]
 
 
 def margins_on_sample(f, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
     """Margins y_i·f(x_i) for every sample point, in sample order."""
-    values = f.values_on(H)
-    _check_domain(S, H.domain_size)
-    return S.labels * values[S.positions]
+    return _margins(f.values_on(H), H, S)
 
 
 def margins_on_support(f, H: HypothesisClass, D: DataDistribution):
@@ -413,9 +455,15 @@ def empirical_margin_loss(f, H: HypothesisClass, S: LabeledSample, theta: float)
     return float(np.count_nonzero(m <= theta)) / m.size
 
 
+def _true_margin_loss(margins: np.ndarray, probs: np.ndarray, theta: float) -> float:
+    """Pr over D of margin ≤ θ, from the margins on D's atoms and their
+    probabilities: a check that also needs those margins takes them from one
+    ``values_on``."""
+    return float(probs[margins <= theta].sum())
+
+
 def true_margin_loss(f, H: HypothesisClass, D: DataDistribution, theta: float) -> float:
     """Pr over D of margin ≤ θ, computed exactly over the atoms of D."""
     theta = _check_real(theta, "margin threshold", 0, 1)
-    m, p = margins_on_support(f, H, D)
-    return float(p[m <= theta].sum())
+    return _true_margin_loss(*margins_on_support(f, H, D), theta)
 

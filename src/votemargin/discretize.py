@@ -13,8 +13,8 @@ exact rational over a power of two.  It runs one 64-bit front, then the
 exact loop: the front brackets the rational in integer arithmetic and
 answers when both ends of the bracket round to the same double (Ziv's
 strategy), and the exact integer sum answers the rare tail that sits on a
-rounding boundary; it takes N up to 2^53, though from N ≈ 2^20 a call
-takes seconds to minutes (see ``binom_margin_tail``).  The vectorized batch
+rounding boundary; it takes N up to 2^53, and a call at N = 2^20 takes
+about 0.1 s (see ``binom_margin_tail``).  The vectorized batch
 calls ``scipy.special.bdtrc`` (the regularized incomplete beta function) and
 takes N up to 2^20: its measured error against the exact tail is 9.1e-12
 absolute at N = 8192 and 4.3e-9 at N = 2^20, and past 2^20 it grows fast.
@@ -42,11 +42,11 @@ from .core import (
     _check_real,
     _check_reals,
     _check_size,
+    _draw,
     _generator,
     _integer_array,
-    margins_on_sample,
-    margins_on_support,
-    true_margin_loss,
+    _margins,
+    _true_margin_loss,
 )
 
 __all__ = [
@@ -158,6 +158,36 @@ def _truncate(x: int, bits: int):
     return x >> s, s
 
 
+#: Exact factors multiplied into each product of ``_comb_lower`` between
+#: two truncations.
+_COMB_CHUNK = 128
+
+
+def _comb_lower(N: int, k: int, bits: int):
+    """(m, s) with C(N,k)·(1 − 2^−(bits−1))^(2c+1) ≤ m·2^s ≤ C(N,k), where
+    c = ⌈min(k, N−k)/_COMB_CHUNK⌉.
+
+    C(N, k) = Π_{j<J} (N − j) / Π_{j<J} (j + 1) with J = min(k, N−k).  Each
+    product takes ``_COMB_CHUNK`` exact factors at a time, and after each
+    chunk the numerator is truncated down and the denominator rounded up to
+    ``bits`` bits: c truncations per product, each of relative error below
+    2^−(bits−1).  One floor division to at least ``bits`` bits adds one more.
+    The cost follows the J factors and ``bits``, not the digits of C(N, k).
+    """
+    J = min(k, N - k)
+    num = den = 1
+    s = 0
+    for j in range(0, J, _COMB_CHUNK):
+        top = min(j + _COMB_CHUNK, J)
+        num, t = _truncate(num * math.prod(range(N - top + 1, N - j + 1)), bits)
+        den *= math.prod(range(j + 1, top + 1))
+        u = max(0, den.bit_length() - bits)
+        den = -(-den >> u)  # rounded up
+        s += t - u
+    lift = bits + den.bit_length() - num.bit_length()
+    return (num << lift) // den, s - lift
+
+
 def _pow_lower(base: int, e: int, bits: int):
     """(m, s) with base^e·(1 − 2^−(bits−1))^(e−1) ≤ m·2^s ≤ base^e.
 
@@ -191,9 +221,11 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int):
     the summed side in units of the leading term's scale:
 
     * the leading term T_0 is a lower bound of C(N,k₀)·pn^k₀·qn^(N−k₀) from
-      truncated powering, normalised to B bits; it makes at most N + 2
-      lossy truncations of relative error < 2^−(B−1) each, so
-      τ_0·(1 − δ) ≤ T_0 ≤ τ_0 with δ = (N + 2)·2^−(B−1);
+      a truncated coefficient (``_comb_lower``, 2c + 1 truncations with
+      c = ⌈min(k₀, N−k₀)/``_COMB_CHUNK``⌉) and truncated powering,
+      normalised to B bits; it makes at most N + 2 + 2c lossy truncations
+      of relative error < 2^−(B−1) each, so τ_0·(1 − δ) ≤ T_0 ≤ τ_0 with
+      δ = (N + 2 + 2c)·2^−(B−1);
     * each step T_{j+1} = floor(T_j·a/b) loses < 1 unit and scales the
       earlier losses by a/b < 1, so τ_j·(1 − δ) − j ≤ T_j ≤ τ_j, and J
       steps lose at most J·(J+1)/2 units in all;
@@ -207,7 +239,8 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int):
     bits = _PRECISION + _GUARD_BITS
     upper = ks << sh > N * pn  # k* > N·p
     k, end, step = (ks, N, 1) if upper else (ks - 1, 0, -1)
-    term, s = _truncate(math.comb(N, k), bits)
+    term, s = _comb_lower(N, k, bits)
+    losses = N + 2 + 2 * -(-min(k, N - k) // _COMB_CHUNK)  # δ·2^(B−1)
     for base, e in ((pn, k), (qn, N - k)):
         power, t = _pow_lower(base, e, bits)
         term, u = _truncate(term * power, bits)
@@ -233,7 +266,7 @@ def _front_tail(N: int, ks: int, pn: int, qn: int, sh: int):
         steps += 1
         k += step
     hi = total + steps * (steps + 1) // 2 + rest
-    hi += (hi * (N + 2) >> (bits - 2)) + 1  # ≥ hi/(1 − δ) as δ ≤ 1/2
+    hi += (hi * losses >> (bits - 2)) + 1  # ≥ hi/(1 − δ) as δ ≤ 1/2
     one = 1 << (N * sh - s)
     if upper:
         lo_value, hi_value = total / one, hi / one
@@ -254,13 +287,15 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
     practice, a tail that is exactly the midpoint between two doubles) does
     the exact integer loop answer.
 
-    N up to 2^53 is accepted, but the front forms C(N, k) exactly with
-    ``math.comb``, whose cost grows fast with N.  Measured on a 2-core host:
-    ``math.comb(2**20, 2**19)`` alone takes 12–13 s, this tail takes 13.7 s
-    at (2^20, 0.001, 0.0) and 8.4–8.7 s at (2^20, 0.3, 0.25), and a call at
-    N = 2^22 did not finish in 120 s.  At the N ≤ 12 800 of the benchmark
-    workloads the 60 scalar calls of a ``surrogate-suites`` pass spend 10–20 ms
-    in ``math.comb``.
+    N up to 2^53 is accepted.  The front takes C(N, k) as a truncated lower
+    bound (``_comb_lower``), so its cost follows the min(k, N−k) factors of
+    the coefficient and the bracket's precision, not the digits of C(N, k).
+    Measured on a 2-core host: 0.08–0.09 s at (2^20, 0.3, 0.25), 0.11–0.15 s
+    at (2^20, 0.001, 0.0) and 0.4–0.5 s at N = 2^22, where the exact
+    ``math.comb`` took 7–9 s, 12–14 s and did not finish in 120 s.  At
+    N = 12 800 a call takes about 1 ms, a third of its time with the exact
+    coefficient.  The exact loop, reached only at a rounding boundary, still
+    forms C(N, k) exactly.
     """
     problem = _tail_problem(N, lam, eta)
     if isinstance(problem, float):
@@ -348,12 +383,13 @@ def _draw_indices(f: VotingClassifier, shape, rng: np.random.Generator) -> np.nd
     """Hypothesis indices of the given shape, i.i.d. with probabilities a_h.
 
     The one draw behind ``sample_discretization`` (shape N) and the Monte
-    Carlo margins of the ``margin-law`` suite (shape (rows, N)).  numpy draws
-    the entries in row-major order from one uniform stream, so an N-draw is
+    Carlo margins of the ``margin-law`` suite (shape (rows, N)), with
+    ``Generator.choice``'s indices (see ``core._draw``).  numpy draws the
+    entries in row-major order from one uniform stream, so an N-draw is
     row 0 of an (M, N) draw from the same generator, and consecutive row
     blocks equal one draw of all their rows.
     """
-    return rng.choice(len(f), size=shape, replace=True, p=f.weights)
+    return _draw(rng, f.weights, shape)
 
 
 def first_decrease(values):
@@ -399,10 +435,11 @@ def decomposition_residual(
     theta_i = _check_real(theta_i, "theta_i", 0, 1, lo_open=True)
     half = theta_i / 2.0
 
-    fm_D, probs = margins_on_support(f, H, D)
-    gm_D, _ = margins_on_support(g, H, D)
-    fm_S = margins_on_sample(f, H, S)
-    gm_S = margins_on_sample(g, H, S)
+    f_values = f.values_on(H)  # one pass per voter serves both samples
+    g_values = g.values_on(H)
+    fm_D, gm_D = _margins(f_values, H, D.atoms), _margins(g_values, H, D.atoms)
+    fm_S, gm_S = _margins(f_values, H, S), _margins(g_values, H, S)
+    probs = D.probabilities
     n = fm_S.size
 
     lhs = float(probs[fm_D <= 0.0].sum()) - float(np.count_nonzero(fm_S <= theta)) / n
@@ -433,13 +470,15 @@ def expected_half_margin_loss_bound_check(
 
     The left side is exact: the expectation over g reduces per atom of D to
     one minus the binomial margin tail at η = θ_i/2.  Requires
-    N ≥ 32·(2θ_i)^{−2}.  Returns (lhs, rhs, holds).
+    N ≥ 32·(2θ_i)^{−2}.  Returns (lhs, rhs, holds).  Both sides read the
+    margins of one ``values_on``.
     """
     theta_i = _check_real(theta_i, "theta_i", 0, 1, lo_open=True)
     N = _check_N(N)
     _require_slope_ready(N, theta_i)
-    margins, probs = margins_on_support(f, H, D)
+    margins = _margins(f.values_on(H), H, D.atoms)
+    probs = D.probabilities
     tails = binom_margin_tail_batch(N, margins, theta_i / 2.0)
     lhs = float(probs @ (1.0 - tails))
-    rhs = true_margin_loss(f, H, D, 0.75 * theta_i) + math.exp(-N * theta_i**2 / 128.0)
+    rhs = _true_margin_loss(margins, probs, 0.75 * theta_i) + math.exp(-N * theta_i**2 / 128.0)
     return lhs, rhs, lhs <= rhs

@@ -72,25 +72,41 @@ __all__ = [
 
 
 def repair_duplicate_constants(matrix: np.ndarray) -> np.ndarray:
-    """Flip the first entry of surplus constant rows, in place.
+    """Flip the first entry of surplus constant rows of a ±1 matrix, in place.
 
     A class accepts a repeated constant row, but the seeded recipes keep this
     step so every seeded class keeps its bits: ``massart``, for one, draws
-    classes over 2 points, where a constant row often repeats.
+    classes over 2 points, where a constant row often repeats.  A ±1 row is
+    constant iff its sum is ±(row length), so one row-sum reduction finds
+    them.  The +1 rows go first, then the −1 rows, each keeping its first
+    row; a flip moves its row's sum by 2, which over one column makes a
+    surplus +1 row a −1 row.
     """
+    width = matrix.shape[1]
+    totals = matrix.sum(axis=1).tolist()
     for label in (1, -1):
-        rows = np.flatnonzero((matrix == label).all(axis=1))
+        rows = [r for r, total in enumerate(totals) if total == label * width]
         for r in rows[1:]:
             matrix[r, 0] = -label
+            totals[r] -= 2 * label
     return matrix
+
+
+def _random_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """A fresh int8 ±1 array from one ``rng.integers(0, 2, size=shape)`` draw,
+    the draw the seeded recipes have always made, mapped 0 → −1 and 1 → +1
+    in place."""
+    signs = rng.integers(0, 2, size=shape).astype(np.int8)
+    signs += signs
+    signs -= 1
+    return signs
 
 
 def random_hypothesis_class(rng_seed, X_size: int, H_size: int) -> HypothesisClass:
     """A seeded random ±1 class of H_size hypotheses over {0..X_size−1}."""
     X_size = _check_count(X_size, "X_size", 2)
     H_size = _check_count(H_size, "H_size")
-    rng = _generator(rng_seed)
-    matrix = (rng.integers(0, 2, size=(H_size, X_size)) * 2 - 1).astype(np.int8)
+    matrix = _random_signs(_generator(rng_seed), (H_size, X_size))
     return HypothesisClass._adopt(repair_duplicate_constants(matrix))
 
 
@@ -98,9 +114,9 @@ def random_distribution(rng_seed, domain_size: int) -> DataDistribution:
     """Random labels and Dirichlet atom masses over every point of the domain."""
     domain_size = _check_count(domain_size, "domain_size")
     rng = _generator(rng_seed)
-    labels = rng.integers(0, 2, size=domain_size) * 2 - 1
+    labels = _random_signs(rng, domain_size)
     probs = rng.dirichlet(np.ones(domain_size))
-    return DataDistribution(LabeledSample(domain_size, np.arange(domain_size), labels), probs)
+    return DataDistribution(LabeledSample._adopt(domain_size, np.arange(domain_size), labels), probs)
 
 
 def random_voting(rng_seed, size: int) -> VotingClassifier:
@@ -393,7 +409,9 @@ def _check_delta_allocation(seed, trials, grid_points):
 
 def _coverage(cells, xs):
     """(uncovered, multiply covered) counts of the points xs over the cells."""
-    cover = np.sum([cell.contains(xs) for cell in cells], axis=0)
+    cover = np.zeros(xs.shape, dtype=np.intp)
+    for cell in cells:
+        cover += cell.contains(xs)
     return int(np.count_nonzero(cover == 0)), int(np.count_nonzero(cover > 1))
 
 
@@ -421,6 +439,12 @@ def _check_partition_coverage(seed, trials, grid_points):
     )
 
 
+def _all_positive(H: HypothesisClass, positions: np.ndarray) -> LabeledSample:
+    """The sample of the drawn ``positions`` over H's domain, every label +1:
+    the Rademacher checks read the points only."""
+    return LabeledSample._adopt(H.domain_size, positions, np.ones(positions.size, dtype=np.int8))
+
+
 def _check_massart(seed, trials, grid_points):
     del grid_points
     count = trials or 200
@@ -431,7 +455,7 @@ def _check_massart(seed, trials, grid_points):
         n = int(rng.integers(1, 15))
         H_size = int(rng.integers(2, 33))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(H.domain_size, rng.integers(0, H.domain_size, size=n), np.ones(n))
+        S = _all_positive(H, rng.integers(0, H.domain_size, size=n))
         exact = exhaustive_rademacher(H, S).value
         bound = massart_bound(H_size, n)
         worst = max(worst, exact - bound)
@@ -454,7 +478,7 @@ def _check_convexity_collapse(seed, trials, grid_points):
         n = int(rng.integers(2, 21))
         H_size = int(rng.integers(2, 17))
         H = random_hypothesis_class(rng, max(n, 2), H_size)
-        S = LabeledSample(H.domain_size, rng.integers(0, H.domain_size, size=n), np.ones(n))
+        S = _all_positive(H, rng.integers(0, H.domain_size, size=n))
         ok = convexity_collapse_check(H, S, trials=200, rng_seed=rng)
         failures += 0 if ok else 1
         rows.append((t, n, H_size, ok))

@@ -46,7 +46,18 @@ def resolve_out_dir(out_dir) -> Path:
 
 
 def format_value(value) -> str:
-    """CSV cell text: floats at 17 significant digits, ints/str verbatim."""
+    """CSV cell text: floats at 17 significant digits, ints/str verbatim.
+
+    The three exact types most cells hold are tested first, each by one
+    type comparison; every other value goes through the checks below.
+    """
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -209,6 +209,12 @@ class TestStumpShape:
         H = build_stump_class(4, 15)
         assert peak_bytes(lambda: _stump_shape(H)) < 15 * 16**4 + 64 * 2**10
 
+    def test_the_check_holds_no_row_sized_array(self):
+        # min/max reductions over views of each row: less than one row of
+        # (k+1)^d bytes, where the block-at-a-time comparison held k rows
+        H = build_stump_class(4, 15)
+        assert peak_bytes(lambda: _stump_shape(H)) < 16**4
+
     def test_one_flipped_entry_is_not_a_stump_class(self):
         H = build_stump_class(2, 3)
         for row, column in [(0, 5), (7, 0), (9, 15)]:
@@ -313,6 +319,15 @@ class TestAdaboost:
         assert run1.rounds[-1].train_error == 0.0
         assert run1.rounds[-1].min_margin > 0.0
         assert abs(float(run1.classifier.weights.sum()) - 1.0) <= 1e-12
+
+    def test_the_stump_path_holds_no_class_sized_array(self):
+        # |H|·n = 402·20 000 bytes of agreement matrix, against the few float
+        # n-vectors, int64 keys and picked int8 rows the stump path holds
+        d, k, n, T = 1, 200, 20_000, 20
+        H = build_stump_class(d, k)
+        _, S = generate_synthetic(H, n, 0.1, stream(21, 0))
+        assert _stump_shape(H) == (d, k)
+        assert peak_bytes(lambda: adaboost(S, H, T)) < len(H) * n / 4
 
     def test_round_trace_invariants(self):
         H, _, S = separable_task()

@@ -1,5 +1,7 @@
 """Unit tests for the core model types and margin-loss primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from votemargin.core import (
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    _draw,
     empirical_margin_loss,
     margins_on_sample,
     margins_on_support,
@@ -263,6 +266,142 @@ class TestLabeledSample:
     def test_rejects_a_length_mismatch(self, labels):
         with pytest.raises(ValueError, match="2 positions"):
             LabeledSample(4, [0, 1], labels)
+
+
+class TestLabeledSampleAdopt:
+    """``_adopt`` freezes the library's fresh arrays in place, after the
+    constructor's checks."""
+
+    def test_freezes_the_arrays_in_place(self):
+        positions, labels = np.array([3, 0, 3], dtype=np.intp), np.array([1, -1, -1], dtype=np.int8)
+        S = LabeledSample._adopt(4, positions, labels)
+        assert S.positions is positions and S.labels is labels
+        assert not positions.flags.writeable and not labels.flags.writeable
+        assert (S.domain_size, len(S)) == (4, 3)
+
+    @pytest.mark.parametrize(
+        "domain_size, positions, labels, message",
+        [
+            (0, [0], [1], "domain_size must be a positive integer"),
+            (4, [], [], "at least one point"),
+            (4, [[0, 1]], [1, 1], "at least one point"),
+            (4, [0, 4], [1, 1], r"sample positions must lie in \[0, 4\)"),
+            (4, [-1, 0], [1, 1], r"sample positions must lie in \[0, 4\)"),
+            (4, [0, 1], [1, 0], "labels must be \\+1 or -1"),
+            (4, [0, 1], [[1, 1], [1, 1]], "labels must be \\+1 or -1"),
+            (4, [0, 1], [1, -1, 1], "sample has 2 positions but 3 labels"),
+        ],
+    )
+    def test_refuses_what_the_constructor_refuses_with_its_message(
+        self, domain_size, positions, labels, message
+    ):
+        for make in (
+            lambda: LabeledSample(domain_size, positions, labels),
+            lambda: LabeledSample._adopt(
+                domain_size, np.array(positions, dtype=np.intp), np.array(labels, dtype=np.int8)
+            ),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    @pytest.mark.parametrize(
+        "positions, labels",
+        [
+            (np.array([0, 1], dtype=np.int32), np.array([1, -1], dtype=np.int8)),
+            (np.array([0, 1], dtype=np.intp), np.array([1, -1], dtype=np.int64)),
+            (np.array([0.0, 1.0]), np.array([1.0, -1.0])),
+        ],
+        ids=["int32-positions", "int64-labels", "floats"],
+    )
+    def test_refuses_arrays_it_would_have_to_convert(self, positions, labels):
+        with pytest.raises(TypeError, match="intp positions and int8 labels"):
+            LabeledSample._adopt(4, positions, labels)
+        assert positions.flags.writeable and labels.flags.writeable
+
+
+class TestUnitSumMessages:
+    """Weights and probabilities that fail the one-sum, one-minimum test get
+    the message of the first rule they break: finite, nonnegative, unit sum."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([np.nan, 1.0], "must be finite"),
+            ([np.inf, 0.0], "must be finite"),
+            ([-np.inf, 1.0], "must be finite"),
+            ([np.inf, -np.inf], "must be finite"),
+            ([-0.5, np.nan], "must be finite"),
+            ([-0.25, 1.25], "must be nonnegative"),
+            ([1.5e308, 1.5e308], "must sum to 1 within 1e-12; got sum inf"),
+            ([0.5, 0.25], "must sum to 1 within 1e-12; got sum 0.75"),
+        ],
+        ids=["nan", "inf", "-inf", "inf-inf", "negative-and-nan", "negative",
+             "overflowing-sum", "short-sum"],
+    )
+    def test_messages(self, values, message):
+        with warnings.catch_warnings():
+            # no numpy warning on the way, but the overflow of a finite sum
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"weights {message}"):
+                VotingClassifier(values)
+            with pytest.raises(ValueError, match=f"probabilities {message}"):
+                DataDistribution(sample(4, [(0, 1), (1, 1)]), values)
+
+    def test_an_accepted_vector_is_a_read_only_copy_summing_to_one(self):
+        raw = np.array([0.1] * 10)
+        f = VotingClassifier(raw)
+        assert f.weights is not raw and not f.weights.flags.writeable
+        assert f.weights.sum() == 1.0
+
+
+def _choice_pair(probs, shape, seed):
+    """``Generator.choice`` and ``_draw`` from two generators of one seed:
+    their indices and each generator's state afterwards."""
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = a.choice(probs.size, size=shape, p=probs)
+    drawn = _draw(b, probs, shape)
+    return expected, drawn, a.bit_generator.state, b.bit_generator.state
+
+
+class TestDraw:
+    """``_draw`` is ``Generator.choice(p=…)`` without its validation: the
+    same indices, dtype and generator state."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 64, 1000, 65_536])
+    @pytest.mark.parametrize("shape", [25, 2**14 - 1, 2**14, (3, 7), (64, 256)])
+    def test_equals_generator_choice(self, size, shape):
+        probs = np.random.default_rng(size).dirichlet(np.ones(size))
+        expected, drawn, state_a, state_b = _choice_pair(probs, shape, 11)
+        assert drawn.dtype == expected.dtype == np.int64
+        assert drawn.shape == expected.shape
+        assert np.array_equal(drawn, expected)
+        assert state_a == state_b
+
+    @pytest.mark.parametrize("size", [2, 5, 8, 40])
+    @pytest.mark.parametrize("shape", [30, (128, 256)])
+    def test_zero_mass_entries_are_never_drawn_and_still_match(self, size, shape):
+        # zero mass first, last and in the middle, so the cdf has flat steps
+        probs = np.zeros(size)
+        probs[1:-1:2] = 1.0
+        probs[-2] = 0.5 if size > 2 else 1.0
+        probs /= probs.sum()
+        expected, drawn, state_a, state_b = _choice_pair(probs, shape, 12)
+        assert np.array_equal(drawn, expected) and state_a == state_b
+        assert probs[drawn].min() > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(1, 16),
+        rows=st.sampled_from([1, 3, 128]),
+        columns=st.sampled_from([1, 17, 256]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_generator_choice_on_random_weights(self, size, rows, columns, seed):
+        probs = np.random.default_rng(seed).dirichlet(np.full(size, 0.3))
+        probs = VotingClassifier(probs).weights  # renormalized as every voter is
+        expected, drawn, state_a, state_b = _choice_pair(probs, (rows, columns), seed)
+        assert np.array_equal(drawn, expected) and state_a == state_b
 
 
 class TestDataDistribution:

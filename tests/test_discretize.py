@@ -74,6 +74,20 @@ def random_instance(seed: int, n_points: int = 8, n_hyps: int = 4, n_sample: int
     return random_voting(rng, n_hyps), H, D, D.sample(n_sample, rng)
 
 
+def count_values_on(monkeypatch) -> dict:
+    """Patch both voters' ``values_on`` to count their calls, by class name."""
+    calls = {}
+    for cls in (VotingClassifier, DiscretizedClassifier):
+        original = cls.values_on
+
+        def counted(self, H, original=original, name=cls.__name__):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self, H)
+
+        monkeypatch.setattr(cls, "values_on", counted)
+    return calls
+
+
 class TestKStar:
     def test_matches_rational_threshold_scan(self):
         rng = stream(3, 0)
@@ -183,6 +197,40 @@ class TestBinomMarginTail:
         value = binom_margin_tail(1, -0.3, 0.0)
         assert calls == ["_front_tail", "_exact_tail"]
         assert value == float(exact_tail(1, -0.3, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        N=st.integers(1, 6000),
+        fraction=st.floats(0.0, 1.0),
+        bits=st.sampled_from([8, 64, 128]),
+    )
+    def test_truncated_coefficient_brackets_the_binomial(self, N, fraction, bits):
+        # C·(1 − 2^−(bits−1))^(2c+1) ≤ m·2^s ≤ C, in integers
+        k = round(fraction * N)
+        m, s = discretize._comb_lower(N, k, bits)
+        C = math.comb(N, k)
+        c = -(-min(k, N - k) // discretize._COMB_CHUNK)
+        lo_m, lo_C = (m << s, C) if s >= 0 else (m, C << -s)
+        assert lo_m <= lo_C
+        e = 2 * c + 1
+        assert lo_m << ((bits - 1) * e) >= lo_C * ((1 << (bits - 1)) - 1) ** e
+        assert m.bit_length() >= bits
+
+    def test_front_equals_exact_loop_over_many_coefficient_chunks(self):
+        # N up to 3000 puts up to 12 chunks of 128 factors in each product
+        rng = stream(8, 0)
+        for _ in range(12):
+            N = int(rng.integers(600, 3001))
+            lam = float(rng.uniform(-0.2, 0.2))
+            eta = float(rng.choice([0.0, 0.1, lam]))
+            assert binom_margin_tail(N, lam, eta).hex() == exact_loop(N, lam, eta).hex()
+
+    def test_large_N_answers_from_the_front(self, monkeypatch):
+        # values the front gave when it formed C(N, k) exactly (10-12 s each);
+        # the truncated coefficient gives them in about 0.15 s
+        monkeypatch.setattr(discretize, "_exact_tail", None)
+        assert binom_margin_tail(2**20, 0.001, 0.0) == 0.8468517360330426
+        assert binom_margin_tail(2**20, 0.0012, 0.001) == 0.5809742384058163
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="lambda"):
@@ -469,6 +517,14 @@ class TestDecompositionResidual:
         via_law = float(probs @ (1.0 - binom_margin_tail_batch(N, margins_f, half)))
         assert abs(expected - via_law) <= 1e-12
 
+    def test_takes_one_values_pass_per_voter(self, monkeypatch):
+        f, H, D, S = random_instance(99)
+        g = sample_discretization(f, H, 8, stream(99, 1))
+        expected = decomposition_residual(f, g, H, D, S, 0.4, 0.3)
+        calls = count_values_on(monkeypatch)
+        assert decomposition_residual(f, g, H, D, S, 0.4, 0.3) == expected
+        assert calls == {"VotingClassifier": 1, "DiscretizedClassifier": 1}
+
     def test_rejects_bad_thresholds_and_mismatched_domains(self):
         f, H, D, S = random_instance(97)
         g = sample_discretization(f, H, 8, stream(96, 0))
@@ -496,6 +552,14 @@ class TestExpectedHalfMarginLossBound:
             true_margin_loss(f, H, D, 0.75 * theta_i) + math.exp(-N * theta_i**2 / 128),
             abs=1e-15,
         )
+
+    def test_takes_one_values_pass(self, monkeypatch):
+        f, H, D, _ = random_instance(95)
+        expected = expected_half_margin_loss_bound_check(f, H, D, 0.5, 64)
+        calls = count_values_on(monkeypatch)
+        assert expected_half_margin_loss_bound_check(f, H, D, 0.5, 64) == expected
+        assert calls == {"VotingClassifier": 1}
+        assert expected[1] == true_margin_loss(f, H, D, 0.375) + math.exp(-64 * 0.25 / 128)
 
     def test_requires_enough_draws(self):
         f, H, D, _ = random_instance(94)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votemargin import discretize, phirho
 from votemargin.boosting import build_stump_class
@@ -256,6 +258,24 @@ class TestReporting:
         assert format_value(0.1) == "%.17g" % 0.1
         assert float(format_value(1.0 / 3.0)) == 1.0 / 3.0
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (np.float64(0.1), "0.10000000000000001"),
+            (np.float32(0.5), "0.5"),
+            (np.int64(-3), "-3"),
+            (np.uint8(200), "200"),
+            (np.bool_(True), "true"),
+            (np.str_("x"), "x"),
+            (float("nan"), "nan"),
+            (-0.0, "-0"),
+            (2**70, "1180591620717411303424"),
+        ],
+    )
+    def test_format_value_of_other_types(self, value, text):
+        # the exact-type shortcuts leave every other value on the old path
+        assert format_value(value) == text
+
     def test_write_csv_round_trip_with_lf_endings(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 0.5], [2, True]])
         raw = path.read_bytes()
@@ -307,6 +327,17 @@ class TestCheckHelpers:
         assert matrix[2].tolist() == [-1, -1, -1]
         assert matrix[3].tolist() == [1, -1, -1]
         assert matrix[4].tolist() == [1, -1, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 12), width=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_repair_matches_the_per_sign_scan(self, rows, width, seed):
+        # narrow matrices, so constant rows repeat often
+        matrix = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (rows, width))
+        expected = matrix.copy()
+        for label in (1, -1):
+            for r in np.flatnonzero((expected == label).all(axis=1))[1:]:
+                expected[r, 0] = -label
+        assert np.array_equal(repair_duplicate_constants(matrix), expected)
 
     def test_repair_leaves_single_constants_alone(self):
         matrix = np.array([[1, 1], [-1, -1], [1, -1]])
