@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scalar import _check_count, _check_real
 from .core import (
     DataDistribution,
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
-    _check_count,
     _check_domain,
-    _check_real,
     _generator,
     margins_on_sample,
 )

@@ -18,8 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import PreconditionError, _check_count, _check_real
-from .discretize import _inverse_square, _slope_threshold
+from ._scalar import (
+    PreconditionError,
+    _check_count,
+    _check_real,
+    _inverse_square,
+    _slope_threshold,
+)
 
 __all__ = [
     "BoundInputs",

@@ -13,6 +13,14 @@ Exit status: 0 on pass, 1 on a failed assertion, 2 on usage, config,
 precondition or file errors (an output path that is not a directory, a
 missing constants file).  Output directories default to the VOTEMARGIN_OUT
 environment variable, then the working directory.
+
+The CLI loads neither numpy nor scipy until a command computes with arrays.
+Argument parsing, config parsing, ``bounds eval``, ``bounds grid``, the help
+texts and every refusal of a bad argument, config, lemma id or section kind
+run on the standard library alone: this module imports ``bounds`` and
+``harness.config``, which import no numpy, and each handler imports the
+harness layer it computes with (``checks``, ``experiments``, ``reporting``)
+only after its input has passed those checks.
 """
 
 from __future__ import annotations
@@ -21,31 +29,28 @@ import argparse
 import sys
 
 from .bounds import BOUND_NAMES, BoundInputs, BoundReport, all_reports
-from .harness.checks import VALID_LEMMA_IDS, validate
 from .harness.config import (
+    OUTPUT_DIR_ENV,
+    VALID_LEMMA_IDS,
     ConfigError,
     ExperimentConfig,
+    _check_lemma_id,
     _list_field,
     parse_config,
     parse_config_text,
 )
-from .harness.experiments import (
-    adaboost_experiment,
-    concentration_experiment,
-    gap_vs_bounds_experiment,
-)
-from .harness.reporting import OUTPUT_DIR_ENV, write_csv, write_rows
 
 __all__ = ["main"]
 
 _SWEEPABLE = ("n", "h-size", "theta", "delta", "loss", "c", "tau")
 
-#: The runner of each config kind that ``experiment run`` accepts.
+#: The runner of each config kind that ``experiment run`` accepts, by its
+#: name in ``harness.experiments``.
 _EXPERIMENTS = {
-    "half-margin": concentration_experiment,
-    "within-const": concentration_experiment,
-    "gap-vs-bounds": gap_vs_bounds_experiment,
-    "adaboost": adaboost_experiment,
+    "half-margin": "concentration_experiment",
+    "within-const": "concentration_experiment",
+    "gap-vs-bounds": "gap_vs_bounds_experiment",
+    "adaboost": "adaboost_experiment",
 }
 
 
@@ -193,6 +198,8 @@ def _bounds_grid(args) -> int:
                 row += ["", "", "", ""]
         rows.append(row)
 
+    from .harness.reporting import write_csv, write_rows
+
     if args.out is None:
         write_rows(sys.stdout, header, rows)
     else:
@@ -227,6 +234,9 @@ def _validate(args) -> int:
             ("validate",),
             "validate expects a [validate] config section, got [{kind}]",
         )
+    _check_lemma_id(args.lemma_id)
+    from .harness.checks import validate
+
     return _print_report(validate(args.lemma_id, config))
 
 
@@ -236,7 +246,9 @@ def _experiment_run(args) -> int:
         _EXPERIMENTS,
         "[{kind}] configs drive the validate command, not experiment run",
     )
-    return _print_report(_EXPERIMENTS[config.kind](config))
+    from .harness import experiments
+
+    return _print_report(getattr(experiments, _EXPERIMENTS[config.kind])(config))
 
 
 def main(argv=None) -> int:

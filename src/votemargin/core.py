@@ -15,7 +15,10 @@ threshold counts as a loss.
 from __future__ import annotations
 
 import math
+
 import numpy as np
+
+from ._scalar import PreconditionError, _check_count, _check_real
 
 __all__ = [
     "C_THETA",
@@ -38,10 +41,6 @@ C_THETA = 1.0 / math.sqrt(2.0)
 
 #: Tolerance for "sums to one" checks on weights and probabilities.
 WEIGHT_TOL = 1e-12
-
-
-class PreconditionError(ValueError):
-    """A documented precondition of an operation does not hold."""
 
 
 def _require_signs(values: np.ndarray, what: str) -> None:
@@ -73,33 +72,6 @@ def _check_signs(values: np.ndarray, what: str = "hypothesis values") -> np.ndar
     return values.astype(np.int8)
 
 
-def _check_count(value, name: str, lo: int = 1, hi: int | None = None) -> int:
-    """``value`` as an int, after checking it is an integer in [lo, hi].
-
-    A float, even an integral one, NaN, ±inf and a bool are refused, so a
-    count is never silently truncated or read from a truth value; so is an
-    integer no float can hold, since the formulas read counts as floats.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        if hi is not None:
-            rule = f"an integer in [{lo}, {hi}]"
-        elif lo == 1:
-            rule = "a positive integer"
-        else:
-            rule = f"an integer >= {lo}"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{name} has {len(str(value))} digits, too many for a float") from None
-    return int(value)
-
-
 def _generator(rng_seed) -> np.random.Generator:
     """The generator of an integer seed or a Generator; None draws unseeded, so it is refused."""
     if rng_seed is None:
@@ -120,36 +92,6 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(shape), side="right")
-
-
-#: Python and numpy scalar types a real argument may have (bool aside).
-_REAL_TYPES = (int, float, np.integer, np.floating)
-
-
-def _check_real(value, name: str, lo, hi, lo_open: bool = False, hi_open: bool = False) -> float:
-    """``value`` as a float, after checking it is a finite real number in range.
-
-    A Python or numpy int or float passes if it lies in the interval from lo
-    to hi, which holds each end unless ``lo_open`` or ``hi_open`` says not.
-    A bool, str, complex or array is refused, and so are NaN and ±inf.  The
-    message prints lo and hi exactly as the caller passes them.
-    """
-    real = isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:  # an int no float holds
-        x = math.nan
-    if not (
-        math.isfinite(x)
-        and (lo < x if lo_open else lo <= x)
-        and (x < hi if hi_open else x <= hi)
-    ):
-        shown = value if real else repr(value)
-        raise ValueError(
-            f"{name} must lie in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}, "
-            f"got {shown}"
-        )
-    return x
 
 
 def _real_array(values, name: str) -> np.ndarray:
@@ -211,18 +153,24 @@ def _unit_sum(values: np.ndarray, name: str) -> np.ndarray:
     ``WEIGHT_TOL``.  Division by the total and ``_force_unit_sum`` then make
     the float sum exactly 1.0.
 
-    Valid weights pass on one minimum and one sum: a NaN or a negative entry
-    fails the minimum, so the sum is taken only over entries in [0, inf],
-    and an infinity fails the sum.  Only a refused vector has its rules
-    checked one by one, for the message.
+    Valid weights pass on one minimum, one maximum and one sum: a NaN or a
+    negative entry fails the minimum, and an infinity or any entry above
+    1 + ``WEIGHT_TOL`` fails the maximum.  No valid vector fails either,
+    since no nonnegative entry exceeds its sum, and the sum of entries in
+    [0, 1 + ``WEIGHT_TOL``] cannot overflow.  Only a refused vector has its
+    rules checked one by one, for the message; its sum is taken with
+    overflow warnings off, so an overflowing one reads ``got sum inf``.
     """
     w = _real_array(values, name).astype(np.float64)
-    total = float(w.sum()) if w.min() >= 0.0 else math.nan
+    in_range = w.min() >= 0.0 and w.max() <= 1.0 + WEIGHT_TOL
+    total = float(w.sum()) if in_range else math.nan
     if not abs(total - 1.0) <= WEIGHT_TOL:
         if not np.isfinite(w).all():
             raise ValueError(f"{name} must be finite")
         if (w < 0).any():
             raise ValueError(f"{name} must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         raise ValueError(f"{name} must sum to 1 within {WEIGHT_TOL:g}; got sum {total!r}")
     w /= total
     _force_unit_sum(w)

@@ -22,8 +22,9 @@ The threshold k*(η) = floor((η/2 + 1/2)·N) + 1 is computed exactly in
 integers, so integer boundary cases are decided exactly.
 
 scipy is imported inside the batch tail, not at module level: importing this
-module (and the CLI) loads numpy only, and scipy loads on the first batch
-tail.
+module loads numpy only, and scipy loads on the first batch tail.  The scalar
+checks and the slope threshold 32·(2θ_i)⁻² live in the numpy-free
+``_scalar``, so ``bounds`` and the CLI import neither this module nor numpy.
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ import math
 
 import numpy as np
 
+from ._scalar import PreconditionError, _check_count, _check_real, _slope_threshold
 from .core import (
     DataDistribution,
     HypothesisClass,
     LabeledSample,
-    PreconditionError,
     VotingClassifier,
-    _check_count,
-    _check_real,
     _check_reals,
     _check_size,
     _draw,
@@ -65,20 +64,6 @@ __all__ = [
 def _check_N(N) -> int:
     # the formulas read N as a double, and past 2**53 a double skips integers
     return _check_count(N, "N", 1, 2**53)
-
-
-def _inverse_square(x: float) -> float:
-    """x⁻², or inf where that overflows a float."""
-    try:
-        return x**-2
-    except OverflowError:
-        return math.inf
-
-
-def _slope_threshold(theta_i: float) -> float:
-    """Smallest N at which the slope and half-margin statements hold: 32·(2θ_i)⁻²,
-    which is inf (no N qualifies) for θ_i below about 2.1e-154."""
-    return 32.0 * _inverse_square(2.0 * theta_i)
 
 
 def _require_slope_ready(N: int, theta_i: float) -> None:

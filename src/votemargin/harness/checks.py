@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .._scalar import _check_count, _check_real, _slope_threshold
 from ..bounds import admissible_theta_floor, build_partition, delta_allocation
 from ..core import (
     C_THETA,
@@ -25,13 +26,10 @@ from ..core import (
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
-    _check_count,
-    _check_real,
     _generator,
 )
 from ..discretize import (
     _draw_indices,
-    _slope_threshold,
     binom_margin_tail,
     decomposition_residual,
     expected_half_margin_loss_bound_check,
@@ -53,6 +51,7 @@ from ..rademacher import (
     massart_bound,
 )
 from ..rng import stream
+from .config import VALID_LEMMA_IDS, _check_lemma_id
 from .reporting import LemmaCheckReport, resolve_out_dir, write_csv, write_summary
 
 __all__ = [
@@ -204,11 +203,13 @@ def _check_margin_law(seed, trials, grid_points):
     H = {+1, −1} on one point labeled +1, and f puts weight (1 + λ)/2 on the
     +1 hypothesis, so y·f(x) = λ.  Each Monte Carlo margin is y·g(x) for one
     discretization g of N indices drawn by the sampler's own draw; one (M, N)
-    draw per (N, λ) serves the three η.
+    draw per (N, λ) serves the three η.  Index 0 is the +1 hypothesis and
+    index 1 the −1 one, so a row with k nonzero indices has margin
+    (N − 2k)/N: counting the nonzero indices gives the sum of the gathered
+    ±1 values, an exact int64, without gathering them.
     """
     del grid_points
     M = trials or 20_000
-    H = HypothesisClass([[1], [-1]])
     etas = (0.0, 0.25, 0.5)
     rows = []
     worst = 0
@@ -220,7 +221,7 @@ def _check_margin_law(seed, trials, grid_points):
             rng = stream(seed, 0, b, li)
             for start in range(0, M, _MC_BLOCK_ROWS):
                 indices = _draw_indices(f, (min(_MC_BLOCK_ROWS, M - start), N), rng)
-                margins = H.matrix[indices, 0].sum(axis=1) / N
+                margins = (N - 2 * np.count_nonzero(indices, axis=1)) / N
                 hits += [np.count_nonzero(margins > eta) for eta in etas]
             for eta, count in zip(etas, hits.tolist()):
                 exact = binom_margin_tail(N, lam, eta)
@@ -515,21 +516,24 @@ def _check_half_margin_expectation(seed, trials, grid_points):
     )
 
 
-_SUITES = {
-    "margin-law": _check_margin_law,
-    "monotonicity": _check_monotonicity,
-    "decomposition": _check_decomposition,
-    "phi-rho-ineq": _check_phi_rho_ineq,
-    "phi-bound": _check_phi_bound,
-    "lipschitz": _check_lipschitz,
-    "delta-allocation": _check_delta_allocation,
-    "partition-coverage": _check_partition_coverage,
-    "massart": _check_massart,
-    "convexity-collapse": _check_convexity_collapse,
-    "half-margin-expectation": _check_half_margin_expectation,
-}
-
-VALID_LEMMA_IDS = tuple(_SUITES)
+#: The suite of each lemma id, paired in ``VALID_LEMMA_IDS``'s order.
+_SUITES = dict(zip(
+    VALID_LEMMA_IDS,
+    (
+        _check_margin_law,
+        _check_monotonicity,
+        _check_decomposition,
+        _check_phi_rho_ineq,
+        _check_phi_bound,
+        _check_lipschitz,
+        _check_delta_allocation,
+        _check_partition_coverage,
+        _check_massart,
+        _check_convexity_collapse,
+        _check_half_margin_expectation,
+    ),
+    strict=True,
+))
 
 
 def validate(lemma_id: str, config) -> LemmaCheckReport:
@@ -541,10 +545,7 @@ def validate(lemma_id: str, config) -> LemmaCheckReport:
     suite only computes: it returns (header, rows, summary, max_violation,
     tolerance), plus the calibrated constant where it has one.
     """
-    if lemma_id not in _SUITES:
-        raise ValueError(
-            f"unknown lemma id {lemma_id!r}; valid ids: {', '.join(VALID_LEMMA_IDS)}"
-        )
+    _check_lemma_id(lemma_id)
     params = config.params
     out_dir = resolve_out_dir(params["out"])
     header, rows, summary, max_violation, tolerance, *calibrated = _SUITES[lemma_id](

@@ -3,6 +3,10 @@
 The section name selects the experiment kind; every key is validated
 against that kind's schema.  Unknown keys are hard errors — a silent typo
 in a study config corrupts the study.
+
+This module also holds the names the CLI refuses input with before it
+computes: the lemma ids ``validate`` accepts and the output-directory
+environment variable.  Like ``bounds``, it imports no numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core import _check_count, _check_real
+from .._scalar import _check_count, _check_real
 
 __all__ = [
     "ConfigError",
@@ -20,10 +24,38 @@ __all__ = [
     "parse_config_text",
     "EXPERIMENT_KINDS",
     "DEFAULT_SEED",
+    "OUTPUT_DIR_ENV",
+    "VALID_LEMMA_IDS",
 ]
 
 #: Seed of a [validate] section that sets none, as `votemargin validate` parses without --config.
 DEFAULT_SEED = 1729
+
+#: Environment variable naming the default output directory.
+OUTPUT_DIR_ENV = "VOTEMARGIN_OUT"
+
+#: The ids of the check suites ``validate`` runs, in the order the CLI lists them.
+VALID_LEMMA_IDS = (
+    "margin-law",
+    "monotonicity",
+    "decomposition",
+    "phi-rho-ineq",
+    "phi-bound",
+    "lipschitz",
+    "delta-allocation",
+    "partition-coverage",
+    "massart",
+    "convexity-collapse",
+    "half-margin-expectation",
+)
+
+
+def _check_lemma_id(lemma_id: str) -> None:
+    """Refuse ``lemma_id`` unless it names a check suite."""
+    if lemma_id not in VALID_LEMMA_IDS:
+        raise ValueError(
+            f"unknown lemma id {lemma_id!r}; valid ids: {', '.join(VALID_LEMMA_IDS)}"
+        )
 
 
 class ConfigError(ValueError):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._scalar import PreconditionError, _check_count, _check_real
 from ..boosting import adaboost, build_stump_class, generate_synthetic, margin_histogram
 from ..bounds import (
     BoundInputs,
@@ -37,9 +38,6 @@ from ..core import (
     DataDistribution,
     HypothesisClass,
     LabeledSample,
-    PreconditionError,
-    _check_count,
-    _check_real,
     empirical_margin_loss,
     true_margin_loss,
 )

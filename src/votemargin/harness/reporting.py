@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from .config import OUTPUT_DIR_ENV
 
 __all__ = [
     "OUTPUT_DIR_ENV",
@@ -31,9 +32,6 @@ __all__ = [
     "write_constants_csv",
     "read_constants_csv",
 ]
-
-#: Environment variable naming the default output directory.
-OUTPUT_DIR_ENV = "VOTEMARGIN_OUT"
 
 
 def resolve_out_dir(out_dir) -> Path:
@@ -49,7 +47,9 @@ def format_value(value) -> str:
     """CSV cell text: floats at 17 significant digits, ints/str verbatim.
 
     The three exact types most cells hold are tested first, each by one
-    type comparison; every other value goes through the checks below.
+    type comparison; every other value goes through the checks below.  A
+    numpy scalar exists only once numpy is loaded, so numpy is read from
+    ``sys.modules``, not imported.
     """
     kind = type(value)
     if kind is float:
@@ -58,11 +58,12 @@ def format_value(value) -> str:
         return str(value)
     if kind is str:
         return value
-    if isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")
+    if isinstance(value, bool) or (np is not None and isinstance(value, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or (np is not None and isinstance(value, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or (np is not None and isinstance(value, np.floating)):
         return format(float(value), ".17g")
     if value is None:
         return ""

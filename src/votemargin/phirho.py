@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import C_THETA, _check_count, _check_real, _check_reals
+from ._scalar import _check_count, _check_real, _slope_threshold
+from .core import C_THETA, _check_reals
 from .discretize import (
     _check_N,
     _require_slope_ready,
-    _slope_threshold,
     binom_margin_tail,
     binom_margin_tail_batch,
 )

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisClass, LabeledSample, PreconditionError, _check_count, _generator
+from ._scalar import PreconditionError, _check_count
+from .core import HypothesisClass, LabeledSample, _generator
 
 __all__ = [
     "RademacherEstimate",

@@ -340,9 +340,8 @@ class TestUnitSumMessages:
     )
     def test_messages(self, values, message):
         with warnings.catch_warnings():
-            # no numpy warning on the way, but the overflow of a finite sum
+            # no numpy warning on the way, not even for a finite sum that overflows
             warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
             with pytest.raises(ValueError, match=f"weights {message}"):
                 VotingClassifier(values)
             with pytest.raises(ValueError, match=f"probabilities {message}"):

@@ -967,6 +967,51 @@ class TestCommandLine:
         usual = float(binom_margin_tail_batch(8, [0.0], 0.0)[0])
         assert f"tail {usual!r} True" in lines
 
+    def test_the_cli_starts_without_numpy(self, tmp_path):
+        # Importing the CLI, parsing a config of every kind, the closed-form
+        # bounds, help and a refused input all run on the standard library;
+        # numpy loads when a command first computes with arrays.
+        paths = []
+        for kind in EXPERIMENT_KINDS:
+            path = tmp_path / f"{kind}.ini"
+            path.write_text(f"[{kind}]\nseed = 3\nout = {tmp_path / 'out'}\n")
+            paths.append(str(path))
+        script = (
+            "import contextlib, io, sys\n"
+            "import votemargin.cli\n"
+            "from votemargin.harness.config import parse_config\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()),"
+            " contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            return votemargin.cli.main(list(argv))\n"
+            "        except SystemExit as exc:\n"
+            "            return exc.code\n"
+            "kinds = [parse_config(path).kind for path in sys.argv[2:]]\n"
+            "bounds = ['--n', '1000', '--h-size', '100', '--theta', '0.2', '--delta', '0.05',"
+            " '--loss', '0.1']\n"
+            "codes = [run('bounds', 'eval', *bounds),"
+            " run('bounds', 'grid', *bounds, '--sweep', 'n', '--values', '100,200'),"
+            " run('--help'), run('validate', 'no-such-lemma')]\n"
+            "print('cold', *kinds, *codes, *(m in sys.modules for m in ('numpy', 'scipy')))\n"
+            "code = run('validate', 'delta-allocation', '--config', sys.argv[1])\n"
+            "print('warm', code, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        validate_config = str(tmp_path / "validate.ini")
+        result = subprocess.run(
+            [sys.executable, "-c", script, validate_config, *paths], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"cold {' '.join(EXPERIMENT_KINDS)} 0 0 0 2 False False",
+            "warm 0 True",
+        ]
+        assert (tmp_path / "out" / "validate_delta_allocation.csv").is_file()
+
     def test_bounds_eval_rejects_bad_values(self, capsys):
         code = main(
             ["bounds", "eval", "--n", "5000", "--h-size", "16", "--theta", "1.5",

@@ -15,6 +15,8 @@ Against the package in ``CHECKOUT/src`` it runs
 * the five demos;
 * a fixed list of ``bounds eval`` and ``bounds grid`` calls, error cases
   included;
+* the help texts and the refusals of a bad lemma id, a config of the wrong
+  kind and a missing config file, with help wrapped at 80 columns;
 
 and prints one ``sha256  name`` line per artifact: every file a run writes,
 and the exit status with stdout and stderr of every call.  Output directories
@@ -89,6 +91,17 @@ BOUNDS_CALLS = (
     ("grid-out-is-dir", _GRID + ["--sweep", "n", "--values", "100", "--out", "{out}"]),
 )
 
+#: (name, argv) of the help and refusal calls; ``{out}`` holds ``validate.ini``,
+#: a [validate] config, and no ``missing.ini``.
+SURFACE_CALLS = (
+    ("help", ["--help"]),
+    ("validate-help", ["validate", "--help"]),
+    ("experiment-run-help", ["experiment", "run", "--help"]),
+    ("validate-unknown-lemma", ["validate", "no-such-lemma"]),
+    ("experiment-run-validate-config", ["experiment", "run", "{out}/validate.ini"]),
+    ("validate-missing-config", ["validate", "margin-law", "--config", "{out}/missing.ini"]),
+)
+
 
 class Digests:
     """Collects (name, sha256) lines, with one directory replaced by ``<out>``."""
@@ -107,10 +120,14 @@ class Digests:
 
 
 def _call(main, argv) -> bytes:
-    """Exit status, stdout and stderr of one in-process CLI call."""
+    """Exit status, stdout and stderr of one in-process CLI call.  Where
+    argparse exits (help, a usage error), the status is its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"exit {code}\n--stdout\n{out.getvalue()}--stderr\n{err.getvalue()}".encode()
 
 
@@ -180,6 +197,14 @@ def bounds_outputs(main, digests: Digests, root: Path) -> None:
     digests.add_files("bounds", out_dir)
 
 
+def surface_outputs(main, digests: Digests, root: Path) -> None:
+    out_dir = root / "surface"
+    out_dir.mkdir()
+    (out_dir / "validate.ini").write_text("[validate]\n")
+    for name, argv in SURFACE_CALLS:
+        digests.add(f"surface/{name}", _call(main, [a.format(out=out_dir) for a in argv]))
+
+
 def _import_checkout(checkout: Path):
     """(cli.main, workloads) imported from the checkout's own source."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
@@ -197,6 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path, help="root of a source checkout")
     parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
     args = parser.parse_args(argv)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help at the terminal width
     checkout = args.checkout.resolve()
     cli_main, workloads = _import_checkout(checkout)
     with tempfile.TemporaryDirectory(prefix="votemargin-digests-") as tmp:
@@ -207,6 +233,7 @@ def main(argv=None) -> int:
         locked_outputs(cli_main, digests, root)
         demo_outputs(checkout, digests)
         bounds_outputs(cli_main, digests, root)
+        surface_outputs(cli_main, digests, root)
     print("\n".join(digests.lines))
     return 0
 
