@@ -22,6 +22,7 @@ from .core import (
     LabeledSample,
     VotingClassifier,
     _check_domain,
+    _empirical_margin_loss,
     _generator,
     margins_on_sample,
 )
@@ -49,9 +50,7 @@ EPSILON_CLAMP = 1e-12
 #: picks (|H|·n at most) and O(|X|) distribution arrays in
 #: ``generate_synthetic``.  (4, 23), the largest class of d = 4 under the
 #: limit (58.8 MiB), builds at a 58.9 MiB peak, and its build, task and
-#: 400 rounds at n = 20 000 peak at 75.7 MiB, 77.1 MiB with an |H|×n
-#: agreement matrix; when the class copied its matrix, both peaked at
-#: 125.0 MiB (tracemalloc).
+#: 400 rounds at n = 20 000 peak at 75.7 MiB (tracemalloc).
 STUMP_CLASS_LIMIT = 2**26
 
 
@@ -128,8 +127,7 @@ def _stump_shape(H: HypothesisClass):
     ±1 entries only, so the part at x_a ≤ t is all +1 iff its minimum is 1,
     and the part above all −1 iff its maximum is −1 (the negations the other
     way).  Four reductions per row allocate no array of the row's size; at
-    (4, 15) the check takes 1.7 ms, where the bool comparison of a feature
-    block at a time took 2.0 ms and a k·(k+1)^d-byte temporary.
+    (4, 15) the check takes 1.7 ms.
     """
     rows, size = H.matrix.shape
     if rows % 2 or not _constants_last(H):
@@ -266,13 +264,10 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
     n-vectors: the picked row of y_i·h(x_i), an int8 row gathered the first
     time its hypothesis is picked and kept, is cast once into the step ±α_t
     that updates the scores and the weights.  The kept rows are at most
-    min(T, |H|)·n bytes, the |H|×n agreement matrix they replace at worst:
-    the (4, 15) run of the ``adaboost`` experiment at n = 20 000 and seed 2
-    picks 51 of its 122 hypotheses in 400 rounds, and its tracemalloc peak
-    above the class and sample fell from 3.84 to 2.49 MiB.  That run takes
-    119 ms, where the agreement matrix took 120 ms and strided rows with
-    int8 operands inside float ufuncs 214 ms (least of 5 runs, a 2-core x86
-    host).
+    min(T, |H|)·n bytes: the (4, 15) run of the ``adaboost`` experiment at
+    n = 20 000 and seed 2 picks 51 of its 122 hypotheses in 400 rounds, and
+    its tracemalloc peak above the class and sample is 2.49 MiB.  That run
+    takes 119 ms (least of 5 runs, a 2-core x86 host).
 
     Final weights aggregate the α's per distinct hypothesis and normalize,
     so the product is a valid voting classifier over H.
@@ -326,7 +321,7 @@ def adaboost(S: LabeledSample, H: HypothesisClass, T: int) -> BoostingRun:
                 hypothesis=best,
                 epsilon=eps,
                 alpha=alpha,
-                train_error=float(np.count_nonzero(score <= 0.0)) / n,
+                train_error=_empirical_margin_loss(score, 0.0),
                 min_margin=float(score.min()) / math.fsum(alphas),
                 exp_loss=float(np.exp(-score).mean()),
             )

@@ -9,7 +9,9 @@ a distribution is a sample of distinct atoms plus a probability vector.
 The margin and loss functions take either voter, a VotingClassifier or a
 ``discretize.DiscretizedClassifier``: both answer ``values_on(H)``.
 Margin-loss comparisons are non-strict: a point whose margin ties the
-threshold counts as a loss.
+threshold counts as a loss.  The seeded draws under every Monte Carlo check
+live here too: hypothesis indices (``_draw``), ±1 signs (``_draw_signs``)
+and the bounded blocks they are drawn in (``_blocks``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "LabeledSample",
     "DataDistribution",
     "margins_on_sample",
-    "margins_on_support",
     "empirical_margin_loss",
     "true_margin_loss",
 ]
@@ -87,11 +88,40 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     cdf, ``probs.cumsum()`` divided by its last entry, the same uniforms
     ``rng.random(shape)``, and as each index the number of cdf entries at or
     below its uniform (``searchsorted``).  So the indices and the
-    generator's state afterwards are choice's.
+    generator's state afterwards are choice's.  numpy draws the uniforms in
+    row-major order from one stream, so an N-draw is row 0 of an (M, N)
+    draw from the same generator, and consecutive row blocks (``_blocks``)
+    equal one draw of all their rows.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(shape), side="right")
+
+
+def _draw_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """A fresh int8 array of uniform ±1 signs: one ``rng.integers(0, 2,
+    size=shape)`` draw, mapped 0 → −1 and 1 → +1 in place.  Like ``_draw``'s
+    uniforms, the draw is row-major, so consecutive row blocks equal one
+    draw of all their rows."""
+    signs = rng.integers(0, 2, size=shape).astype(np.int8)
+    signs += signs
+    signs -= 1
+    return signs
+
+
+#: Most entries of one block of Monte Carlo draws, or of the products formed
+#: from it: 8 MiB as float64, whatever the number of draws.  Consecutive
+#: blocks from one generator equal one unblocked draw, so the block size
+#: moves no value.
+_BLOCK_ENTRIES = 2**20
+
+
+def _blocks(total: int, width: int):
+    """(start, stop) row ranges covering [0, total) in order, each of at most
+    ``_BLOCK_ENTRIES`` entries of ``width`` columns, and at least one row."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    for start in range(0, total, rows):
+        yield start, min(start + rows, total)
 
 
 def _real_array(values, name: str) -> np.ndarray:
@@ -377,10 +407,11 @@ class DataDistribution:
 
 def _margins(values: np.ndarray, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
     """Margins y_i·v(x_i) for every sample point, from a voter's values v on
-    the domain of H: a check that needs one voter's margins on two samples
-    takes them from one ``values_on``."""
+    the domain of H along the last axis (one row per voter): a check that
+    needs one voter's margins on two samples takes them from one
+    ``values_on``."""
     _check_domain(S, H.domain_size)
-    return S.labels * values[S.positions]
+    return S.labels * values[..., S.positions]
 
 
 def margins_on_sample(f, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
@@ -388,9 +419,9 @@ def margins_on_sample(f, H: HypothesisClass, S: LabeledSample) -> np.ndarray:
     return _margins(f.values_on(H), H, S)
 
 
-def margins_on_support(f, H: HypothesisClass, D: DataDistribution):
-    """(margins, probabilities) over the atoms of D, in atom order."""
-    return margins_on_sample(f, H, D.atoms), D.probabilities
+def _empirical_margin_loss(margins: np.ndarray, theta: float) -> float:
+    """Fraction of ``margins`` at or below θ: L_S^θ from the margins on S."""
+    return float(np.count_nonzero(margins <= theta)) / margins.size
 
 
 def empirical_margin_loss(f, H: HypothesisClass, S: LabeledSample, theta: float) -> float:
@@ -399,8 +430,7 @@ def empirical_margin_loss(f, H: HypothesisClass, S: LabeledSample, theta: float)
     θ = 0 gives the empirical 0-1 loss.
     """
     theta = _check_real(theta, "margin threshold", 0, 1)
-    m = margins_on_sample(f, H, S)
-    return float(np.count_nonzero(m <= theta)) / m.size
+    return _empirical_margin_loss(margins_on_sample(f, H, S), theta)
 
 
 def _true_margin_loss(margins: np.ndarray, probs: np.ndarray, theta: float) -> float:
@@ -413,5 +443,4 @@ def _true_margin_loss(margins: np.ndarray, probs: np.ndarray, theta: float) -> f
 def true_margin_loss(f, H: HypothesisClass, D: DataDistribution, theta: float) -> float:
     """Pr over D of margin ≤ θ, computed exactly over the atoms of D."""
     theta = _check_real(theta, "margin threshold", 0, 1)
-    return _true_margin_loss(*margins_on_support(f, H, D), theta)
-
+    return _true_margin_loss(margins_on_sample(f, H, D.atoms), D.probabilities, theta)

@@ -42,6 +42,7 @@ from .core import (
     _check_reals,
     _check_size,
     _draw,
+    _empirical_margin_loss,
     _generator,
     _integer_array,
     _margins,
@@ -276,10 +277,8 @@ def binom_margin_tail(N: int, lam: float, eta: float) -> float:
     bound (``_comb_lower``), so its cost follows the min(k, N−k) factors of
     the coefficient and the bracket's precision, not the digits of C(N, k).
     Measured on a 2-core host: 0.08–0.09 s at (2^20, 0.3, 0.25), 0.11–0.15 s
-    at (2^20, 0.001, 0.0) and 0.4–0.5 s at N = 2^22, where the exact
-    ``math.comb`` took 7–9 s, 12–14 s and did not finish in 120 s.  At
-    N = 12 800 a call takes about 1 ms, a third of its time with the exact
-    coefficient.  The exact loop, reached only at a rounding boundary, still
+    at (2^20, 0.001, 0.0) and 0.4–0.5 s at N = 2^22.  At N = 12 800 a call
+    takes about 1 ms.  The exact loop, reached only at a rounding boundary,
     forms C(N, k) exactly.
     """
     problem = _tail_problem(N, lam, eta)
@@ -361,20 +360,7 @@ def sample_discretization(f: VotingClassifier, H: HypothesisClass, N, rng_seed) 
     """
     N = _check_N(N)
     _check_size(f, H)
-    return DiscretizedClassifier(H, _draw_indices(f, N, _generator(rng_seed)))
-
-
-def _draw_indices(f: VotingClassifier, shape, rng: np.random.Generator) -> np.ndarray:
-    """Hypothesis indices of the given shape, i.i.d. with probabilities a_h.
-
-    The one draw behind ``sample_discretization`` (shape N) and the Monte
-    Carlo margins of the ``margin-law`` suite (shape (rows, N)), with
-    ``Generator.choice``'s indices (see ``core._draw``).  numpy draws the
-    entries in row-major order from one uniform stream, so an N-draw is
-    row 0 of an (M, N) draw from the same generator, and consecutive row
-    blocks equal one draw of all their rows.
-    """
-    return _draw(rng, f.weights, shape)
+    return DiscretizedClassifier(H, _draw(_generator(rng_seed), f.weights, N))
 
 
 def first_decrease(values):
@@ -427,11 +413,9 @@ def decomposition_residual(
     probs = D.probabilities
     n = fm_S.size
 
-    lhs = float(probs[fm_D <= 0.0].sum()) - float(np.count_nonzero(fm_S <= theta)) / n
+    lhs = _true_margin_loss(fm_D, probs, 0.0) - _empirical_margin_loss(fm_S, theta)
 
-    loss_diff = (
-        float(probs[gm_D <= half].sum()) - float(np.count_nonzero(gm_S <= half)) / n
-    )
+    loss_diff = _true_margin_loss(gm_D, probs, half) - _empirical_margin_loss(gm_S, half)
     phi_like = (
         float(probs[(gm_D > half) & (fm_D <= 0.0)].sum())
         - float(np.count_nonzero((gm_S > half) & (fm_S <= theta))) / n

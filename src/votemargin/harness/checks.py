@@ -26,10 +26,12 @@ from ..core import (
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    _blocks,
+    _draw,
+    _draw_signs,
     _generator,
 )
 from ..discretize import (
-    _draw_indices,
     binom_margin_tail,
     decomposition_residual,
     expected_half_margin_loss_bound_check,
@@ -91,21 +93,11 @@ def repair_duplicate_constants(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _random_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """A fresh int8 ±1 array from one ``rng.integers(0, 2, size=shape)`` draw,
-    the draw the seeded recipes have always made, mapped 0 → −1 and 1 → +1
-    in place."""
-    signs = rng.integers(0, 2, size=shape).astype(np.int8)
-    signs += signs
-    signs -= 1
-    return signs
-
-
 def random_hypothesis_class(rng_seed, X_size: int, H_size: int) -> HypothesisClass:
     """A seeded random ±1 class of H_size hypotheses over {0..X_size−1}."""
     X_size = _check_count(X_size, "X_size", 2)
     H_size = _check_count(H_size, "H_size")
-    matrix = _random_signs(_generator(rng_seed), (H_size, X_size))
+    matrix = _draw_signs(_generator(rng_seed), (H_size, X_size))
     return HypothesisClass._adopt(repair_duplicate_constants(matrix))
 
 
@@ -113,7 +105,7 @@ def random_distribution(rng_seed, domain_size: int) -> DataDistribution:
     """Random labels and Dirichlet atom masses over every point of the domain."""
     domain_size = _check_count(domain_size, "domain_size")
     rng = _generator(rng_seed)
-    labels = _random_signs(rng, domain_size)
+    labels = _draw_signs(rng, domain_size)
     probs = rng.dirichlet(np.ones(domain_size))
     return DataDistribution(LabeledSample._adopt(domain_size, np.arange(domain_size), labels), probs)
 
@@ -190,13 +182,6 @@ def _binomial_quantile(q: float, n: int, p: float) -> int:
 _FIVE_SIGMA_LEVEL = 1.0 - math.erfc(5.0 / math.sqrt(2.0))
 
 
-#: Rows of one block of Monte Carlo draws: at N = 1024 a block holds 8 MB of
-#: indices, where all 200 000 rows at once would hold 1.6 GB.  Consecutive
-#: blocks from one generator equal one unblocked draw, so the block size
-#: moves no hit count.
-_MC_BLOCK_ROWS = 1024
-
-
 def _check_margin_law(seed, trials, grid_points):
     """Hit counts of sampled discretizations against the exact margin tail.
 
@@ -219,8 +204,8 @@ def _check_margin_law(seed, trials, grid_points):
             f = VotingClassifier([a, 1.0 - a])
             hits = np.zeros(len(etas), dtype=np.int64)
             rng = stream(seed, 0, b, li)
-            for start in range(0, M, _MC_BLOCK_ROWS):
-                indices = _draw_indices(f, (min(_MC_BLOCK_ROWS, M - start), N), rng)
+            for start, stop in _blocks(M, N):
+                indices = _draw(rng, f.weights, (stop - start, N))
                 margins = (N - 2 * np.count_nonzero(indices, axis=1)) / N
                 hits += [np.count_nonzero(margins > eta) for eta in etas]
             for eta, count in zip(etas, hits.tolist()):
@@ -540,12 +525,15 @@ def validate(lemma_id: str, config) -> LemmaCheckReport:
     """Run one named check suite, persist its CSV and summary, return the report.
 
     ``config`` is a parsed [validate] section providing seed, trial count,
-    grid density, and the output directory.  The directory is resolved
-    (created) before the suite runs, so an unusable one fails first.  A
-    suite only computes: it returns (header, rows, summary, max_violation,
-    tolerance), plus the calibrated constant where it has one.
+    grid density, and the output directory; a config of another kind is
+    refused before anything is made.  The directory is resolved (created)
+    before the suite runs, so an unusable one fails first.  A suite only
+    computes: it returns (header, rows, summary, max_violation, tolerance),
+    plus the calibrated constant where it has one.
     """
     _check_lemma_id(lemma_id)
+    if config.kind != "validate":
+        raise ValueError(f"kind must be validate, got {config.kind!r}")
     params = config.params
     out_dir = resolve_out_dir(params["out"])
     header, rows, summary, max_violation, tolerance, *calibrated = _SUITES[lemma_id](

@@ -38,7 +38,10 @@ from ..core import (
     DataDistribution,
     HypothesisClass,
     LabeledSample,
-    empirical_margin_loss,
+    _draw_signs,
+    _empirical_margin_loss,
+    _margins,
+    margins_on_sample,
     true_margin_loss,
 )
 from ..discretize import _check_N, binom_margin_tail_batch
@@ -214,7 +217,7 @@ class _ConcentrationInstance:
         rest = np.ones(x_size - n_light)
         heavy = rng.dirichlet(rest) * (1.0 - light.sum())
         masses = np.concatenate([light, heavy])
-        labels = rng.integers(0, 2, size=x_size) * 2 - 1
+        labels = _draw_signs(rng, x_size)
 
         n_good = min(5, max(1, h_size - 3))
         matrix = np.empty((h_size, x_size), dtype=np.int8)
@@ -224,7 +227,7 @@ class _ConcentrationInstance:
                                replace=False)
             row[flips] = -row[flips]
             matrix[i] = row
-        matrix[n_good:] = rng.integers(0, 2, size=(h_size - n_good, x_size)) * 2 - 1
+        matrix[n_good:] = _draw_signs(rng, (h_size - n_good, x_size))
         self.H = HypothesisClass._adopt(repair_duplicate_constants(matrix))
         self.D = DataDistribution(LabeledSample(x_size, np.arange(x_size), labels), masses)
         self.alpha = np.array([2.0] * n_good + [0.5] * (h_size - n_good))
@@ -252,9 +255,8 @@ class _ConcentrationInstance:
         Clipped to [−1, 1]: summing ±1 columns against unit-sum weights can
         overshoot by one ulp.
         """
-        atoms = self.D.atoms
-        margins = (weights @ self.H.matrix)[:, atoms.positions] * atoms.labels
-        return np.clip(margins, -1.0, 1.0)
+        margins = _margins(weights @ self.H.matrix, self.H, self.D.atoms)
+        return np.clip(margins, -1.0, 1.0, out=margins)
 
     @property
     def probe_count(self) -> int:
@@ -465,16 +467,15 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
     trained = []
     for i, n in enumerate(p["n_grid"]):
         D, S = generate_synthetic(H, n, p["noise"], stream(config.seed, 4, i))
-        run_result = adaboost(S, H, p["t"])
-        trained.append((n, D, S, run_result.classifier))
+        f = adaboost(S, H, p["t"]).classifier
+        trained.append((n, true_margin_loss(f, H, D, 0.0), margins_on_sample(f, H, S)))
 
     rows = []
     skipped = 0
     gap_ok = True
-    for n, D, S, f in trained:
-        true_loss = true_margin_loss(f, H, D, 0.0)
+    for n, true_loss, margins in trained:
         for theta in p["theta_grid"]:
-            loss = empirical_margin_loss(f, H, S, theta)
+            loss = _empirical_margin_loss(margins, theta)
             gap = true_loss - loss
             if theta <= floor_by_n[n]:
                 skipped += 1
@@ -498,17 +499,17 @@ def gap_vs_bounds_experiment(config: ExperimentConfig) -> GapVsBoundsReport:
             )
 
     trend_theta = p["trend_theta"]
-    admissible = [(n, S, f) for n, _, S, f in trained if trend_theta > floor_by_n[n]]
+    admissible = [(n, margins) for n, _, margins in trained if trend_theta > floor_by_n[n]]
     if len(admissible) < 2:
         raise PreconditionError(
             f"trend_theta = {trend_theta} is admissible for fewer than two "
             "sample sizes; no trend can be computed"
         )
     matched_loss = float(
-        np.mean([empirical_margin_loss(f, H, S, trend_theta) for _, S, f in admissible])
+        np.mean([_empirical_margin_loss(margins, trend_theta) for _, margins in admissible])
     )
     ratios = []
-    for n, _, _ in admissible:
+    for n, _ in admissible:
         inputs = BoundInputs(
             n=n, H_size=len(H), theta=trend_theta, delta=delta,
             loss=matched_loss, c=c_used,

@@ -131,11 +131,13 @@ def write_constants_csv(path, constants: dict) -> Path:
 
 
 def read_constants_csv(path) -> dict:
-    """Read back a calibrated-constants CSV."""
+    """Read back a calibrated-constants CSV; an empty file is refused."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"constants file {path} is empty: it needs a name,value header")
         if header != ["name", "value"]:
             raise ValueError(f"unexpected constants header: {header!r}")
         for name, value in reader:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import PreconditionError, _check_count
-from .core import HypothesisClass, LabeledSample, _generator
+from .core import HypothesisClass, LabeledSample, _blocks, _draw_signs, _generator
 
 __all__ = [
     "RademacherEstimate",
@@ -36,13 +36,6 @@ EXHAUSTIVE_LIMIT = 20
 #: |H|·2^16 int8 correlations (64 KiB per hypothesis).
 _TABLE_BITS = 16
 
-#: Most entries of one block of Monte Carlo sign draws, or of the products
-#: formed from it: 8 MiB as float64, whatever the number of trials.
-#: Consecutive blocks from one generator equal one unblocked draw, and each
-#: draw's correlations are exact integers, so the block size moves no value.
-_BLOCK_ENTRIES = 2**20
-
-
 @dataclass(frozen=True)
 class RademacherEstimate:
     """An estimate of (1/n)·E_σ[sup_h Σ σ_i·h(x_i)]; std_error 0 means exact."""
@@ -50,21 +43,6 @@ class RademacherEstimate:
     value: float
     std_error: float
     trials: int
-
-
-def _block_rows(n: int, width: int) -> int:
-    """Rows of one block of sign draws: neither the (rows, n) block nor its
-    product with ``width`` columns passes ``_BLOCK_ENTRIES`` entries."""
-    return max(1, _BLOCK_ENTRIES // max(n, width))
-
-
-def _signs(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """A (rows, n) float64 block of uniform ±1 signs: ``rng.integers(0, 2)``
-    mapped to 2·b − 1."""
-    sigma = rng.integers(0, 2, size=(rows, n)).astype(np.float64)
-    sigma *= 2.0
-    sigma -= 1.0
-    return sigma
 
 
 def empirical_rademacher(
@@ -75,18 +53,17 @@ def empirical_rademacher(
     The supremum over the finite class is computed exactly for every draw;
     only the expectation over σ is sampled, from the required ``rng_seed``
     (an integer or a numpy Generator).  The signs are drawn in blocks of
-    bounded size (``_BLOCK_ENTRIES``), so what grows with ``trials`` is only
-    float64 vectors of one entry per draw.
+    bounded size (``core._blocks``), so what grows with ``trials`` is only
+    float64 vectors of one entry per draw.  Each draw's correlations are
+    exact integers, so the block size moves no value.
     """
     trials = _check_count(trials, "trials")
     rng = _generator(rng_seed)
     values = H.sample_values(S).astype(np.float64)
     n = values.shape[1]
     sups = np.empty(trials, dtype=np.float64)
-    rows = _block_rows(n, len(H))
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        sups[start:stop] = (_signs(rng, stop - start, n) @ values.T).max(axis=1)
+    for start, stop in _blocks(trials, max(n, len(H))):
+        sups[start:stop] = (_draw_signs(rng, (stop - start, n)) @ values.T).max(axis=1)
     per_draw = sups / n
     value = float(per_draw.mean())
     std_error = (
@@ -173,9 +150,8 @@ def convexity_collapse_check(H: HypothesisClass, S: LabeledSample, trials: int, 
     n = values.shape[1]
     combos = rng.dirichlet(np.ones(len(H)), size=50)
     collapsed = True
-    rows = _block_rows(n, max(len(H), len(combos)))
-    for start in range(0, trials, rows):
-        corr = _signs(rng, min(rows, trials - start), n) @ values.T  # (rows, |H|)
+    for start, stop in _blocks(trials, max(n, len(H), len(combos))):
+        corr = _draw_signs(rng, (stop - start, n)) @ values.T  # (rows, |H|)
         sup_class = corr.max(axis=1)
         sup_hull = (corr @ combos.T).max(axis=1)
         collapsed &= bool((sup_hull <= sup_class + 1e-9).all())

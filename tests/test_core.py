@@ -12,12 +12,15 @@ from votemargin.core import (
     HypothesisClass,
     LabeledSample,
     VotingClassifier,
+    _blocks,
     _draw,
+    _draw_signs,
+    _empirical_margin_loss,
     empirical_margin_loss,
     margins_on_sample,
-    margins_on_support,
     true_margin_loss,
 )
+from votemargin import core
 from votemargin.rng import stream
 
 from labeled import distribution, sample
@@ -403,6 +406,31 @@ class TestDraw:
         assert np.array_equal(drawn, expected) and state_a == state_b
 
 
+class TestDrawSigns:
+    @pytest.mark.parametrize("shape", [(), 7, (3, 5)])
+    def test_is_the_mapped_integer_draw(self, shape):
+        a, b = np.random.default_rng(13), np.random.default_rng(13)
+        expected = a.integers(0, 2, size=shape) * 2 - 1
+        signs = _draw_signs(b, shape)
+        assert signs.dtype == np.int8 and signs.shape == expected.shape
+        assert np.array_equal(signs, expected)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("total", [1, 5, 1000, 4099])
+    @pytest.mark.parametrize("width", [1, 3, 1024, 1025, 2**20, 2**20 + 1, 2**22])
+    def test_cover_the_rows_in_order_within_the_entry_bound(self, total, width):
+        blocks = list(_blocks(total, width))
+        assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+        assert blocks[-1][1] == total
+        assert all(start < stop for start, stop in blocks)
+        if width > core._BLOCK_ENTRIES:
+            assert all(stop - start == 1 for start, stop in blocks)
+        else:
+            assert all((stop - start) * width <= core._BLOCK_ENTRIES for start, stop in blocks)
+
+
 class TestDataDistribution:
     def test_probabilities_renormalized(self):
         D = distribution(4, {(0, 1): 0.25, (1, -1): 0.75 + 1e-13})
@@ -510,6 +538,11 @@ class TestMarginsAndLosses:
         assert empirical_margin_loss(f, H, S, 0.5) == 1.0
         assert empirical_margin_loss(f, H, S, np.nextafter(0.5, 0.0)) == 0.0
 
+    def test_loss_of_margins_counts_ties(self):
+        margins = np.array([-0.5, 0.25, 0.25, 0.75])
+        assert _empirical_margin_loss(margins, 0.25) == 0.75
+        assert _empirical_margin_loss(margins, np.nextafter(0.25, 0.0)) == 0.25
+
     def test_zero_threshold_is_zero_one_loss(self):
         H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
@@ -527,22 +560,21 @@ class TestMarginsAndLosses:
                 empirical_margin_loss(f, H, S, theta), abs=1e-15
             )
 
-    def test_margins_on_support_orders_by_atom(self):
+    def test_margins_on_the_atoms_order_by_atom(self):
         H = small_class()
         f = VotingClassifier(np.array([0.5, 0.25, 0.25]))
         D = distribution(4, {(2, 1): 0.25, (0, -1): 0.75})
-        m, p = margins_on_support(f, H, D)
-        np.testing.assert_allclose(m, [0.0, -0.5], atol=1e-15)
-        np.testing.assert_allclose(p, [0.25, 0.75])
+        np.testing.assert_allclose(margins_on_sample(f, H, D.atoms), [0.0, -0.5], atol=1e-15)
+        np.testing.assert_allclose(D.probabilities, [0.25, 0.75])
 
     @pytest.mark.parametrize(
         "call",
         [
             lambda f, H, S, D: H.sample_values(S),
             lambda f, H, S, D: margins_on_sample(f, H, S),
-            lambda f, H, S, D: margins_on_support(f, H, D),
+            lambda f, H, S, D: true_margin_loss(f, H, D, 0.5),
         ],
-        ids=["sample_values", "margins_on_sample", "margins_on_support"],
+        ids=["sample_values", "margins_on_sample", "true_margin_loss"],
     )
     def test_a_sample_over_another_domain_is_rejected(self, call):
         H = small_class()

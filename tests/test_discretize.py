@@ -17,8 +17,8 @@ from votemargin.core import (
     PreconditionError,
     VotingClassifier,
     empirical_margin_loss,
+    _draw,
     margins_on_sample,
-    margins_on_support,
     true_margin_loss,
 )
 from votemargin.discretize import (
@@ -349,9 +349,8 @@ class TestDiscretizedClassifier:
             margins_on_sample(g, H, S), np.array([values[0], -values[2], values[0]])
         )
         D = distribution(3, {(0, 1): 0.5, (1, -1): 0.5})
-        margins, probs = margins_on_support(g, H, D)
+        margins = margins_on_sample(g, H, D.atoms)
         assert np.array_equal(margins, np.array([values[0], -values[1]]))
-        assert np.array_equal(probs, np.array([0.5, 0.5]))
 
     def test_margins_reject_a_sample_over_another_domain(self):
         H = self.small()
@@ -359,7 +358,7 @@ class TestDiscretizedClassifier:
         with pytest.raises(ValueError, match="domain"):
             margins_on_sample(g, H, sample(4, [(0, 1)]))
         with pytest.raises(ValueError, match="domain"):
-            margins_on_support(g, H, distribution(2, {(1, 1): 1.0}))
+            margins_on_sample(g, H, distribution(2, {(1, 1): 1.0}).atoms)
 
     def test_as_voting_uses_draw_frequencies(self):
         # g is the voting classifier whose weights are the draw frequencies
@@ -376,8 +375,7 @@ class TestDiscretizedClassifier:
             margins = S.labels * values[S.positions]
             atom_margins = D.atoms.labels * values[D.atoms.positions]
             assert margins_on_sample(g, H, S).tobytes() == margins.tobytes()
-            m, p = margins_on_support(g, H, D)
-            assert m.tobytes() == atom_margins.tobytes() and p is D.probabilities
+            assert margins_on_sample(g, H, D.atoms).tobytes() == atom_margins.tobytes()
             for theta in (0.0, 3 / 7, 1.0):
                 loss = float(np.count_nonzero(margins <= theta)) / len(S)
                 assert empirical_margin_loss(g, H, S, theta) == loss
@@ -433,7 +431,7 @@ class TestSampleDiscretization:
         assert np.array_equal(a.indices, b.indices)
         assert not np.array_equal(a.indices, c.indices)
         # the N indices are row 0 of an (M, N) draw from the same generator
-        assert np.array_equal(a.indices, discretize._draw_indices(f, (100, 32), stream(5, 0))[0])
+        assert np.array_equal(a.indices, _draw(stream(5, 0), f.weights, (100, 32))[0])
 
     def test_point_mass_draws_one_hypothesis(self):
         H = self.two_constant_class()
@@ -511,9 +509,9 @@ class TestDecompositionResidual:
         for indices in itertools.product(range(3), repeat=N):
             weight = float(np.prod(f.weights[list(indices)]))
             g = DiscretizedClassifier(H, list(indices))
-            margins, probs = margins_on_support(g, H, D)
-            expected += weight * float(probs[margins <= half].sum())
-        margins_f, probs = margins_on_support(f, H, D)
+            margins = margins_on_sample(g, H, D.atoms)
+            expected += weight * float(D.probabilities[margins <= half].sum())
+        margins_f, probs = margins_on_sample(f, H, D.atoms), D.probabilities
         via_law = float(probs @ (1.0 - binom_margin_tail_batch(N, margins_f, half)))
         assert abs(expected - via_law) <= 1e-12
 
@@ -545,7 +543,7 @@ class TestExpectedHalfMarginLossBound:
         theta_i, N = 0.5, 64
         lhs, rhs, holds = expected_half_margin_loss_bound_check(f, H, D, theta_i, N)
         assert holds and lhs <= rhs
-        margins, probs = margins_on_support(f, H, D)
+        margins, probs = margins_on_sample(f, H, D.atoms), D.probabilities
         manual = float(probs @ (1.0 - binom_margin_tail_batch(N, margins, theta_i / 2)))
         assert lhs == pytest.approx(manual, abs=1e-15)
         assert rhs == pytest.approx(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votemargin import discretize, phirho
+from votemargin import core, discretize, phirho
 from votemargin.boosting import build_stump_class
 from votemargin.bounds import (
     BoundInputs,
@@ -314,6 +314,12 @@ class TestReporting:
         with pytest.raises(ValueError, match="header"):
             read_constants_csv(path)
 
+    def test_constants_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"constants file {path} is empty"):
+            read_constants_csv(path)
+
 
 class TestCheckHelpers:
     def test_repair_duplicate_constants_flips_surplus_rows(self):
@@ -521,6 +527,12 @@ class TestValidateDispatch:
         with pytest.raises(ValueError, match="unknown lemma id"):
             validate("nope", parse_config_text("[validate]\n"))
 
+    def test_wrong_kind_rejected(self, tmp_path):
+        config = parse_config_text(adaboost_text(tmp_path / "out"))
+        with pytest.raises(ValueError, match="kind"):
+            validate("massart", config)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "lemma_id", ["decomposition", "massart", "monotonicity", "phi-rho-ineq"]
     )
@@ -550,13 +562,13 @@ class TestValidateDispatch:
         config = parse_config_text(f"[validate]\nseed = 3\ntrials = 2000\nout = {tmp_path}\n")
         assert validate("margin-law", config).passed
         blocked = (tmp_path / "validate_margin_law.csv").read_bytes()  # 1024 + 976 rows
-        monkeypatch.setattr(checks, "_MC_BLOCK_ROWS", 2000)
+        monkeypatch.setattr(core, "_BLOCK_ENTRIES", 2000 * 1024)  # one block at every N
         validate("margin-law", config)
         assert (tmp_path / "validate_margin_law.csv").read_bytes() == blocked
         # a defect in the draw the suite shares with sample_discretization
         for module in (discretize, checks):
-            monkeypatch.setattr(module, "_draw_indices", lambda f, shape, rng: rng.choice(
-                len(f), size=shape, p=f.weights[::-1]))
+            monkeypatch.setattr(module, "_draw", lambda rng, probs, shape: rng.choice(
+                len(probs), size=shape, p=probs[::-1]))
         report = validate("margin-law", config)
         assert not report.passed and report.max_violation > 0
 
@@ -854,7 +866,7 @@ class TestRunExitCodes:
     @pytest.mark.parametrize(
         "case",
         ["out-is-a-file", "out-below-a-file", "constants-missing",
-         "constants-is-a-directory", "grid-out-is-a-directory"],
+         "constants-is-a-directory", "constants-is-empty", "grid-out-is-a-directory"],
     )
     def test_unusable_path_exits_two(self, tmp_path, capsys, case):
         blocker = self.write(tmp_path, "blocker.txt", "not a directory\n")
@@ -863,7 +875,9 @@ class TestRunExitCodes:
             config = self.write(tmp_path, "v.ini", validate_text(out=out))
             argv = ["validate", "massart", "--config", str(config)]
         elif case.startswith("constants-"):
-            constants = tmp_path / "missing.csv" if case == "constants-missing" else tmp_path
+            constants = {"constants-missing": tmp_path / "missing.csv",
+                         "constants-is-a-directory": tmp_path,
+                         "constants-is-empty": self.write(tmp_path, "empty.csv", "")}[case]
             config = self.write(tmp_path, "g.ini", gap_text(tmp_path, constants_csv=constants))
             argv = ["experiment", "run", str(config)]
         else:

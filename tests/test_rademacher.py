@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from votemargin import rademacher
+from votemargin import core, rademacher
 from votemargin.core import HypothesisClass, LabeledSample, PreconditionError
 from votemargin.harness.checks import random_hypothesis_class
 from votemargin.rademacher import (
@@ -197,8 +197,9 @@ class TestEmpiricalRademacher:
             lambda: estimates.append(empirical_rademacher(H, S, trials=10**5, rng_seed=stream(45, 0)))
         )
         assert (estimates[0].value, estimates[0].std_error) == (0.146448, 0.0005335435124212424)
-        # one block as int64 and as float64, plus the per-draw vectors
-        assert peak < 2 * 8 * rademacher._BLOCK_ENTRIES + 2 * 8 * 10**5 + 2**20
+        # one block as two 8-byte arrays (the int64 draw, or the float64 cast
+        # of its int8 signs), plus the per-draw vectors
+        assert peak < 2 * 8 * core._BLOCK_ENTRIES + 2 * 8 * 10**5 + 2**20
 
 
 class TestMassartBound:

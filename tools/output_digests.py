@@ -16,7 +16,8 @@ Against the package in ``CHECKOUT/src`` it runs
 * a fixed list of ``bounds eval`` and ``bounds grid`` calls, error cases
   included;
 * the help texts and the refusals of a bad lemma id, a config of the wrong
-  kind and a missing config file, with help wrapped at 80 columns;
+  kind, a missing config file and an empty constants file, with help
+  wrapped at 80 columns;
 
 and prints one ``sha256  name`` line per artifact: every file a run writes,
 and the exit status with stdout and stderr of every call.  Output directories
@@ -92,7 +93,9 @@ BOUNDS_CALLS = (
 )
 
 #: (name, argv) of the help and refusal calls; ``{out}`` holds ``validate.ini``,
-#: a [validate] config, and no ``missing.ini``.
+#: a [validate] config, ``gap-empty-constants.ini``, a [gap-vs-bounds] config
+#: whose ``constants_csv`` is the empty file ``empty.csv``, and no
+#: ``missing.ini``.
 SURFACE_CALLS = (
     ("help", ["--help"]),
     ("validate-help", ["validate", "--help"]),
@@ -100,6 +103,7 @@ SURFACE_CALLS = (
     ("validate-unknown-lemma", ["validate", "no-such-lemma"]),
     ("experiment-run-validate-config", ["experiment", "run", "{out}/validate.ini"]),
     ("validate-missing-config", ["validate", "margin-law", "--config", "{out}/missing.ini"]),
+    ("experiment-run-empty-constants", ["experiment", "run", "{out}/gap-empty-constants.ini"]),
 )
 
 
@@ -201,6 +205,10 @@ def surface_outputs(main, digests: Digests, root: Path) -> None:
     out_dir = root / "surface"
     out_dir.mkdir()
     (out_dir / "validate.ini").write_text("[validate]\n")
+    (out_dir / "empty.csv").write_text("")
+    (out_dir / "gap-empty-constants.ini").write_text(
+        f"[gap-vs-bounds]\nseed = 1\nconstants_csv = {out_dir / 'empty.csv'}\nout = {out_dir / 'gap'}\n"
+    )
     for name, argv in SURFACE_CALLS:
         digests.add(f"surface/{name}", _call(main, [a.format(out=out_dir) for a in argv]))
 
